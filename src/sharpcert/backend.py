@@ -51,7 +51,3 @@ def rat_str(x) -> str:
     """Serialize as "p/q" (or "p" when the denominator is 1)."""
     n, d = x.numerator, x.denominator
     return f"{n}" if d == 1 else f"{n}/{d}"
-
-
-ZERO = rat(0)
-ONE = rat(1)

@@ -12,14 +12,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .backend import rat
 from .errors import GradeMismatch, MalformedCertificate, PrecisionExhausted, SchemeInfeasible
-from .kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from .oracle import quad_eigen_enclosure
 from .scheme import Certificate, EigenTable, compute_a_star, verify_certificate
 
@@ -28,7 +26,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_GRADE_MISMATCH = 3
 
-DEFAULT_PRECISION = int(os.environ.get("SHARPCERT_PRECISION_BITS", "128"))
+DEFAULT_PRECISION = 128
 
 
 def _parse_tol(text: str):
@@ -45,6 +43,16 @@ def _parse_tol(text: str):
     if tol <= 0:
         raise argparse.ArgumentTypeError("tol must be positive")
     return tol
+
+
+def _precision_bits(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if bits < 64:
+        raise argparse.ArgumentTypeError("precision-bits must be >= 64")
+    return bits
 
 
 def _grade_str(grade) -> str:
@@ -146,8 +154,8 @@ def cmd_eigen(args) -> int:
     if args.dimension < 3:
         print("error: dimension must be >= 3", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if args.kernel in ("magical", "nonmagical") and args.m is None:
-        print("error: --m is required for polynomial kernels", file=sys.stderr)
+    if args.kernel != "delta" and (args.m is None or args.m < 0):
+        print("error: --m >= 0 is required for polynomial kernels", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
         ks = [int(k) for k in args.k.split(",")]
@@ -163,11 +171,8 @@ def cmd_eigen(args) -> int:
         desc = "delta"
         exact_of = table.delta
     else:
-        mt = MomentTable(d)
-        builder = magical_kernel_poly if args.kernel == "magical" else nonmagical_kernel_poly
-        desc = builder(mt, args.m)
-        fetch = table.mag if args.kernel == "magical" else table.nonmag
-        exact_of = lambda k: fetch(2 * args.m, k)
+        desc = table.kernel(2 * args.m, args.kernel)
+        exact_of = lambda k: table.get(args.kernel, 2 * args.m, k)
 
     rows = []
     violation = False
@@ -228,20 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def precision_and_out(sp):
+        sp.add_argument("--precision-bits", type=_precision_bits, default=DEFAULT_PRECISION,
+                        help="working precision for decimals and enclosures (default 128, min 64)")
+        sp.add_argument("--out", help="output file (default stdout)")
+
+    def scheme_options(sp):
         sp.add_argument("--tol", type=_parse_tol, default=rat(1, 10**6),
                         help="rational tolerance for the constant-term shift (default 1/1000000)")
         sp.add_argument("--tail-depth", type=int, default=25,
                         help="extra eigenvalue signs checked past each cutoff (default 25)")
-        sp.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION,
-                        help="working precision for decimals and enclosures")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed for sampling oracles")
-        sp.add_argument("--out", help="output file (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        precision_and_out(sp)
 
     sp = sub.add_parser("certify", help="run the full scheme for one dimension")
     sp.add_argument("-d", "--dimension", type=int, required=True)
-    common(sp)
+    scheme_options(sp)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("scan", help="certify a range of dimensions (parallel)")
@@ -249,29 +255,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-max", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=None,
                     help="worker processes (default: one per core)")
-    common(sp)
-    sp.set_defaults(func=cmd_scan, format="csv")
+    scheme_options(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default="csv")
+    sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("eigen", help="exact eigenvalues with quadrature enclosures")
     sp.add_argument("-d", "--dimension", type=int, required=True)
     sp.add_argument("--kernel", choices=("delta", "magical", "nonmagical"), required=True)
     sp.add_argument("--m", type=int, default=None, help="half-degree of a polynomial kernel")
     sp.add_argument("--k", required=True, help="comma-separated harmonic degrees")
-    common(sp)
+    precision_and_out(sp)
     sp.set_defaults(func=cmd_eigen)
 
     sp = sub.add_parser("verify", help="re-verify a certificate JSON file")
     sp.add_argument("certificate", help="path to the certificate")
-    common(sp)
     sp.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision_bits < 64:
-        print("error: precision-bits must be >= 64", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     try:
         return args.func(args)
     except GradeMismatch as exc:

@@ -14,7 +14,6 @@ moment and a radial moment, all exact half-integer Beta data.  Substituting
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -88,7 +87,6 @@ class MomentTable:
             raise ValueError("d must be >= 3")
         self.d = d
         self.entries: dict[tuple[int, int], ExactScalar] = {}
-        self._lock = threading.Lock()
 
     def get(self, j: int, k: int) -> ExactScalar:
         """C(d, J, K); exactly zero for odd K, strictly positive for even K."""
@@ -104,13 +102,8 @@ class MomentTable:
                 * directional_sphere_moment(self.d, k)
                 * radial_moment(self.d, 2 * j + k + self.d - 2)
             )
-            with self._lock:
-                got = self.entries.setdefault(key, val)
+            got = self.entries.setdefault(key, val)
         return got
-
-
-def double_sphere_moment(table: MomentTable, j: int, k: int) -> ExactScalar:
-    return table.get(j, k)
 
 
 def _multinomial(m: int, i: int, j: int, k: int) -> int:

@@ -214,13 +214,6 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
 
 
 @dataclass(frozen=True)
-class SamplePoint:
-    """A point on the unit sphere in R^d."""
-
-    omega: np.ndarray
-
-
-@dataclass(frozen=True)
 class McEstimate:
     mean: float
     stderr: float
@@ -238,16 +231,6 @@ def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         norms[bad] = np.linalg.norm(g[bad], axis=1, keepdims=True)
         bad = norms[:, 0] < 1e-150
     return g / norms
-
-
-def uniform_sphere_sampler(d: int, seed: int):
-    """Infinite reproducible stream of rotation-invariant sphere points."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    while True:
-        for row in _unit_rows(rng, 1024, d):
-            yield SamplePoint(row)
 
 
 _CHUNK = 1 << 17

@@ -131,9 +131,7 @@ class ExactPoly:
         return ExactPoly([x * c for x in self.coeffs], self.grade, self.domain)
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly(
-            [i * c for i, c in enumerate(self.coeffs)][1:], self.grade, self.domain
-        )
+        return ExactPoly(_deriv(self.coeffs), self.grade, self.domain)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -205,26 +203,10 @@ def _deriv(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _polyrem(a, b):
-    """Remainder of a by b over the rationals (b nonzero)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _trim(a):
-        a = _trim(a)
-        if len(a) - 1 < db:
-            break
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[i + shift] = a[i + shift] - f * c
-        a.pop()
-    return _trim(a)
-
-
 def _gcd(a, b):
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _polyrem(a, b)
+        a, b = b, _polydiv(a, b)[1]
     if a:
         la = a[-1]
         a = [c / la for c in a]
@@ -268,7 +250,7 @@ def sturm_chain(coeffs):
     if _trim(d):
         chain.append(_trim(d))
         while True:
-            r = _polyrem(chain[-2], chain[-1])
+            r = _polydiv(chain[-2], chain[-1])[1]
             if not r:
                 break
             chain.append([-c for c in r])

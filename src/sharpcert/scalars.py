@@ -189,20 +189,11 @@ class ExactScalar:
 
 
 ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
-
-
-def from_rational(q) -> ExactScalar:
-    return ExactScalar(rat(q))
 
 
 def pi_power_half(k: int) -> ExactScalar:
     """(sqrt pi)^k as an exact scalar."""
     return ExactScalar(1, 0, k)
-
-
-def sqrt2_power(k: int) -> ExactScalar:
-    return ExactScalar(1, k, 0)
 
 
 def gamma_half_int(two_a: int) -> ExactScalar:
@@ -290,9 +281,16 @@ class IntervalScalar:
         return self.iv.b
 
     def contains(self, other) -> bool:
-        """Containment of an ExactScalar, IntervalScalar, or float."""
+        """Containment of an ExactScalar, IntervalScalar, or float.
+
+        An ExactScalar is refuted only when its own enclosure is disjoint
+        from this one: when this interval is itself just a rounding of an
+        exact value, a second rounding at the same precision need not fit
+        inside it.
+        """
         if isinstance(other, ExactScalar):
             other = other.to_interval(self.precision_bits + 16)
+            return other.iv.a <= self.iv.b and self.iv.a <= other.iv.b
         if isinstance(other, IntervalScalar):
             return self.iv.a <= other.iv.a and other.iv.b <= self.iv.b
         return self.iv.a <= other <= self.iv.b

@@ -18,7 +18,6 @@ rather than falling back to floating point.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .backend import rat, rat_str
@@ -58,9 +57,9 @@ class EigenTable:
         self.mu_nonmag: dict[tuple[int, int], ExactScalar] = {}
         self._kernels_mag: dict[int, ExactPoly] = {}
         self._kernels_nonmag: dict[int, ExactPoly] = {}
-        self._lock = threading.Lock()
 
-    def _kernel(self, two_m: int, identity: str) -> ExactPoly:
+    def kernel(self, two_m: int, identity: str) -> ExactPoly:
+        """The polynomial kernel of exponent ``two_m`` for ``identity``, cached."""
         if two_m < 0 or two_m % 2 == 1:
             raise ValueError("kernel exponent must be even and >= 0")
         m = two_m // 2
@@ -68,49 +67,33 @@ class EigenTable:
         poly = cache.get(m)
         if poly is None:
             builder = magical_kernel_poly if identity == MAGICAL else nonmagical_kernel_poly
-            poly = builder(self.moments, m)
-            with self._lock:
-                poly = cache.setdefault(m, poly)
+            poly = cache.setdefault(m, builder(self.moments, m))
         return poly
 
     def delta(self, k: int) -> ExactScalar:
         v = self.lambda_delta.get(k)
         if v is None:
-            v = eigen_delta_weight(k, self.d)
-            with self._lock:
-                v = self.lambda_delta.setdefault(k, v)
+            v = self.lambda_delta.setdefault(k, eigen_delta_weight(k, self.d))
         return v
 
     def mag(self, two_m: int, k: int) -> ExactScalar:
         key = (two_m, k)
         v = self.lambda_mag.get(key)
         if v is None:
-            v = funk_hecke_eigen(self._kernel(two_m, MAGICAL), k, self.d)
-            with self._lock:
-                v = self.lambda_mag.setdefault(key, v)
+            v = funk_hecke_eigen(self.kernel(two_m, MAGICAL), k, self.d)
+            v = self.lambda_mag.setdefault(key, v)
         return v
 
     def nonmag(self, two_m: int, k: int) -> ExactScalar:
         key = (two_m, k)
         v = self.mu_nonmag.get(key)
         if v is None:
-            v = funk_hecke_eigen(self._kernel(two_m, NONMAGICAL), k, self.d)
-            with self._lock:
-                v = self.mu_nonmag.setdefault(key, v)
+            v = funk_hecke_eigen(self.kernel(two_m, NONMAGICAL), k, self.d)
+            v = self.mu_nonmag.setdefault(key, v)
         return v
 
     def get(self, identity: str, two_m: int, k: int) -> ExactScalar:
         return self.mag(two_m, k) if identity == MAGICAL else self.nonmag(two_m, k)
-
-
-def build_eigen_table(d: int, m_max: int, k_max: int) -> EigenTable:
-    """Eagerly populate a table for kernel exponents 2m <= 2*m_max, even k <= k_max."""
-    table = EigenTable(d)
-    for m in range(m_max + 1):
-        for k in range(0, k_max + 1, 2):
-            table.mag(2 * m, k)
-            table.nonmag(2 * m, k)
-    return table
 
 
 @dataclass
@@ -146,7 +129,7 @@ class WeightSpec:
             return 1
         return -1
 
-    def structural_cutoff(self, n_total: int) -> int:
+    def structural_cutoff(self) -> int:
         """Largest ell with a possibly-nonzero eigenvalue (ignoring the delta)."""
         if self.identity == MAGICAL:
             return (self.top_degree + 2) // 4
@@ -260,7 +243,7 @@ def build_weights(d: int, tol, tail_depth: int = 25):
         if not cert.holds:
             raise SchemeInfeasible(f"d={d} n={n}: admissibility failed after shift")
         w.adm_margin = cert.lower_bound
-        cutoff = N if n == 1 else w.structural_cutoff(2 * N)
+        cutoff = N if n == 1 else w.structural_cutoff()
         for ell in range(1, cutoff + tail_depth + 1):
             v = weight_eigen(w, table, ell)
             nonpos = v.sign() <= 0
@@ -391,6 +374,8 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        if not isinstance(obj, dict):
+            raise MalformedCertificate(f"expected a JSON object, got {type(obj).__name__}")
         try:
             if obj.get("version") != 1:
                 raise MalformedCertificate(f"unsupported version {obj.get('version')!r}")
@@ -412,10 +397,7 @@ class Certificate:
                     c0=rat(wd["c0"]),
                     grade=grade,
                     adm_margin=rat(wd["adm_margin"]),
-                    eig=[
-                        EigCheck(int(e["ell"]), ExactScalar.from_json(e["value"]), bool(e["nonpositive"]))
-                        for e in wd["eig"]
-                    ],
+                    eig=[_eig_check_from_json(e) for e in wd["eig"]],
                 )
                 weights.append(w)
             return cls(
@@ -429,15 +411,22 @@ class Certificate:
                 paper_baseline_decimal=obj.get("paper_baseline_decimal"),
                 notes=[str(s) for s in obj.get("notes", [])],
                 delta_eigen_evidence=[
-                    EigCheck(int(e["ell"]), ExactScalar.from_json(e["value"]), bool(e["nonpositive"]))
-                    for e in obj.get("delta_eigen_evidence", [])
+                    _eig_check_from_json(e) for e in obj.get("delta_eigen_evidence", [])
                 ],
                 generator=dict(obj.get("generator", GENERATOR)),
             )
         except MalformedCertificate:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            # ZeroDivisionError: a "p/0" rational; OverflowError: a JSON Infinity
             raise MalformedCertificate(str(exc)) from exc
+
+
+def _eig_check_from_json(e) -> EigCheck:
+    ell = int(e["ell"])
+    if ell < 1:
+        raise MalformedCertificate(f"eigenvalue index ell={ell} must be >= 1")
+    return EigCheck(ell, ExactScalar.from_json(e["value"]), bool(e["nonpositive"]))
 
 
 def compute_a_star(
@@ -515,9 +504,9 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     if N != cert.N:
         failures.append(f"N mismatch: stored {cert.N}, expected {N}")
         return False, failures
-    table = EigenTable(d)
 
     if N < 2:
+        table = EigenTable(d)
         if cert.weights:
             failures.append("weights present for a prior-results dimension")
         if not cert.a_star.is_zero():
@@ -536,7 +525,7 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
 
     # recompute the coefficient ladder in declaration order
     try:
-        rebuilt, _, grade = build_weights(d, rat(1, 10**6), tail_depth=0)
+        rebuilt, table, grade = build_weights(d, rat(1, 10**6), tail_depth=0)
     except (SchemeInfeasible, GradeMismatch) as exc:
         return False, [f"reconstruction failed: {exc}"]
     for w, rw in zip(cert.weights, rebuilt):

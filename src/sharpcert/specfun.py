@@ -18,6 +18,7 @@ All values are exact.
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 from .backend import rat
 from .errors import GradeMismatch
@@ -71,15 +72,9 @@ class GegenbauerBasis:
         return v
 
 
-_bases: dict[int, GegenbauerBasis] = {}
-_bases_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def gegenbauer_basis(d: int) -> GegenbauerBasis:
-    with _bases_lock:
-        if d not in _bases:
-            _bases[d] = GegenbauerBasis(d)
-        return _bases[d]
+    return GegenbauerBasis(d)
 
 
 def gegenbauer(d: int, k: int) -> ExactPoly:
@@ -155,20 +150,12 @@ def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
     return pref * total * ExactScalar(1, *kernel.grade)
 
 
-def eigen_delta_weight(k: int, d: int, form: str = "direct") -> ExactScalar:
-    """Exact eigenvalue lambda_1(k) of the delta-weight kernel, even k.
-
-    ``form`` selects between the two equivalent integral representations:
-    "direct" integrates the kernel's own (1+t)^{1/2}(1-t)^{(d-3)/2} shape,
-    "flipped" the t -> -t image (they agree for even k; the flip just
-    toggles the sign of the odd Gegenbauer coefficients, which vanish).
-    """
+def eigen_delta_weight(k: int, d: int) -> ExactScalar:
+    """Exact eigenvalue lambda_1(k) of the delta-weight kernel, even k."""
     if k < 0 or k % 2 == 1:
         raise ValueError("k must be even and >= 0")
     if d < 3:
         raise ValueError("d must be >= 3")
-    if form not in ("direct", "flipped"):
-        raise ValueError("form must be 'direct' or 'flipped'")
     from .kernels import delta_kernel_closed_form
 
     basis = gegenbauer_basis(d)
@@ -177,7 +164,6 @@ def eigen_delta_weight(k: int, d: int, form: str = "direct") -> ExactScalar:
     for b, cb in enumerate(ck.coeffs):
         if cb == 0:
             continue
-        sign = 1 if (form == "direct" or b % 2 == 0) else -1
-        total = total + mixed_moment(d, b) * (cb * sign)
+        total = total + mixed_moment(d, b) * cb
     const = delta_kernel_closed_form(d).constant
     return sphere_surface(d - 1) / basis.at_one(k) * const * total

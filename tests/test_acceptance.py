@@ -4,9 +4,11 @@ Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them live); the assertions carry the same verdicts.
 """
 
+import hashlib
 import json
 import sys
 import time
+from pathlib import Path
 
 from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
@@ -20,6 +22,11 @@ from sharpcert.scheme import (
     ell_star,
     verify_certificate,
 )
+
+
+# SHA-256 of json.dumps(compute_a_star(d).to_json(), indent=2) for d = 3..24;
+# refactors must leave these bytes unchanged.
+PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
 
 
 def _report(num, desc, ok):
@@ -83,8 +90,12 @@ def test_criterion_05_d8_certificate_with_baseline():
 def test_criterion_06_full_range_certification():
     ok = True
     two_tol = rat(2, 10**6)
-    for d in range(8, 25):
+    for d in range(3, 25):
         cert = compute_a_star(d, tol=rat(1, 10**6))
+        digest = hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
+        if digest != PINS[str(d)]:
+            print(f"d={d}: certificate bytes differ from the pin", file=sys.stderr)
+            ok = False
         ok = ok and cert.sum_condition_ok
         for w in cert.weights:
             ok = ok and all(e.nonpositive for e in w.eig)
@@ -100,7 +111,7 @@ def test_criterion_06_full_range_certification():
                 ).holds
         if not ok:
             break
-    _report(6, "d in 8..24 certify with exact checks and minimal constants", ok)
+    _report(6, "d in 3..24 certify with exact checks, minimal constants, pinned bytes", ok)
 
 
 def test_criterion_07_quadrature_enclosures():

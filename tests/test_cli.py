@@ -1,11 +1,16 @@
+import copy
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sharpcert
 from sharpcert.cli import main
+from sharpcert.scheme import compute_a_star
 
 
 def run(argv):
@@ -71,6 +76,34 @@ def test_verify_truncated(tmp_path):
     assert run(["verify", str(missing_fields)]) == 2
 
 
+D7 = compute_a_star(7).to_json()
+
+
+def _d7_with(edit):
+    cert = copy.deepcopy(D7)
+    edit(cert)
+    return cert
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        "certificate",
+        _d7_with(lambda c: c["weights"][0].update(c0="1/0")),
+        _d7_with(lambda c: c["weights"][0].update(c0=float("inf"))),
+        _d7_with(lambda c: c["a_star"]["rational_times_grade"].update(rational="1/0")),
+        _d7_with(lambda c: c["weights"][0]["eig"][0].update(ell=0)),
+    ],
+    ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero"],
+)
+def test_verify_malformed_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("malformed certificate:")
+
+
 def test_scan_small_range(tmp_path):
     out = tmp_path / "scan.csv"
     assert run(["scan", "--d-min", "7", "--d-max", "9", "--jobs", "1",
@@ -125,14 +158,56 @@ def test_eigen_nonmagical_positive(tmp_path):
 
 def test_eigen_validation():
     assert run(["eigen", "-d", "5", "--kernel", "magical", "--k", "2"]) == 2
+    assert run(["eigen", "-d", "5", "--kernel", "magical", "--m", "-1", "--k", "2"]) == 2
     assert run(["eigen", "-d", "5", "--kernel", "delta", "--k", "x"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["eigen", "-d", "5", "--kernel", "delta", "--k", "2", "--precision-bits", "32"])
+    assert exc.value.code == 2
+
+
+def test_eigen_exact_rounding_enclosure(tmp_path):
+    # both quadrature pieces are exact here, so the enclosure is only a
+    # rounding interval; the exact value must still be accepted
+    out = tmp_path / "eig.json"
+    assert run(["eigen", "--kernel", "magical", "-d", "23", "--m", "4", "--k", "0",
+                "--precision-bits", "256", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["values"][0]["contained"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "-d", "3", "--seed", "1"],
+        ["certify", "-d", "3", "--format", "json"],
+        ["scan", "--d-min", "3", "--d-max", "3", "--seed", "1"],
+        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--seed", "1"],
+        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--format", "json"],
+        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--tol", "1/2"],
+        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--tail-depth", "3"],
+        ["verify", "c.json", "--seed", "1"],
+        ["verify", "c.json", "--format", "json"],
+        ["verify", "c.json", "--tol", "1/2"],
+        ["verify", "c.json", "--tail-depth", "3"],
+        ["verify", "c.json", "--out", "o.json"],
+        ["verify", "c.json", "--precision-bits", "128"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_removed_flag_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
 
 
 def test_console_script_entry_point():
+    # the child imports the same sharpcert as this process, installed or not
+    src = str(Path(sharpcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sharpcert.cli", "certify", "-d", "7"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     cert = json.loads(proc.stdout)

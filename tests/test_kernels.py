@@ -3,7 +3,6 @@ from sharpcert.kernels import (
     MomentTable,
     delta_kernel_closed_form,
     directional_sphere_moment,
-    double_sphere_moment,
     magical_kernel_poly,
     nonmagical_kernel_poly,
     radial_moment,
@@ -37,11 +36,11 @@ def test_double_sphere_moment_examples():
     for d in (3, 4, 7):
         table = MomentTable(d)
         s2 = sphere_surface(d) * sphere_surface(d)
-        assert double_sphere_moment(table, 0, 0) == s2
+        assert table.get(0, 0) == s2
         for j in (0, 1, 2):
-            assert double_sphere_moment(table, j, 3).is_zero()
-            assert double_sphere_moment(table, j, 2).sign() == 1
-    assert double_sphere_moment(MomentTable(3), 1, 0) == ExactScalar(32, 0, 4)
+            assert table.get(j, 3).is_zero()
+            assert table.get(j, 2).sign() == 1
+    assert MomentTable(3).get(1, 0) == ExactScalar(32, 0, 4)
 
 
 def test_delta_kernel_constant():

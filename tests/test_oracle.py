@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from sharpcert.oracle import (
+    _unit_rows,
     mc_agrees,
     mc_check_moment,
     mc_double_sphere_moment,
     quad_eigen_enclosure,
-    uniform_sphere_sampler,
 )
 from sharpcert.polys import ExactPoly
 from sharpcert.scheme import EigenTable
@@ -46,6 +47,23 @@ def test_enclosures_contain_exact_grid():
             for k in (0, 2, 6):
                 assert quad_eigen_enclosure(mag, k, d).contains(table.mag(2 * m, k))
                 assert quad_eigen_enclosure(non, k, d).contains(table.nonmag(2 * m, k))
+    # delta eigenvalues of both parities of d, including the even-d case where
+    # both quadrature pieces are exact and the enclosure is a rounding interval
+    for d in (5, 8, 11):
+        table = EigenTable(d)
+        for k in (0, 2, 4, 8):
+            assert quad_eigen_enclosure("delta", k, d).contains(table.delta(k))
+
+
+@pytest.mark.parametrize("precision_bits", [128, 256])
+def test_rounding_enclosure_refutes_only_disjoint_values(precision_bits):
+    # d=23, magical m=4, k=0: both quadrature pieces integrate exactly
+    table = EigenTable(23)
+    iv = quad_eigen_enclosure(table.kernel(8, "magical"), 0, 23, precision_bits)
+    exact = table.mag(8, 0)
+    assert iv.contains(exact)
+    assert not iv.contains(exact * (1 + rat(1, 2 ** (precision_bits - 8))))
+    assert not iv.contains(exact * (1 - rat(1, 2 ** (precision_bits - 8))))
 
 
 def test_enclosure_input_validation():
@@ -56,18 +74,15 @@ def test_enclosure_input_validation():
 
 
 def test_sampler_determinism_and_norms():
-    a = uniform_sphere_sampler(5, 99)
-    b = uniform_sphere_sampler(5, 99)
-    for _ in range(100):
-        pa, pb = next(a), next(b)
-        assert np.array_equal(pa.omega, pb.omega)
-        assert abs(np.linalg.norm(pa.omega) - 1.0) < 1e-12
+    a = _unit_rows(np.random.default_rng(99), 100, 5)
+    b = _unit_rows(np.random.default_rng(99), 100, 5)
+    assert np.array_equal(a, b)
+    assert np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) < 1e-12)
 
 
 def test_sampler_symmetry_moments():
     d, n = 4, 10**5
-    rng_stream = uniform_sphere_sampler(d, 7)
-    pts = np.array([next(rng_stream).omega for _ in range(n)])
+    pts = _unit_rows(np.random.default_rng(7), n, d)
     se = 1.0 / np.sqrt(n)
     assert np.all(np.abs(pts.mean(axis=0)) < 4 * se)
     first_sq = pts[:, 0] ** 2

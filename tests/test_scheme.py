@@ -11,7 +11,6 @@ from sharpcert.scheme import (
     Certificate,
     EigenTable,
     WeightSpec,
-    build_eigen_table,
     build_weights,
     check_sum_condition,
     compute_a_star,
@@ -31,7 +30,7 @@ def test_ell_star():
 
 
 def test_eigen_table_structural_zeros():
-    table = build_eigen_table(5, 3, 8)
+    table = EigenTable(5)
     for m in range(4):
         for k in range(0, 9, 2):
             if k > m + 1:

@@ -107,11 +107,20 @@ def test_delta_eigen_rejects_odd_k():
 
 
 def test_flip_identity():
+    # the t -> -t image of the delta-weight integral toggles the sign of the
+    # odd Gegenbauer coefficients; for even k they vanish and both agree
+    from sharpcert.kernels import delta_kernel_closed_form
+
     for d in (3, 5, 8, 11):
+        basis = gegenbauer_basis(d)
+        const = delta_kernel_closed_form(d).constant
         for k in (0, 2, 4, 8):
-            direct = eigen_delta_weight(k, d, form="direct")
-            flipped = eigen_delta_weight(k, d, form="flipped")
-            assert direct == flipped
+            flipped = ZERO
+            for b, cb in enumerate(basis.poly(k).coeffs):
+                if cb != 0:
+                    flipped = flipped + mixed_moment(d, b) * (cb if b % 2 == 0 else -cb)
+            flipped = sphere_surface(d - 1) / basis.at_one(k) * const * flipped
+            assert eigen_delta_weight(k, d) == flipped
 
 
 def test_delta_eigen_grade_coherence():
