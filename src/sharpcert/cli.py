@@ -45,14 +45,19 @@ def _parse_tol(text: str):
     return tol
 
 
-def _precision_bits(text: str) -> int:
-    try:
-        bits = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if bits < 64:
-        raise argparse.ArgumentTypeError("precision-bits must be >= 64")
-    return bits
+def _int_at_least(lo: int, name: str):
+    """An argparse type: an integer >= lo, else exit 2 with a message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {lo}")
+        return value
+
+    return parse
 
 
 def _grade_str(grade) -> str:
@@ -162,8 +167,8 @@ def cmd_eigen(args) -> int:
     except ValueError:
         print(f"error: bad k list {args.k!r}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if any(k < 0 for k in ks):
-        print("error: k must be >= 0", file=sys.stderr)
+    if any(k < 0 or (args.kernel == "delta" and k % 2 == 1) for k in ks):
+        print("error: k must be >= 0, and even for the delta kernel", file=sys.stderr)
         return EXIT_INVALID_INPUT
     d = args.dimension
     table = EigenTable(d)
@@ -234,15 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def precision_and_out(sp):
-        sp.add_argument("--precision-bits", type=_precision_bits, default=DEFAULT_PRECISION,
+        sp.add_argument("--precision-bits", type=_int_at_least(64, "precision-bits"),
+                        default=DEFAULT_PRECISION,
                         help="working precision for decimals and enclosures (default 128, min 64)")
         sp.add_argument("--out", help="output file (default stdout)")
 
     def scheme_options(sp):
         sp.add_argument("--tol", type=_parse_tol, default=rat(1, 10**6),
                         help="rational tolerance for the constant-term shift (default 1/1000000)")
-        sp.add_argument("--tail-depth", type=int, default=25,
-                        help="extra eigenvalue signs checked past each cutoff (default 25)")
+        sp.add_argument("--tail-depth", type=_int_at_least(0, "tail-depth"), default=25,
+                        help="extra eigenvalue signs checked past each cutoff (default 25, min 0)")
         precision_and_out(sp)
 
     sp = sub.add_parser("certify", help="run the full scheme for one dimension")
@@ -253,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="certify a range of dimensions (parallel)")
     sp.add_argument("--d-min", type=int, required=True)
     sp.add_argument("--d-max", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: one per core)")
+    sp.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=None,
+                    help="worker processes (default: one per core, min 1)")
     scheme_options(sp)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.set_defaults(func=cmd_scan)

@@ -19,8 +19,7 @@ from functools import lru_cache
 from math import factorial
 
 from .backend import rat
-from .errors import GradeMismatch
-from .polys import DOMAIN_T, ExactPoly, binomial
+from .polys import ExactPoly, taylor_shift
 from .scalars import ExactScalar, beta_half_int, sphere_surface
 
 ZERO = ExactScalar(0)
@@ -110,26 +109,15 @@ def _multinomial(m: int, i: int, j: int, k: int) -> int:
     return factorial(m) // (factorial(i) * factorial(j) * factorial(k))
 
 
-def _collapse_to_t(a_coeffs: dict[int, ExactScalar], domain=DOMAIN_T) -> ExactPoly:
-    """Rewrite sum c_p a^p with a = 2 + 2t as an exact polynomial in t."""
-    grade = None
-    for c in a_coeffs.values():
-        if not c.is_zero():
-            grade = c.grade
-            break
-    if grade is None:
-        return ExactPoly([], domain=domain)
-    deg = max(a_coeffs)
-    out = [rat(0)] * (deg + 1)
-    for p, c in a_coeffs.items():
-        if c.is_zero():
-            continue
-        if c.grade != grade:
-            raise GradeMismatch("kernel moment constants carry mixed grades")
-        base = c.coeff * (2**p)  # (2+2t)^p = 2^p (1+t)^p
-        for q in range(p + 1):
-            out[q] += base * binomial(p, q)
-    return ExactPoly(out, grade, domain)
+def _collapse_to_t(a_coeffs: dict[int, ExactScalar]) -> ExactPoly:
+    """Rewrite sum c_p a^p with a = 2 + 2t as an exact polynomial in t.
+
+    (2+2t)^p = 2^p (1+t)^p, so the polynomial in s = 1+t is shifted by one.
+    """
+    in_s = ExactPoly.from_scalars(
+        [a_coeffs.get(p, ZERO) * 2**p for p in range(max(a_coeffs) + 1)]
+    )
+    return ExactPoly(taylor_shift(in_s.coeffs, 1), in_s.grade)
 
 
 def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:

@@ -9,7 +9,6 @@ rational arithmetic; no floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .backend import rat, rat_str
@@ -201,6 +200,15 @@ def _horner(coeffs, x):
 
 def _deriv(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def taylor_shift(coeffs, c):
+    """Coefficients of P(x + c) from those of P(x), by repeated Horner steps."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
+    return out
 
 
 def _gcd(a, b):
@@ -446,7 +454,3 @@ def minimal_shift(poly, lo, hi, tol):
         return rat(0)
     m = certified_min(coeffs, lo, hi, tol)
     return -m
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

@@ -189,6 +189,8 @@ def build_weights(d: int, tol, tail_depth: int = 25):
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if tail_depth < 0:
+        raise ValueError("tail_depth must be >= 0")
     table = EigenTable(d)
     grade = _coefficient_grade(table, N)
 
@@ -203,29 +205,6 @@ def build_weights(d: int, tol, tail_depth: int = 25):
             dictated = transfers.get(top, ZERO)
             if not dictated.is_zero():
                 coeffs[top] = dictated
-        if n == 1:
-            ell_top = N
-        elif identity == MAGICAL:
-            ell_top = top // 4
-        else:
-            ell_top = (top - 2) // 4
-        for ell in range(ell_top, 0, -1):
-            q_star = _knob_degree(identity, ell)
-            partial = table.delta(2 * ell) if n == 1 else ZERO
-            for q, c in coeffs.items():
-                nu = table.get(identity, q, 2 * ell)
-                if nu.is_zero() or c.is_zero():
-                    continue
-                term = nu * c
-                partial = partial + (term if (n >= 2 and q == top) else -term)
-            denom = table.get(identity, q_star, 2 * ell)
-            if denom.sign() <= 0:
-                raise SchemeInfeasible(
-                    f"d={d} n={n}: eigenvalue at degree {q_star}, k={2*ell} not positive"
-                )
-            ratio = partial / denom
-            if ratio.sign() > 0:
-                coeffs[q_star] = ratio  # clipped ratio {.}_+
         w = WeightSpec(
             n=n,
             identity=identity,
@@ -235,6 +214,18 @@ def build_weights(d: int, tol, tail_depth: int = 25):
             c0=rat(0),
             grade=grade,
         )
+        # weight 1's top kernel (degree 4N - 2) also reaches exactly ell = N
+        cutoff = w.structural_cutoff()
+        for ell in range(cutoff, 0, -1):
+            q_star = _knob_degree(identity, ell)
+            denom = table.get(identity, q_star, 2 * ell)
+            if denom.sign() <= 0:
+                raise SchemeInfeasible(
+                    f"d={d} n={n}: eigenvalue at degree {q_star}, k={2*ell} not positive"
+                )
+            ratio = weight_eigen(w, table, ell) / denom
+            if ratio.sign() > 0:
+                coeffs[q_star] = ratio  # clipped ratio {.}_+
         _check_grades(w, grade)
         poly = w.polynomial_part(include_constant=False)
         c0 = minimal_shift(poly, 0, 16, tol) if not poly.is_zero() else rat(0)
@@ -243,7 +234,6 @@ def build_weights(d: int, tol, tail_depth: int = 25):
         if not cert.holds:
             raise SchemeInfeasible(f"d={d} n={n}: admissibility failed after shift")
         w.adm_margin = cert.lower_bound
-        cutoff = N if n == 1 else w.structural_cutoff()
         for ell in range(1, cutoff + tail_depth + 1):
             v = weight_eigen(w, table, ell)
             nonpos = v.sign() <= 0
@@ -444,6 +434,8 @@ def compute_a_star(
     """
     if d < 3:
         raise ValueError("d must be >= 3")
+    if tail_depth < 0:
+        raise ValueError("tail_depth must be >= 0")
     N = ell_star(d)
     if N < 2:
         table = EigenTable(d)

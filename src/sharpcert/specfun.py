@@ -10,8 +10,9 @@ A zonal kernel K(t) acts on degree-k spherical harmonics by the scalar
 
     lambda(k) = |S^{d-2}| / C_k(1) * int_{-1}^{1} K(t) C_k(t) (1-t^2)^{(d-3)/2} dt,
 
-which for polynomial kernels reduces to pure power moments and for the
-delta-weight kernel to the mixed (1+t)^{(d-2)/2} (1-t)^{d-3} moments below.
+which for polynomial kernels reduces to pure power moments.  For the
+delta-weight kernel the integrand is C_k(t) (1+t)^{(d-2)/2} (1-t)^{d-3};
+with C_k rewritten in powers of (1+t) each term is one Beta value.
 All values are exact.
 """
 
@@ -21,8 +22,7 @@ import threading
 from functools import lru_cache
 
 from .backend import rat
-from .errors import GradeMismatch
-from .polys import DOMAIN_T, ExactPoly, binomial
+from .polys import DOMAIN_T, ExactPoly, taylor_shift
 from .scalars import ExactScalar, beta_half_int, sphere_surface
 
 ZERO = ExactScalar(0)
@@ -97,29 +97,9 @@ def weighted_moment(d: int, a: int) -> ExactScalar:
     return beta_half_int(a + 1, d - 1)
 
 
-def _power_times_halfpow(m: int, d: int) -> ExactScalar:
-    """Exact int_{-1}^{1} t^m (1+t)^{(d-2)/2} dt via s = (1+t)/2."""
-    # 2^{d/2} * sum_j binom(m,j) 2^j (-1)^{m-j} * 2/(d+2j)
-    total = rat(0)
-    for j in range(m + 1):
-        total += binomial(m, j) * (2**j) * (-1) ** (m - j) * rat(2, d + 2 * j)
-    return ExactScalar(total * (2 ** (d // 2)), d % 2, 0)
-
-
-def mixed_moment(d: int, a: int) -> ExactScalar:
-    """Exact int_{-1}^{1} t^a (1-t)^{d-3} (1+t)^{(d-2)/2} dt.
-
-    This is the pure-power moment of the delta-weight kernel's integrand
-    after flipping t -> -t; the integer-exponent factor is expanded
-    binomially so all half-integer exponents stay in the (1+t) factor.
-    """
-    if d < 3 or a < 0:
-        raise ValueError("need d >= 3 and a >= 0")
-    out = ZERO
-    for i in range(d - 2):
-        term = _power_times_halfpow(a + i, d) * rat((-1) ** i * binomial(d - 3, i))
-        out = out + term
-    return out
+def delta_moment(d: int, j: int) -> ExactScalar:
+    """Exact int_{-1}^{1} (1+t)^{(d-2)/2+j} (1-t)^{d-3} dt = 2^{(3d-6)/2+j} B(d/2+j, d-2)."""
+    return ExactScalar(1, 3 * d - 6 + 2 * j, 0) * beta_half_int(d + 2 * j, 2 * d - 4)
 
 
 def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
@@ -159,11 +139,9 @@ def eigen_delta_weight(k: int, d: int) -> ExactScalar:
     from .kernels import delta_kernel_closed_form
 
     basis = gegenbauer_basis(d)
-    ck = basis.poly(k)
     total = ZERO
-    for b, cb in enumerate(ck.coeffs):
-        if cb == 0:
-            continue
-        total = total + mixed_moment(d, b) * cb
+    for j, cj in enumerate(taylor_shift(basis.poly(k).coeffs, -1)):
+        if cj != 0:
+            total = total + delta_moment(d, j) * cj
     const = delta_kernel_closed_form(d).constant
     return sphere_surface(d - 1) / basis.at_one(k) * const * total

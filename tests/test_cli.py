@@ -199,6 +199,31 @@ def test_removed_flag_exits_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--d-min", "8", "--d-max", "9", "--jobs", "0"],
+        ["scan", "--d-min", "8", "--d-max", "9", "--jobs", "-1"],
+        ["eigen", "--kernel", "delta", "-d", "5", "--k", "3"],
+        ["eigen", "--kernel", "delta", "-d", "5", "--k", "0,2,5"],
+        ["certify", "-d", "9", "--tail-depth", "-3"],
+        ["certify", "-d", "5", "--tail-depth", "-3"],
+        ["scan", "--d-min", "5", "--d-max", "5", "--tail-depth", "-1"],
+    ],
+    ids=["jobs_zero", "jobs_negative", "delta_odd_k", "delta_odd_k_in_list",
+         "tail_depth_negative_d9", "tail_depth_negative_d5", "scan_tail_depth_negative"],
+)
+def test_invalid_value_exits_2(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: " in err.strip().splitlines()[-1]
+
+
 def test_console_script_entry_point():
     # the child imports the same sharpcert as this process, installed or not
     src = str(Path(sharpcert.__file__).resolve().parents[1])

@@ -14,6 +14,7 @@ from sharpcert.polys import (
     minimal_shift,
     nonneg_on,
     sturm_chain,
+    taylor_shift,
 )
 from sharpcert.scalars import ExactScalar
 
@@ -161,6 +162,21 @@ def test_minimal_shift_monotone(cs):
         lowered = list(p.coeffs)
         lowered[0] += c - 2 * tol
         assert not nonneg_on(ExactPoly(lowered, domain=DOMAIN_U), 0, 16).holds
+
+
+@given(
+    coeff_lists,
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.fractions(min_value=-20, max_value=20, max_denominator=9),
+)
+@settings(max_examples=120, deadline=None)
+def test_taylor_shift_round_trip_and_values(cs, c, x):
+    coeffs = [rat(v) for v in cs]
+    c, x = rat(c), rat(x)
+    shifted = taylor_shift(coeffs, c)
+    assert taylor_shift(shifted, -c) == coeffs
+    p = ExactPoly(coeffs)
+    assert ExactPoly(shifted).eval_rational(x) == p.eval_rational(x + c)
 
 
 def _rng_polys(count, rng):

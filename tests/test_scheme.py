@@ -218,6 +218,16 @@ def test_lowered_c0_breaks_adm():
     assert any("admissibility" in f.lower() for f in failures)
 
 
+def test_negative_tail_depth_rejected():
+    for d in (5, 9):
+        with pytest.raises(ValueError):
+            compute_a_star(d, tail_depth=-3)
+    with pytest.raises(ValueError):
+        build_weights(9, rat(1, 10**6), tail_depth=-1)
+    weights, _, _ = build_weights(9, rat(1, 10**6), tail_depth=0)
+    assert [e.ell for e in weights[0].eig] == [1, 2, 3]
+
+
 def test_malformed_certificate():
     with pytest.raises(MalformedCertificate):
         Certificate.from_json({"version": 2})

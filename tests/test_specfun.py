@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,12 +8,12 @@ from sharpcert.backend import rat
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, sphere_surface
 from sharpcert.specfun import (
+    delta_moment,
     eigen_delta_weight,
     funk_hecke_eigen,
     gegenbauer,
     gegenbauer_at_one,
     gegenbauer_basis,
-    mixed_moment,
     weighted_moment,
 )
 
@@ -65,11 +67,11 @@ def test_weighted_moment_examples():
     assert weighted_moment(3, 2) == ExactScalar(rat(2, 3))
 
 
-def test_mixed_moment_examples():
-    assert mixed_moment(3, 0) == ExactScalar(rat(4, 3), 1, 0)  # (4/3) sqrt2
-    assert mixed_moment(4, 0) == ExactScalar(rat(4, 3))
-    # d=4, a=1: integrand t(1-t)(1+t) is odd
-    assert mixed_moment(4, 1).is_zero()
+def test_delta_moment_examples():
+    assert delta_moment(3, 0) == ExactScalar(rat(4, 3), 1, 0)  # (4/3) sqrt2
+    assert delta_moment(4, 0) == ExactScalar(rat(4, 3))
+    # d=4: (1+t)^2 (1-t) = (1+t)(1-t) + t(1-t)(1+t), the second term odd
+    assert delta_moment(4, 1) == delta_moment(4, 0)
 
 
 def test_funk_hecke_constant_kernel():
@@ -106,6 +108,17 @@ def test_delta_eigen_rejects_odd_k():
         eigen_delta_weight(3, 5)
 
 
+def _t_power_moment(d, a):
+    # int_{-1}^{1} t^a (1-t)^{d-3} (1+t)^{(d-2)/2} dt by expanding (1-t)^{d-3}
+    # and then t^m in s = (1+t)/2: an independent route to the delta integrand
+    total = rat(0)
+    for i in range(d - 2):
+        m = a + i
+        for j in range(m + 1):
+            total += (-1) ** (i + m - j) * comb(d - 3, i) * comb(m, j) * 2**j * rat(2, d + 2 * j)
+    return ExactScalar(total * 2 ** (d // 2), d % 2, 0)
+
+
 def test_flip_identity():
     # the t -> -t image of the delta-weight integral toggles the sign of the
     # odd Gegenbauer coefficients; for even k they vanish and both agree
@@ -118,7 +131,7 @@ def test_flip_identity():
             flipped = ZERO
             for b, cb in enumerate(basis.poly(k).coeffs):
                 if cb != 0:
-                    flipped = flipped + mixed_moment(d, b) * (cb if b % 2 == 0 else -cb)
+                    flipped = flipped + _t_power_moment(d, b) * (cb if b % 2 == 0 else -cb)
             flipped = sphere_surface(d - 1) / basis.at_one(k) * const * flipped
             assert eigen_delta_weight(k, d) == flipped
 
