@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,6 +61,14 @@ def _int_at_least(lo: int, name: str):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """An argparse type: a file path that can be written, checked before any work."""
+    parent = os.path.dirname(os.path.abspath(text))
+    if os.path.isdir(text) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}")
+    return text
+
+
 def _grade_str(grade) -> str:
     return f"sqrt2^{grade[0]}*pi^({grade[1]}/2)"
 
@@ -79,12 +88,7 @@ def cmd_certify(args) -> int:
         print("error: dimension must be >= 3", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        cert = compute_a_star(
-            args.dimension,
-            tol=args.tol,
-            tail_depth=args.tail_depth,
-            precision_bits=args.precision_bits,
-        )
+        cert = compute_a_star(args.dimension, tol=args.tol, tail_depth=args.tail_depth)
     except GradeMismatch as exc:
         print(f"grade mismatch: {exc}", file=sys.stderr)
         return EXIT_GRADE_MISMATCH
@@ -112,12 +116,10 @@ def cmd_certify(args) -> int:
 
 
 def _scan_one(task):
-    d, tol_str, tail_depth, precision_bits = task
+    d, tol_str, tail_depth = task
     t0 = time.monotonic()
     try:
-        cert = compute_a_star(
-            d, tol=_parse_tol(tol_str), tail_depth=tail_depth, precision_bits=precision_bits
-        )
+        cert = compute_a_star(d, tol=_parse_tol(tol_str), tail_depth=tail_depth)
         status = "ok"
         a_dec = cert.a_star_decimal
         grade = _grade_str(cert.a_star.grade)
@@ -136,7 +138,7 @@ def cmd_scan(args) -> int:
         print("error: need 3 <= d-min <= d-max", file=sys.stderr)
         return EXIT_INVALID_INPUT
     dims = list(range(args.d_min, args.d_max + 1))
-    tasks = [(d, str(args.tol), args.tail_depth, args.precision_bits) for d in dims]
+    tasks = [(d, str(args.tol), args.tail_depth) for d in dims]
     if len(dims) > 1 and args.jobs != 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_one, tasks))
@@ -238,18 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def precision_and_out(sp):
-        sp.add_argument("--precision-bits", type=_int_at_least(64, "precision-bits"),
-                        default=DEFAULT_PRECISION,
-                        help="working precision for decimals and enclosures (default 128, min 64)")
-        sp.add_argument("--out", help="output file (default stdout)")
+    def out_option(sp):
+        sp.add_argument("--out", type=_out_path, help="output file (default stdout)")
 
     def scheme_options(sp):
         sp.add_argument("--tol", type=_parse_tol, default=rat(1, 10**6),
                         help="rational tolerance for the constant-term shift (default 1/1000000)")
         sp.add_argument("--tail-depth", type=_int_at_least(0, "tail-depth"), default=25,
                         help="extra eigenvalue signs checked past each cutoff (default 25, min 0)")
-        precision_and_out(sp)
+        out_option(sp)
 
     sp = sub.add_parser("certify", help="run the full scheme for one dimension")
     sp.add_argument("-d", "--dimension", type=int, required=True)
@@ -270,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kernel", choices=("delta", "magical", "nonmagical"), required=True)
     sp.add_argument("--m", type=int, default=None, help="half-degree of a polynomial kernel")
     sp.add_argument("--k", required=True, help="comma-separated harmonic degrees")
-    precision_and_out(sp)
+    sp.add_argument("--precision-bits", type=_int_at_least(64, "precision-bits"),
+                    default=DEFAULT_PRECISION,
+                    help="working precision for decimals and enclosures (default 128, min 64)")
+    out_option(sp)
     sp.set_defaults(func=cmd_eigen)
 
     sp = sub.add_parser("verify", help="re-verify a certificate JSON file")

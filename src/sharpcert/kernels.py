@@ -21,6 +21,7 @@ from math import factorial
 from .backend import rat
 from .polys import ExactPoly, taylor_shift
 from .scalars import ExactScalar, beta_half_int, sphere_surface
+from .specfun import jacobi_moment
 
 ZERO = ExactScalar(0)
 
@@ -45,12 +46,10 @@ def sigma_conv_constant(d: int) -> ExactScalar:
 
 
 def directional_sphere_moment(d: int, k: int) -> ExactScalar:
-    """Exact int_{S^{d-1}} (e . w)^k dsigma(w) for a unit vector e, even k."""
-    if k % 2 == 1:
-        return ZERO
+    """Exact int_{S^{d-1}} (e . w)^k dsigma(w) for a unit vector e; zero for odd k."""
     if d < 2 or k < 0:
         raise ValueError("need d >= 2 and k >= 0")
-    return sphere_surface(d - 1) * beta_half_int(k + 1, d - 1)
+    return sphere_surface(d - 1) * jacobi_moment(d - 3, d - 3, k)
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,10 @@ class ExactScalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExactScalar":
-        return cls(rat(obj["rational"]), int(obj["sqrt2"]), int(obj["pi_half"]))
+        sqrt2, pi_half = obj["sqrt2"], obj["pi_half"]
+        if type(sqrt2) is not int or type(pi_half) is not int:
+            raise ValueError(f"radical exponents must be integers, got {sqrt2!r}, {pi_half!r}")
+        return cls(rat(obj["rational"]), sqrt2, pi_half)
 
 
 ZERO = ExactScalar(0)

@@ -367,7 +367,7 @@ class Certificate:
         if not isinstance(obj, dict):
             raise MalformedCertificate(f"expected a JSON object, got {type(obj).__name__}")
         try:
-            if obj.get("version") != 1:
+            if obj.get("version") != 1 or type(obj["version"]) is not int:
                 raise MalformedCertificate(f"unsupported version {obj.get('version')!r}")
             weights = []
             for wd in obj["weights"]:
@@ -375,14 +375,14 @@ class Certificate:
                 grade = (0, 0)
                 for cd in wd["coefficients"]:
                     val = ExactScalar.from_json(cd["value"])
-                    coeffs[int(cd["degree"])] = val
+                    coeffs[_json_int(cd["degree"])] = val
                     if not val.is_zero():
                         grade = val.grade
                 w = WeightSpec(
-                    n=int(wd["n"]),
+                    n=_json_int(wd["n"]),
                     identity=str(wd["identity"]),
-                    has_delta=bool(wd["has_delta"]),
-                    top_degree=int(wd["top_degree"]),
+                    has_delta=_json_bool(wd["has_delta"]),
+                    top_degree=_json_int(wd["top_degree"]),
                     coeffs=coeffs,
                     c0=rat(wd["c0"]),
                     grade=grade,
@@ -391,11 +391,11 @@ class Certificate:
                 )
                 weights.append(w)
             return cls(
-                dimension=int(obj["dimension"]),
-                N=int(obj["N"]),
-                tail_check_depth=int(obj["tail_check_depth"]),
+                dimension=_json_int(obj["dimension"]),
+                N=_json_int(obj["N"]),
+                tail_check_depth=_json_int(obj["tail_check_depth"]),
                 weights=weights,
-                sum_condition_ok=bool(obj["sum_condition_ok"]),
+                sum_condition_ok=_json_bool(obj["sum_condition_ok"]),
                 a_star=ExactScalar.from_json(obj["a_star"]["rational_times_grade"]),
                 a_star_decimal=str(obj["a_star"]["decimal"]),
                 paper_baseline_decimal=obj.get("paper_baseline_decimal"),
@@ -412,19 +412,32 @@ class Certificate:
             raise MalformedCertificate(str(exc)) from exc
 
 
+def _json_int(v) -> int:
+    if type(v) is not int:
+        raise MalformedCertificate(f"expected an integer, got {v!r}")
+    return v
+
+
+def _json_bool(v) -> bool:
+    if type(v) is not bool:
+        raise MalformedCertificate(f"expected true or false, got {v!r}")
+    return v
+
+
 def _eig_check_from_json(e) -> EigCheck:
-    ell = int(e["ell"])
+    ell = _json_int(e["ell"])
     if ell < 1:
         raise MalformedCertificate(f"eigenvalue index ell={ell} must be >= 1")
-    return EigCheck(ell, ExactScalar.from_json(e["value"]), bool(e["nonpositive"]))
+    return EigCheck(ell, ExactScalar.from_json(e["value"]), _json_bool(e["nonpositive"]))
 
 
-def compute_a_star(
-    d: int,
-    tol=rat(1, 10**6),
-    tail_depth: int = 25,
-    precision_bits: int = 128,
-) -> Certificate:
+def _decimals(d: int, a_star: ExactScalar) -> tuple[str, str | None]:
+    """The certificate's two decimal strings, a* and the d = 8 paper baseline."""
+    a_star_decimal = a_star.decimal(30) if not a_star.is_zero() else "0.0"
+    return a_star_decimal, PAPER_BASELINE_D8.decimal(30) if d == 8 else None
+
+
+def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certificate:
     """Full certification run for one dimension.
 
     For d >= 7 (N >= 2) the inductive scheme runs and the constant is the
@@ -462,9 +475,7 @@ def compute_a_star(
     for w in weights:
         total += w.c0
     a_star = ExactScalar(total, *grade)
-    baseline = None
-    if d == 8:
-        baseline = PAPER_BASELINE_D8.decimal(30, precision_bits)
+    a_star_decimal, baseline = _decimals(d, a_star)
     return Certificate(
         dimension=d,
         N=N,
@@ -472,7 +483,7 @@ def compute_a_star(
         weights=weights,
         sum_condition_ok=True,
         a_star=a_star,
-        a_star_decimal=a_star.decimal(30, precision_bits) if not a_star.is_zero() else "0.0",
+        a_star_decimal=a_star_decimal,
         paper_baseline_decimal=baseline,
         notes=[TAIL_NOTE],
     )
@@ -485,8 +496,8 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     the weight family, every clipped coefficient against a fresh eigenvalue
     table, every recorded eigenvalue and its sign, every admissibility
     certificate at the stored constant term (constants larger than minimal
-    are accepted; admissibility is what matters), the sum condition, and
-    the reported constant.
+    are accepted; admissibility is what matters), the sum condition, the
+    reported constant and its decimal renderings.
     """
     failures: list[str] = []
     d = cert.dimension
@@ -496,6 +507,8 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     if N != cert.N:
         failures.append(f"N mismatch: stored {cert.N}, expected {N}")
         return False, failures
+    if (cert.a_star_decimal, cert.paper_baseline_decimal) != _decimals(d, cert.a_star):
+        failures.append("decimal strings are not the renderings of a_star and the d = 8 baseline")
 
     if N < 2:
         table = EigenTable(d)

@@ -10,9 +10,14 @@ A zonal kernel K(t) acts on degree-k spherical harmonics by the scalar
 
     lambda(k) = |S^{d-2}| / C_k(1) * int_{-1}^{1} K(t) C_k(t) (1-t^2)^{(d-3)/2} dt,
 
-which for polynomial kernels reduces to pure power moments.  For the
-delta-weight kernel the integrand is C_k(t) (1+t)^{(d-2)/2} (1-t)^{d-3};
-with C_k rewritten in powers of (1+t) each term is one Beta value.
+which for polynomial kernels reduces to pure power moments.  The
+delta-weight kernel's integrand C_k(t) (1+t)^{(d-2)/2} (1-t)^{d-3} is of the
+same Jacobi type (1+t)^a (1-t)^b, so one sum serves every kernel.  The
+t-power moments M_n of such a weight start from M_0 = 2^{a+b+1} B(a+1, b+1)
+and follow the integral of d/dt[t^n (1+t)^{a+1} (1-t)^{b+1}] over [-1, 1]:
+
+    (n + a + b + 2) M_{n+1} = n M_{n-1} + (a - b) M_n.
+
 All values are exact.
 """
 
@@ -22,7 +27,7 @@ import threading
 from functools import lru_cache
 
 from .backend import rat
-from .polys import DOMAIN_T, ExactPoly, taylor_shift
+from .polys import DOMAIN_T, ExactPoly
 from .scalars import ExactScalar, beta_half_int, sphere_surface
 
 ZERO = ExactScalar(0)
@@ -85,21 +90,40 @@ def gegenbauer_at_one(d: int, k: int) -> ExactScalar:
     return gegenbauer_basis(d).at_one(k)
 
 
-def weighted_moment(d: int, a: int) -> ExactScalar:
-    """Exact int_{-1}^{1} t^a (1-t^2)^{(d-3)/2} dt.
+_jacobi_moments: dict[tuple[int, int], list[ExactScalar]] = {}
+_jacobi_lock = threading.Lock()
 
-    Zero for odd a; B((a+1)/2, (d-1)/2) for even a.
+
+def jacobi_moment(two_alpha: int, two_beta: int, n: int) -> ExactScalar:
+    """Exact int_{-1}^{1} t^n (1+t)^{two_alpha/2} (1-t)^{two_beta/2} dt.
+
+    Cached per weight and extended under a lock, so a racing request never
+    shifts an entry.
     """
-    if d < 3 or a < 0:
-        raise ValueError("need d >= 3 and a >= 0")
-    if a % 2 == 1:
-        return ZERO
-    return beta_half_int(a + 1, d - 1)
+    if two_alpha < -1 or two_beta < -1 or n < 0:
+        raise ValueError("need two_alpha, two_beta >= -1 and n >= 0")
+    plus, minus = two_alpha + two_beta, two_alpha - two_beta
+    with _jacobi_lock:
+        seq = _jacobi_moments.get((two_alpha, two_beta))
+        if seq is None:
+            m0 = ExactScalar(1, plus + 2, 0) * beta_half_int(two_alpha + 2, two_beta + 2)
+            seq = _jacobi_moments[two_alpha, two_beta] = [m0, m0 * minus / (plus + 4)]
+        while n >= len(seq):  # the recurrence doubled, for M_{j+1}
+            j = len(seq) - 1
+            seq.append((seq[j - 1] * (2 * j) + seq[j] * minus) / (2 * j + plus + 4))
+        return seq[n]
 
 
-def delta_moment(d: int, j: int) -> ExactScalar:
-    """Exact int_{-1}^{1} (1+t)^{(d-2)/2+j} (1-t)^{d-3} dt = 2^{(3d-6)/2+j} B(d/2+j, d-2)."""
-    return ExactScalar(1, 3 * d - 6 + 2 * j, 0) * beta_half_int(d + 2 * j, 2 * d - 4)
+def _funk_hecke(kernel_coeffs, k: int, d: int, two_alpha: int, two_beta: int) -> ExactScalar:
+    """|S^{d-2}| / C_k(1) * sum_a sum_b K_a C_{k,b} M_{a+b} for the weight (two_alpha, two_beta)."""
+    basis = gegenbauer_basis(d)
+    ck = basis.poly(k).coeffs
+    total = ZERO
+    for a, ka in enumerate(kernel_coeffs):
+        for b, cb in enumerate(ck):
+            if ka and cb:
+                total = total + jacobi_moment(two_alpha, two_beta, a + b) * (ka * cb)
+    return sphere_surface(d - 1) / basis.at_one(k) * total
 
 
 def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
@@ -114,20 +138,7 @@ def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
         raise ValueError("need k >= 0 and d >= 3")
     if kernel.is_zero() or k > kernel.degree():
         return ZERO
-    basis = gegenbauer_basis(d)
-    ck = basis.poly(k)
-    total = ZERO
-    for a, ka in enumerate(kernel.coeffs):
-        if ka == 0:
-            continue
-        for b, cb in enumerate(ck.coeffs):
-            if cb == 0 or (a + b) % 2 == 1:
-                continue
-            total = total + weighted_moment(d, a + b) * (ka * cb)
-    if total.is_zero():
-        return ZERO
-    pref = sphere_surface(d - 1) / basis.at_one(k)
-    return pref * total * ExactScalar(1, *kernel.grade)
+    return _funk_hecke(kernel.coeffs, k, d, d - 3, d - 3) * ExactScalar(1, *kernel.grade)
 
 
 def eigen_delta_weight(k: int, d: int) -> ExactScalar:
@@ -138,10 +149,4 @@ def eigen_delta_weight(k: int, d: int) -> ExactScalar:
         raise ValueError("d must be >= 3")
     from .kernels import delta_kernel_closed_form
 
-    basis = gegenbauer_basis(d)
-    total = ZERO
-    for j, cj in enumerate(taylor_shift(basis.poly(k).coeffs, -1)):
-        if cj != 0:
-            total = total + delta_moment(d, j) * cj
-    const = delta_kernel_closed_form(d).constant
-    return sphere_surface(d - 1) / basis.at_one(k) * const * total
+    return _funk_hecke([rat(1)], k, d, d - 2, 2 * d - 6) * delta_kernel_closed_form(d).constant

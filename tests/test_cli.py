@@ -77,12 +77,27 @@ def test_verify_truncated(tmp_path):
 
 
 D7 = compute_a_star(7).to_json()
+D9 = compute_a_star(9).to_json()
+
+
+def _with(base, edit):
+    cert = copy.deepcopy(base)
+    edit(cert)
+    return cert
 
 
 def _d7_with(edit):
-    cert = copy.deepcopy(D7)
-    edit(cert)
-    return cert
+    return _with(D7, edit)
+
+
+def _d9_with(edit):
+    return _with(D9, edit)
+
+
+def _every_nonpositive(cert, value):
+    for w in cert["weights"]:
+        for e in w["eig"]:
+            e["nonpositive"] = value
 
 
 @pytest.mark.parametrize(
@@ -94,14 +109,43 @@ def _d7_with(edit):
         _d7_with(lambda c: c["weights"][0].update(c0=float("inf"))),
         _d7_with(lambda c: c["a_star"]["rational_times_grade"].update(rational="1/0")),
         _d7_with(lambda c: c["weights"][0]["eig"][0].update(ell=0)),
+        _d9_with(lambda c: c.update(sum_condition_ok="false")),
+        _d9_with(lambda c: _every_nonpositive(c, "no")),
+        _d9_with(lambda c: c["weights"][0].update(has_delta="false")),
+        _d9_with(lambda c: c.update(dimension=9.9)),
+        _d9_with(lambda c: c.update(dimension="9")),
+        _d9_with(lambda c: c.update(tail_check_depth=25.5)),
+        _d9_with(lambda c: c.update(N=True)),
+        _d9_with(lambda c: c["a_star"]["rational_times_grade"].update(sqrt2=0.5)),
     ],
-    ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero"],
+    ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
+         "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
+         "dimension_float", "dimension_string", "tail_check_depth_float", "N_bool",
+         "sqrt2_float"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("malformed certificate:")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c["a_star"].update(decimal="1.5"),
+        lambda c: c.update(paper_baseline_decimal="3.14"),
+    ],
+    ids=["a_star_decimal", "paper_baseline_decimal"],
+)
+def test_verify_rederives_decimals(tmp_path, edit):
+    out = tmp_path / "c.json"
+    assert run(["certify", "-d", "8", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    edit(cert)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    assert run(["verify", str(bad)]) == 1
 
 
 def test_scan_small_range(tmp_path):
@@ -190,6 +234,8 @@ def test_eigen_exact_rounding_enclosure(tmp_path):
         ["verify", "c.json", "--tail-depth", "3"],
         ["verify", "c.json", "--out", "o.json"],
         ["verify", "c.json", "--precision-bits", "128"],
+        ["certify", "-d", "3", "--precision-bits", "128"],
+        ["scan", "--d-min", "3", "--d-max", "3", "--precision-bits", "128"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -209,9 +255,13 @@ def test_removed_flag_exits_2(argv):
         ["certify", "-d", "9", "--tail-depth", "-3"],
         ["certify", "-d", "5", "--tail-depth", "-3"],
         ["scan", "--d-min", "5", "--d-max", "5", "--tail-depth", "-1"],
+        ["certify", "-d", "7", "--out", "/nonexistent/dir/c.json"],
+        ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", "/nonexistent/x.json"],
+        ["scan", "--d-min", "7", "--d-max", "7", "--out", "/nonexistent/x.csv"],
     ],
     ids=["jobs_zero", "jobs_negative", "delta_odd_k", "delta_odd_k_in_list",
-         "tail_depth_negative_d9", "tail_depth_negative_d5", "scan_tail_depth_negative"],
+         "tail_depth_negative_d9", "tail_depth_negative_d5", "scan_tail_depth_negative",
+         "certify_out_unwritable", "eigen_out_unwritable", "scan_out_unwritable"],
 )
 def test_invalid_value_exits_2(capsys, argv):
     try:

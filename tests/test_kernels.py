@@ -26,10 +26,11 @@ def test_radial_moment_examples():
 
 
 def test_directional_moment_examples():
-    for d in (3, 5, 8):
+    for d in (2, 3, 5, 8):
         assert directional_sphere_moment(d, 0) == sphere_surface(d)
         # trace identity: the K=2 moment is |S^{d-1}|/d
         assert directional_sphere_moment(d, 2) == sphere_surface(d) / ExactScalar(d)
+        assert directional_sphere_moment(d, 3).is_zero()
 
 
 def test_double_sphere_moment_examples():

@@ -193,7 +193,7 @@ def test_larger_c0_still_verifies():
         total += c0
     g = cert.a_star.grade
     new_star = ExactScalar(total, *g)
-    bumped["a_star"]["rational_times_grade"] = new_star.to_json()
+    bumped["a_star"] = {"rational_times_grade": new_star.to_json(), "decimal": new_star.decimal(30)}
     ok, failures = verify_certificate(Certificate.from_json(bumped))
     assert ok, failures
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 from math import comb
 
 import pytest
@@ -6,15 +8,14 @@ from hypothesis import strategies as st
 
 from sharpcert.backend import rat
 from sharpcert.polys import ExactPoly
-from sharpcert.scalars import ExactScalar, sphere_surface
+from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
 from sharpcert.specfun import (
-    delta_moment,
     eigen_delta_weight,
     funk_hecke_eigen,
     gegenbauer,
     gegenbauer_at_one,
     gegenbauer_basis,
-    weighted_moment,
+    jacobi_moment,
 )
 
 ZERO = ExactScalar(0)
@@ -49,7 +50,7 @@ def _inner(d, p, q):
     for a, ca in enumerate(p.coeffs):
         for b, cb in enumerate(q.coeffs):
             if ca and cb:
-                total = total + weighted_moment(d, a + b) * (ca * cb)
+                total = total + jacobi_moment(d - 3, d - 3, a + b) * (ca * cb)
     return total
 
 
@@ -61,17 +62,73 @@ def test_orthogonality_exact():
                 assert _inner(d, basis.poly(j), basis.poly(k)).is_zero()
 
 
-def test_weighted_moment_examples():
-    assert weighted_moment(4, 1).is_zero()
-    assert weighted_moment(3, 0) == ExactScalar(2)
-    assert weighted_moment(3, 2) == ExactScalar(rat(2, 3))
+def test_jacobi_moment_symmetric_examples():
+    assert jacobi_moment(1, 1, 1).is_zero()
+    assert jacobi_moment(0, 0, 0) == ExactScalar(2)
+    assert jacobi_moment(0, 0, 2) == ExactScalar(rat(2, 3))
 
 
-def test_delta_moment_examples():
-    assert delta_moment(3, 0) == ExactScalar(rat(4, 3), 1, 0)  # (4/3) sqrt2
-    assert delta_moment(4, 0) == ExactScalar(rat(4, 3))
-    # d=4: (1+t)^2 (1-t) = (1+t)(1-t) + t(1-t)(1+t), the second term odd
-    assert delta_moment(4, 1) == delta_moment(4, 0)
+def test_jacobi_moment_delta_weight_examples():
+    assert jacobi_moment(1, 0, 0) == ExactScalar(rat(4, 3), 1, 0)  # (4/3) sqrt2
+    assert jacobi_moment(2, 2, 0) == ExactScalar(rat(4, 3))
+    # d=4: (1+t)(1-t) is even, so its first moment vanishes
+    assert jacobi_moment(2, 2, 1).is_zero()
+
+
+def _binomial_moment(two_alpha, two_beta, n):
+    # t^n = (s - 1)^n with s = 1+t; each (1+t)^{a+j} (1-t)^b term is one Beta
+    # value 2^{a+b+j+1} B(a+j+1, b+1)
+    total = ZERO
+    for j in range(n + 1):
+        beta = beta_half_int(two_alpha + 2 * j + 2, two_beta + 2)
+        term = ExactScalar(1, two_alpha + two_beta + 2 * j + 2, 0) * beta
+        total = total + term * ((-1) ** (n - j) * comb(n, j))
+    return total
+
+
+def test_jacobi_moment_matches_independent_references():
+    # the symmetric weight (1-t^2)^{(d-3)/2}: zero for odd a, B((a+1)/2, (d-1)/2) for even a
+    for d in range(3, 31):
+        for a in range(61):
+            expect = ZERO if a % 2 else beta_half_int(a + 1, d - 1)
+            assert jacobi_moment(d - 3, d - 3, a) == expect
+    # the delta weight (1+t)^{(d-2)/2} (1-t)^{d-3}, through (1-t)^{d-3} expanded
+    for d in (3, 4, 7, 12):
+        for a in range(16):
+            assert jacobi_moment(d - 2, 2 * d - 6, a) == _t_power_moment(d, a)
+    for two_alpha in range(-1, 6):
+        for two_beta in range(-1, 6):
+            for n in range(9):
+                assert jacobi_moment(two_alpha, two_beta, n) == _binomial_moment(two_alpha, two_beta, n)
+
+
+def test_jacobi_moment_threads_never_shift_entries():
+    # weights no other test uses, so the threads race to build each sequence
+    weights, top = [(9, 2 * j + 13) for j in range(6)], 30
+    expect = {w: [_binomial_moment(*w, n) for n in range(top)] for w in weights}
+    got = [[] for _ in range(6)]
+    start = threading.Barrier(6)
+
+    def work(i):
+        start.wait(timeout=60)
+        for w in weights:
+            for n in range(top):
+                got[i].append((w, n, jacobi_moment(*w, n)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for triples in got:
+        assert len(triples) == len(weights) * top
+        assert all(v == expect[w][n] for w, n, v in triples)
 
 
 def test_funk_hecke_constant_kernel():
