@@ -23,7 +23,7 @@ import numpy as np
 from .backend import rat
 from .errors import PrecisionExhausted
 from .kernels import MomentTable, delta_kernel_closed_form
-from .polys import DOMAIN_T, ExactPoly
+from .polys import ExactPoly
 from .scalars import ExactScalar, IntervalScalar, MPIntervalContext, sphere_surface
 from .specfun import gegenbauer, gegenbauer_at_one
 
@@ -161,8 +161,6 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
         two_alpha = 2 * (d - 3)  # (1-t) exponent, doubled
         two_beta = d - 2  # (1+t) exponent, doubled
     elif isinstance(kernel_desc, ExactPoly):
-        if kernel_desc.domain != DOMAIN_T:
-            raise ValueError("polynomial kernels must live on t in [-1,1]")
         if kernel_desc.is_zero():
             return ExactScalar(0).to_interval(precision_bits)
         q = _mul(list(kernel_desc.coeffs), list(ck.coeffs))

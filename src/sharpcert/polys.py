@@ -1,10 +1,11 @@
 """Exact univariate polynomials and Sturm-based nonnegativity certificates.
 
-A polynomial carries rational coefficients plus one shared radical grade
-(a positive factor, so it never affects signs or roots); Sturm sequences,
-root isolation and interval evaluation all run on the grade-stripped
-rational coefficient list.  Everything on the certification path is exact
-rational arithmetic; no floating point.
+An ``ExactPoly`` is a kernel polynomial in t: rational coefficients plus one
+shared radical grade (a positive factor, so it never affects signs or
+roots).  The Sturm layer -- sequences, root isolation, interval evaluation,
+nonnegativity and minimal shifts -- takes grade-stripped rational
+coefficient lists.  Everything on the certification path is exact rational
+arithmetic; no floating point.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass
 from .backend import rat, rat_str
 from .errors import GradeMismatch
 from .scalars import ExactScalar, Grade
-
-DOMAIN_T = "t in [-1,1]"
-DOMAIN_U = "u = |xi|^2 in [0,16]"
 
 RAT_GRADE: Grade = (0, 0)
 
@@ -29,23 +27,22 @@ def _trim(coeffs):
 
 
 class ExactPoly:
-    """Univariate polynomial: grade * sum coeffs[i] * x^i, coeffs rational."""
+    """Polynomial in t: grade * sum coeffs[i] * t^i, coeffs rational."""
 
-    __slots__ = ("grade", "coeffs", "domain")
+    __slots__ = ("grade", "coeffs")
 
-    def __init__(self, coeffs, grade: Grade = RAT_GRADE, domain: str = DOMAIN_T):
+    def __init__(self, coeffs, grade: Grade = RAT_GRADE):
         coeffs = _trim(rat(c) if isinstance(c, (int, str)) else c for c in coeffs)
         if not coeffs:
             grade = RAT_GRADE
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "grade", tuple(grade))
-        object.__setattr__(self, "domain", domain)
 
     def __setattr__(self, *a):
         raise AttributeError("ExactPoly is immutable")
 
     @classmethod
-    def from_scalars(cls, scalars, domain: str = DOMAIN_T) -> "ExactPoly":
+    def from_scalars(cls, scalars) -> "ExactPoly":
         """Build from ExactScalar coefficients, which must share one grade."""
         grade = RAT_GRADE
         for s in scalars:
@@ -59,9 +56,7 @@ class ExactPoly:
                     f"coefficient grade {s.grade} != polynomial grade {grade}"
                 )
             coeffs.append(s.coeff)
-        return cls(coeffs, grade, domain)
-
-    # -- structure ---------------------------------------------------------
+        return cls(coeffs, grade)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -69,83 +64,9 @@ class ExactPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff_scalar(self, i: int) -> ExactScalar:
-        if i >= len(self.coeffs) or self.coeffs[i] == 0:
-            return ExactScalar(0)
-        return ExactScalar(self.coeffs[i], *self.grade)
-
-    def leading_scalar(self) -> ExactScalar:
-        return self.coeff_scalar(self.degree()) if self.coeffs else ExactScalar(0)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check_grade(self, other: "ExactPoly") -> Grade:
-        if self.is_zero():
-            return other.grade
-        if other.is_zero():
-            return self.grade
-        if self.grade != other.grade:
-            raise GradeMismatch(f"cannot add grades {self.grade} and {other.grade}")
-        return self.grade
-
-    def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        grade = self._check_grade(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [rat(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return ExactPoly(a, grade, self.domain)
-
-    def __neg__(self) -> "ExactPoly":
-        return ExactPoly([-c for c in self.coeffs], self.grade, self.domain)
-
-    def __sub__(self, other: "ExactPoly") -> "ExactPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ExactPoly") -> "ExactPoly":
-        if self.is_zero() or other.is_zero():
-            return ExactPoly([], domain=self.domain)
-        grade = (self.grade[0] + other.grade[0], self.grade[1] + other.grade[1])
-        out = [rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        # fold even sqrt2 powers through a scalar normalization
-        unit = ExactScalar(1, grade[0], grade[1])
-        if unit.coeff != 1:
-            out = [c * unit.coeff for c in out]
-        return ExactPoly(out, unit.grade, self.domain)
-
-    def scale(self, c) -> "ExactPoly":
-        """Multiply by an ExactScalar (grades multiply) or a rational."""
-        if isinstance(c, ExactScalar):
-            if c.is_zero():
-                return ExactPoly([], domain=self.domain)
-            unit = ExactScalar(1, self.grade[0] + c.sqrt2, self.grade[1] + c.pi_half)
-            factor = c.coeff * unit.coeff
-            return ExactPoly([x * factor for x in self.coeffs], unit.grade, self.domain)
-        c = rat(c)
-        return ExactPoly([x * c for x in self.coeffs], self.grade, self.domain)
-
-    def derivative(self) -> "ExactPoly":
-        return ExactPoly(_deriv(self.coeffs), self.grade, self.domain)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval_rational(self, x):
-        """Grade-stripped value at a rational point."""
-        return _horner(self.coeffs, rat(x))
-
     def eval_at(self, x) -> ExactScalar:
         """Exact value at a rational point, carrying the polynomial's grade."""
-        if isinstance(x, ExactScalar):
-            if not x.is_rational_grade():
-                raise GradeMismatch("evaluation points must be rational")
-            x = x.coeff
-        v = self.eval_rational(x)
-        return ExactScalar(v, *self.grade) if v != 0 else ExactScalar(0)
+        return ExactScalar(_horner(self.coeffs, rat(x)), *self.grade)
 
     def __eq__(self, other):
         if not isinstance(other, ExactPoly):
@@ -154,24 +75,8 @@ class ExactPoly:
             self.is_zero() or self.grade == other.grade
         )
 
-    def __hash__(self):
-        return hash((self.coeffs, self.grade))
-
     def __repr__(self):
         return f"ExactPoly({[rat_str(c) for c in self.coeffs]}, grade={self.grade})"
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "grade": {"sqrt2": self.grade[0], "pi_half": self.grade[1]},
-            "coeffs": [rat_str(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, domain: str = DOMAIN_T) -> "ExactPoly":
-        grade = (int(obj["grade"]["sqrt2"]), int(obj["grade"]["pi_half"]))
-        return cls([rat(c) for c in obj["coeffs"]], grade, domain)
 
 
 @dataclass(frozen=True)
@@ -381,13 +286,9 @@ def _sample_points(lo, hi, exact_roots, intervals):
     return sorted(pts)
 
 
-def nonneg_on(poly, lo, hi) -> NonnegCertificate:
-    """Decide exactly whether the polynomial is >= 0 everywhere on [lo, hi].
-
-    Accepts an ExactPoly (grade stripped: the radical unit is positive) or a
-    raw rational coefficient list.
-    """
-    coeffs = list(poly.coeffs) if isinstance(poly, ExactPoly) else _trim(poly)
+def nonneg_on(coeffs, lo, hi) -> NonnegCertificate:
+    """Decide exactly whether a rational coefficient list is >= 0 everywhere on [lo, hi]."""
+    coeffs = _trim(coeffs)
     lo, hi = rat(lo), rat(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
@@ -440,13 +341,13 @@ def certified_min(coeffs, lo, hi, tol):
     return min(candidates)
 
 
-def minimal_shift(poly, lo, hi, tol):
-    """Smallest certified constant c >= 0 making poly + c nonnegative on [lo, hi].
+def minimal_shift(coeffs, lo, hi, tol):
+    """Smallest certified constant c >= 0 making coeffs + c nonnegative on [lo, hi].
 
     Exact up to tol: returns 0 exactly when the polynomial already is
     nonnegative, otherwise a value in [-min, -min + tol].
     """
-    coeffs = list(poly.coeffs) if isinstance(poly, ExactPoly) else _trim(poly)
+    coeffs = _trim(coeffs)
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")

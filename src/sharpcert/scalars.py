@@ -54,9 +54,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def is_rational_grade(self) -> bool:
-        return self.sqrt2 == 0 and self.pi_half == 0
-
     def sign(self) -> int:
         # radical units are positive, so the sign is the coefficient's
         if self.coeff > 0:
@@ -125,23 +122,6 @@ class ExactScalar:
     def __hash__(self):
         return hash((self.coeff, self.sqrt2, self.pi_half))
 
-    def compare(self, other: "ExactScalar") -> int:
-        """Exact three-way comparison; grades must match (or a side is zero)."""
-        d = self - other
-        return d.sign()
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     # -- numeric rendering ---------------------------------------------------
 
     def to_interval(self, precision_bits: int = 128) -> "IntervalScalar":
@@ -173,22 +153,21 @@ class ExactScalar:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self, with_decimal: bool = False) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        return {
             "rational": rat_str(self.coeff),
             "sqrt2": self.sqrt2,
             "pi_half": self.pi_half,
         }
-        if with_decimal:
-            obj["decimal"] = self.decimal(30)
-        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExactScalar":
-        sqrt2, pi_half = obj["sqrt2"], obj["pi_half"]
+        rational, sqrt2, pi_half = obj["rational"], obj["sqrt2"], obj["pi_half"]
+        if type(rational) is not str:
+            raise ValueError(f"rational must be a \"p/q\" string, got {rational!r}")
         if type(sqrt2) is not int or type(pi_half) is not int:
             raise ValueError(f"radical exponents must be integers, got {sqrt2!r}, {pi_half!r}")
-        return cls(rat(obj["rational"]), sqrt2, pi_half)
+        return cls(rat(rational), sqrt2, pi_half)
 
 
 ZERO = ExactScalar(0)
@@ -230,7 +209,7 @@ def sphere_surface(d: int) -> ExactScalar:
 
 
 class IntervalScalar:
-    """A closed interval [center - radius, center + radius] of mpmath floats.
+    """A closed interval [lo, hi] of mpmath floats.
 
     Used as the numeric cross-check of the exact path and for decimal
     rendering; every constructor rounds outward.
@@ -249,12 +228,6 @@ class IntervalScalar:
     def from_iv(cls, iv, precision_bits: int) -> "IntervalScalar":
         return cls(iv.ctx, iv, precision_bits)
 
-    @classmethod
-    def from_endpoints(cls, lo, hi, precision_bits: int = 128) -> "IntervalScalar":
-        ctx = MPIntervalContext()
-        ctx.prec = precision_bits
-        return cls(ctx, ctx.mpf([lo, hi]), precision_bits)
-
     @property
     def center(self):
         import mpmath
@@ -263,17 +236,6 @@ class IntervalScalar:
         hi = mpmath.mp.make_mpf(self.iv._mpi_[1])
         with mpmath.workprec(self.precision_bits + 8):
             return (lo + hi) / 2
-
-    @property
-    def radius(self):
-        import mpmath
-
-        lo = mpmath.mp.make_mpf(self.iv._mpi_[0])
-        hi = mpmath.mp.make_mpf(self.iv._mpi_[1])
-        with mpmath.workprec(self.precision_bits + 8):
-            # round the half-width up one ulp so [center-radius, center+radius]
-            # still encloses the interval
-            return (hi - lo) / 2 * (1 + mpmath.mpf(2) ** (-self.precision_bits))
 
     @property
     def lo(self):
@@ -297,12 +259,6 @@ class IntervalScalar:
         if isinstance(other, IntervalScalar):
             return self.iv.a <= other.iv.a and other.iv.b <= self.iv.b
         return self.iv.a <= other <= self.iv.b
-
-    def strictly_negative(self) -> bool:
-        return self.iv.b < 0
-
-    def strictly_positive(self) -> bool:
-        return self.iv.a > 0
 
     def decimal(self, digits: int = 30) -> str:
         import mpmath

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .backend import rat, rat_str
 from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
 from .kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
-from .polys import DOMAIN_U, ExactPoly, minimal_shift, nonneg_on
+from .polys import ExactPoly, minimal_shift, nonneg_on
 from .scalars import ExactScalar
 from .specfun import eigen_delta_weight, funk_hecke_eigen
 
@@ -111,7 +111,7 @@ class WeightSpec:
     coefficient magnitude; the sign it enters with is +1 at the top degree
     of weights n >= 2 and -1 everywhere else (weight 1 leads with the
     delta).  ``c0`` is the constant term, grade-stripped rational; all
-    coefficient magnitudes share ``grade``.
+    coefficient magnitudes share one grade.
     """
 
     n: int
@@ -120,8 +120,7 @@ class WeightSpec:
     top_degree: int
     coeffs: dict[int, ExactScalar]
     c0: object
-    grade: tuple
-    adm_margin: object | None = None
+    adm_margin: object = rat(0)
     eig: list[EigCheck] = field(default_factory=list)
 
     def sign_at(self, degree: int) -> int:
@@ -135,17 +134,15 @@ class WeightSpec:
             return (self.top_degree + 2) // 4
         return self.top_degree // 4
 
-    def polynomial_part(self, include_constant: bool = True) -> ExactPoly:
-        """The weight as an exact polynomial in u = |xi|^2 (delta excluded)."""
-        if not self.coeffs and (not include_constant or self.c0 == 0):
-            return ExactPoly([], domain=DOMAIN_U)
+    def polynomial_part(self, include_constant: bool = True) -> list:
+        """The weight's rational coefficients in u = |xi|^2, grade stripped (delta excluded)."""
         deg = max((q // 2 for q in self.coeffs), default=0)
         out = [rat(0)] * (deg + 1)
         for q, c in self.coeffs.items():
             out[q // 2] += self.sign_at(q) * c.coeff
         if include_constant:
             out[0] += rat(self.c0)
-        return ExactPoly(out, self.grade, DOMAIN_U)
+        return out
 
 
 def weight_eigen(w: WeightSpec, table: EigenTable, ell: int) -> ExactScalar:
@@ -212,7 +209,6 @@ def build_weights(d: int, tol, tail_depth: int = 25):
             top_degree=top,
             coeffs=coeffs,
             c0=rat(0),
-            grade=grade,
         )
         # weight 1's top kernel (degree 4N - 2) also reaches exactly ell = N
         cutoff = w.structural_cutoff()
@@ -227,9 +223,7 @@ def build_weights(d: int, tol, tail_depth: int = 25):
             if ratio.sign() > 0:
                 coeffs[q_star] = ratio  # clipped ratio {.}_+
         _check_grades(w, grade)
-        poly = w.polynomial_part(include_constant=False)
-        c0 = minimal_shift(poly, 0, 16, tol) if not poly.is_zero() else rat(0)
-        w.c0 = c0
+        w.c0 = minimal_shift(w.polynomial_part(include_constant=False), 0, 16, tol)
         cert = nonneg_on(w.polynomial_part(include_constant=True), 0, 16)
         if not cert.holds:
             raise SchemeInfeasible(f"d={d} n={n}: admissibility failed after shift")
@@ -336,7 +330,7 @@ class Certificate:
                         for q in sorted(w.coeffs, reverse=True)
                     ],
                     "c0": rat_str(w.c0),
-                    "adm_margin": rat_str(w.adm_margin) if w.adm_margin is not None else "0",
+                    "adm_margin": rat_str(w.adm_margin),
                     "eig": [
                         {
                             "ell": e.ell,
@@ -372,28 +366,26 @@ class Certificate:
             weights = []
             for wd in obj["weights"]:
                 coeffs = {}
-                grade = (0, 0)
                 for cd in wd["coefficients"]:
-                    val = ExactScalar.from_json(cd["value"])
-                    coeffs[_json_int(cd["degree"])] = val
-                    if not val.is_zero():
-                        grade = val.grade
+                    coeffs[_json_int(cd["degree"])] = ExactScalar.from_json(cd["value"])
                 w = WeightSpec(
                     n=_json_int(wd["n"]),
                     identity=str(wd["identity"]),
                     has_delta=_json_bool(wd["has_delta"]),
                     top_degree=_json_int(wd["top_degree"]),
                     coeffs=coeffs,
-                    c0=rat(wd["c0"]),
-                    grade=grade,
-                    adm_margin=rat(wd["adm_margin"]),
+                    c0=_json_rat(wd["c0"]),
+                    adm_margin=_json_rat(wd["adm_margin"]),
                     eig=[_eig_check_from_json(e) for e in wd["eig"]],
                 )
                 weights.append(w)
+            tail_check_depth = _json_int(obj["tail_check_depth"])
+            if tail_check_depth < 0:
+                raise MalformedCertificate(f"tail_check_depth={tail_check_depth} must be >= 0")
             return cls(
                 dimension=_json_int(obj["dimension"]),
                 N=_json_int(obj["N"]),
-                tail_check_depth=_json_int(obj["tail_check_depth"]),
+                tail_check_depth=tail_check_depth,
                 weights=weights,
                 sum_condition_ok=_json_bool(obj["sum_condition_ok"]),
                 a_star=ExactScalar.from_json(obj["a_star"]["rational_times_grade"]),
@@ -416,6 +408,12 @@ def _json_int(v) -> int:
     if type(v) is not int:
         raise MalformedCertificate(f"expected an integer, got {v!r}")
     return v
+
+
+def _json_rat(v):
+    if type(v) is not str:
+        raise MalformedCertificate(f"expected a \"p/q\" string, got {v!r}")
+    return rat(v)
 
 
 def _json_bool(v) -> bool:
@@ -489,15 +487,21 @@ def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certifica
     )
 
 
+def _covers(checks: list[EigCheck], top_ell: int) -> bool:
+    """Whether the checks list ell = 1..top_ell exactly, in order."""
+    return len(checks) == top_ell and all(e.ell == i for i, e in enumerate(checks, 1))
+
+
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Recompute every verdict in a certificate from scratch.
 
     Checks, independently of how the certificate was produced: the shape of
     the weight family, every clipped coefficient against a fresh eigenvalue
-    table, every recorded eigenvalue and its sign, every admissibility
-    certificate at the stored constant term (constants larger than minimal
-    are accepted; admissibility is what matters), the sum condition, the
-    reported constant and its decimal renderings.
+    table, every recorded eigenvalue and its sign, that the recorded
+    eigenvalues cover ell = 1..cutoff + tail_check_depth, admissibility at
+    the stored constant term less the stored margin (constants larger than
+    minimal are accepted; admissibility is what matters), the sum
+    condition, the reported constant and its decimal renderings.
     """
     failures: list[str] = []
     d = cert.dimension
@@ -516,6 +520,9 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
             failures.append("weights present for a prior-results dimension")
         if not cert.a_star.is_zero():
             failures.append("a_star must be 0 for prior-results dimensions")
+        top_ell = N + cert.tail_check_depth
+        if not _covers(cert.delta_eigen_evidence, top_ell):
+            failures.append(f"delta eigenvalue evidence does not cover ell = 1..{top_ell}")
         for e in cert.delta_eigen_evidence:
             v = table.delta(2 * e.ell)
             if v != e.value:
@@ -546,6 +553,9 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
             )
             failures.append(f"{tag}: coefficient mismatch at degrees {bad} (sum condition or clipping)")
         # recorded eigenvalues, from the stored coefficients
+        top_ell = rw.structural_cutoff() + cert.tail_check_depth
+        if not _covers(w.eig, top_ell):
+            failures.append(f"{tag}: recorded eigenvalues do not cover ell = 1..{top_ell}")
         for e in w.eig:
             v = weight_eigen(w, table, e.ell)
             if v != e.value:
@@ -554,22 +564,19 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
                 failures.append(f"{tag}: eigenvalue sign flag wrong at ell={e.ell}")
             if not e.nonpositive or v.sign() > 0:
                 failures.append(f"{tag}: eigenvalue condition fails at ell={e.ell}")
-        # admissibility at the stored constant
+        # admissibility at the stored constant, one Sturm check: with a
+        # margin >= 0, poly - margin >= 0 implies Adm.  A negative margin is
+        # a certified minimum rounded below zero; it is checked on poly
+        # itself and must be the lower bound that check certifies.
         if w.c0 < 0:
             failures.append(f"{tag}: negative constant term")
         poly = w.polynomial_part(include_constant=True)
-        if not poly.is_zero() or w.c0 != 0:
-            adm = nonneg_on(poly, 0, 16) if not poly.is_zero() else None
-            if adm is not None and not adm.holds:
-                failures.append(f"{tag}: admissibility (Adm) fails at stored c0")
-            if w.adm_margin is not None and w.adm_margin != 0 and not poly.is_zero():
-                shifted = ExactPoly(
-                    [poly.coeffs[0] - rat(w.adm_margin)] + list(poly.coeffs[1:]),
-                    poly.grade,
-                    poly.domain,
-                )
-                if not nonneg_on(shifted, 0, 16).holds:
-                    failures.append(f"{tag}: stored admissibility margin is not a valid lower bound")
+        poly[0] -= max(w.adm_margin, 0)
+        adm = nonneg_on(poly, 0, 16)
+        if not adm.holds:
+            failures.append(f"{tag}: admissibility (Adm) fails at stored c0 less the stored margin")
+        elif w.adm_margin < 0 and w.adm_margin != adm.lower_bound:
+            failures.append(f"{tag}: negative admissibility margin is not the certified lower bound")
 
     if not check_sum_condition(cert.weights):
         failures.append("sum condition violated")

@@ -27,7 +27,7 @@ import threading
 from functools import lru_cache
 
 from .backend import rat
-from .polys import DOMAIN_T, ExactPoly
+from .polys import ExactPoly
 from .scalars import ExactScalar, beta_half_int, sphere_surface
 
 ZERO = ExactScalar(0)
@@ -46,8 +46,8 @@ class GegenbauerBasis:
         self.d = d
         self.nu = rat(d - 2, 2)
         self._polys = [
-            ExactPoly([rat(1)], domain=DOMAIN_T),
-            ExactPoly([rat(0), 2 * self.nu], domain=DOMAIN_T),
+            ExactPoly([rat(1)]),
+            ExactPoly([rat(0), 2 * self.nu]),
         ]
         self._lock = threading.Lock()
 
@@ -67,7 +67,7 @@ class GegenbauerBasis:
                         coeffs[i + 1] += f1 * c
                     for i, c in enumerate(b):
                         coeffs[i] -= f2 * c
-                    self._polys.append(ExactPoly(coeffs, domain=DOMAIN_T))
+                    self._polys.append(ExactPoly(coeffs))
         return self._polys[k]
 
     def at_one(self, k: int) -> ExactScalar:
@@ -132,8 +132,6 @@ def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
     Orthogonality makes this exactly zero whenever k exceeds the kernel's
     degree.
     """
-    if kernel.domain != DOMAIN_T:
-        raise ValueError("kernel must live on t in [-1,1]")
     if k < 0 or d < 3:
         raise ValueError("need k >= 0 and d >= 3")
     if kernel.is_zero() or k > kernel.degree():

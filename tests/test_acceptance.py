@@ -13,7 +13,7 @@ from pathlib import Path
 from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from sharpcert.oracle import mc_check_moment, quad_eigen_enclosure
-from sharpcert.polys import DOMAIN_U, ExactPoly, nonneg_on
+from sharpcert.polys import ExactPoly, nonneg_on
 from sharpcert.scalars import ExactScalar, sphere_surface
 from sharpcert.scheme import (
     Certificate,
@@ -99,16 +99,11 @@ def test_criterion_06_full_range_certification():
         ok = ok and cert.sum_condition_ok
         for w in cert.weights:
             ok = ok and all(e.nonpositive for e in w.eig)
-            poly = w.polynomial_part(include_constant=True)
-            if not poly.is_zero():
-                ok = ok and nonneg_on(poly, 0, 16).holds
+            ok = ok and nonneg_on(w.polynomial_part(include_constant=True), 0, 16).holds
             if w.c0 > 0:
                 lowered = w.polynomial_part(include_constant=False)
-                base = list(lowered.coeffs) if not lowered.is_zero() else [rat(0)]
-                base[0] += rat(w.c0) - two_tol
-                ok = ok and not nonneg_on(
-                    ExactPoly(base, domain=DOMAIN_U), 0, 16
-                ).holds
+                lowered[0] += rat(w.c0) - two_tol
+                ok = ok and not nonneg_on(lowered, 0, 16).holds
         if not ok:
             break
     _report(6, "d in 3..24 certify with exact checks, minimal constants, pinned bytes", ok)
@@ -153,7 +148,8 @@ def test_criterion_09_closed_form_anchors():
         k0 = magical_kernel_poly(mt, 0)
         ok = ok and k0 == ExactPoly.from_scalars([s2, s2 * rat(1, 2)])
         for m in range(9):
-            lead = magical_kernel_poly(mt, m).leading_scalar()
+            poly = magical_kernel_poly(mt, m)
+            lead = ExactScalar(poly.coeffs[-1], *poly.grade)
             ok = ok and lead == s2 * ExactScalar(rat(2) ** (m - 1))
     _report(9, "closed-form anchors: convolution constant, base kernel, leading terms", ok)
 

@@ -76,6 +76,7 @@ def test_verify_truncated(tmp_path):
     assert run(["verify", str(missing_fields)]) == 2
 
 
+D5 = compute_a_star(5).to_json()
 D7 = compute_a_star(7).to_json()
 D9 = compute_a_star(9).to_json()
 
@@ -92,6 +93,11 @@ def _d7_with(edit):
 
 def _d9_with(edit):
     return _with(D9, edit)
+
+
+def _bool_c0_and_int_rational(cert):
+    cert["weights"][0]["c0"] = False
+    cert["a_star"]["rational_times_grade"]["rational"] = 0
 
 
 def _every_nonpositive(cert, value):
@@ -117,17 +123,49 @@ def _every_nonpositive(cert, value):
         _d9_with(lambda c: c.update(tail_check_depth=25.5)),
         _d9_with(lambda c: c.update(N=True)),
         _d9_with(lambda c: c["a_star"]["rational_times_grade"].update(sqrt2=0.5)),
+        _d7_with(_bool_c0_and_int_rational),
+        _d7_with(lambda c: c["weights"][0].update(c0=False)),
+        _d7_with(lambda c: c["a_star"]["rational_times_grade"].update(rational=0)),
+        _d9_with(lambda c: c["weights"][0].update(adm_margin=0)),
+        _d9_with(lambda c: c.update(tail_check_depth=-1)),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
          "dimension_float", "dimension_string", "tail_check_depth_float", "N_bool",
-         "sqrt2_float"],
+         "sqrt2_float", "c0_bool_and_rational_int", "c0_bool", "rational_int",
+         "adm_margin_int", "tail_check_depth_negative"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("malformed certificate:")
+
+
+def _empty_every_eig(cert):
+    for w in cert["weights"]:
+        w["eig"] = []
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _d9_with(lambda c: c["weights"][1].update(adm_margin="-5")),
+        _d9_with(lambda c: c["weights"][1].update(adm_margin="1/2")),
+        _d9_with(lambda c: c.update(tail_check_depth=1000)),
+        _d9_with(_empty_every_eig),
+        _d9_with(lambda c: c["weights"][0]["eig"].pop(3)),
+        _with(D5, lambda c: c.pop("delta_eigen_evidence")),
+        _with(D5, lambda c: c["delta_eigen_evidence"].pop()),
+    ],
+    ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
+         "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5"],
+)
+def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("certificate INVALID")
 
 
 @pytest.mark.parametrize(

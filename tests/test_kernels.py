@@ -66,7 +66,7 @@ def test_magical_degree_and_leading():
         for m in range(9):
             poly = magical_kernel_poly(table, m)
             assert poly.degree() == m + 1
-            lead = poly.leading_scalar()
+            lead = ExactScalar(poly.coeffs[-1], *poly.grade)
             assert lead == s2 * ExactScalar(rat(2) ** (m - 1))
             assert lead.sign() == 1
 
@@ -77,7 +77,7 @@ def test_nonmagical_degree_and_examples():
         for m in range(9):
             poly = nonmagical_kernel_poly(table, m)
             assert poly.degree() == m
-            assert poly.leading_scalar().sign() == 1
+            assert ExactScalar(poly.coeffs[-1], *poly.grade).sign() == 1
     assert nonmagical_kernel_poly(MomentTable(3), 0) == ExactPoly.from_scalars(
         [sphere_surface(3) * sphere_surface(3)]
     )

@@ -65,11 +65,6 @@ def test_add_grade_mismatch():
         SQRT_PI + PI
 
 
-def test_compare_grade_mismatch():
-    with pytest.raises(GradeMismatch):
-        SQRT_PI < PI
-
-
 def test_sqrt_products_fold():
     assert SQRT_PI * SQRT_PI == PI
     assert SQRT2 * SQRT2 == ExactScalar(2)
@@ -133,7 +128,7 @@ def test_mul_grades_add(p, g1, q, g2):
 def test_interval_third():
     iv = ExactScalar(rat(1, 3)).to_interval(64)
     assert iv.contains(ExactScalar(rat(1, 3)))
-    assert float(iv.radius) <= 2.0**-60
+    assert iv.hi - iv.lo <= 2.0**-59
 
 
 def test_interval_pi():
@@ -142,7 +137,7 @@ def test_interval_pi():
     iv = PI.to_interval(128)
     assert abs(float(iv.center) - math.pi) < 1e-15
     assert iv.decimal(15).startswith("3.14159265358979")
-    assert float(iv.radius) < 2.0**-120
+    assert iv.hi - iv.lo < 2.0**-119
 
 
 def test_interval_zero():
@@ -162,6 +157,3 @@ def test_interval_precision_nesting(p, g):
 def test_json_round_trip():
     x = ExactScalar(rat(-22, 7), 1, -3)
     assert ExactScalar.from_json(x.to_json()) == x
-    obj = x.to_json(with_decimal=True)
-    assert "decimal" in obj
-    assert ExactScalar.from_json(obj) == x

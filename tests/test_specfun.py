@@ -38,11 +38,14 @@ def test_recurrence_holds():
         basis = gegenbauer_basis(d)
         nu = rat(d - 2, 2)
         for k in range(2, 9):
-            lhs = basis.poly(k).scale(rat(k))
-            rhs = (ExactPoly([0, 2]) * basis.poly(k - 1)).scale(
-                rat(k) + nu - 1
-            ) - basis.poly(k - 2).scale(rat(k) + 2 * nu - 2)
-            assert lhs == rhs
+            # k C_k = 2 (k + nu - 1) t C_{k-1} - (k + 2 nu - 2) C_{k-2} at ten
+            # points, which pins down an identity of degree <= 8
+            for t in range(-4, 6):
+                lhs = basis.poly(k).eval_at(t) * k
+                rhs = basis.poly(k - 1).eval_at(t) * (2 * (k + nu - 1) * t) - basis.poly(
+                    k - 2
+                ).eval_at(t) * (k + 2 * nu - 2)
+                assert lhs == rhs
 
 
 def _inner(d, p, q):
