@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .backend import rat
 from .errors import GradeMismatch, MalformedCertificate, PrecisionExhausted, SchemeInfeasible
-from .oracle import quad_eigen_enclosure
 from .scheme import Certificate, EigenTable, compute_a_star, verify_certificate
 
 EXIT_OK = 0
@@ -32,13 +31,7 @@ DEFAULT_PRECISION = 128
 
 def _parse_tol(text: str):
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            tol = rat(int(num), int(den))
-        else:
-            from fractions import Fraction
-
-            tol = rat(Fraction(text))
+        tol = rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
     if tol <= 0:
@@ -158,6 +151,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from .oracle import quad_eigen_enclosure  # loads numpy, which only this command needs
+
     if args.dimension < 3:
         print("error: dimension must be >= 3", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -21,7 +21,6 @@ from math import factorial
 from .backend import rat
 from .polys import ExactPoly, taylor_shift
 from .scalars import ExactScalar, beta_half_int, sphere_surface
-from .specfun import jacobi_moment
 
 ZERO = ExactScalar(0)
 
@@ -49,7 +48,10 @@ def directional_sphere_moment(d: int, k: int) -> ExactScalar:
     """Exact int_{S^{d-1}} (e . w)^k dsigma(w) for a unit vector e; zero for odd k."""
     if d < 2 or k < 0:
         raise ValueError("need d >= 2 and k >= 0")
-    return sphere_surface(d - 1) * jacobi_moment(d - 3, d - 3, k)
+    if k % 2 == 1:
+        return ZERO
+    # |S^{d-2}| int_{-1}^{1} t^k (1-t^2)^{(d-3)/2} dt
+    return sphere_surface(d - 1) * beta_half_int(k + 1, d - 1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Gegenbauer polynomials and the exact moment integrals behind the
-zonal-kernel eigenvalue formula.
+"""Gegenbauer polynomials and the exact Funk-Hecke eigenvalues of zonal kernels.
 
 For dimension d >= 3 the relevant index is nu = d/2 - 1; the polynomials
 are normalized by C_0 = 1, C_1 = 2 nu t and the three-term recurrence
@@ -8,25 +7,38 @@ are normalized by C_0 = 1, C_1 = 2 nu t and the three-term recurrence
 
 A zonal kernel K(t) acts on degree-k spherical harmonics by the scalar
 
-    lambda(k) = |S^{d-2}| / C_k(1) * int_{-1}^{1} K(t) C_k(t) (1-t^2)^{(d-3)/2} dt,
+    lambda(k) = |S^{d-2}| / C_k(1) * int_{-1}^{1} K(t) C_k(t) (1-t^2)^{(d-3)/2} dt.
 
-which for polynomial kernels reduces to pure power moments.  The
-delta-weight kernel's integrand C_k(t) (1+t)^{(d-2)/2} (1-t)^{d-3} is of the
-same Jacobi type (1+t)^a (1-t)^b, so one sum serves every kernel.  The
-t-power moments M_n of such a weight start from M_0 = 2^{a+b+1} B(a+1, b+1)
-and follow the integral of d/dt[t^n (1+t)^{a+1} (1-t)^{b+1}] over [-1, 1]:
+Rodrigues' formula (Szego, Orthogonal Polynomials, (4.7.12); DLMF 18.5.5)
+writes C_k(t) (1-t^2)^{(d-3)/2} / C_k(1) as a k-th derivative of
+(1-t^2)^{k+(d-3)/2} divided by (-2)^k ((d-1)/2)_k = (-1)^k prod_{i<k} (d-1+2i).
+Integrating by parts k times moves the derivatives onto K, and every
+remaining integral is one Beta value.  For a t-kernel sum_p a_p t^p:
 
-    (n + a + b + 2) M_{n+1} = n M_{n-1} + (a - b) M_n.
+    lambda(k) = |S^{d-2}| / prod_{i<k} (d-1+2i)
+                * sum_{p >= k, p = k mod 2} a_p p!/(p-k)! B((p-k+1)/2, k+(d-1)/2),
 
-All values are exact.
+which vanishes for k above the kernel degree.  For the delta-weight kernel
+C_d (1+t)^{1/2} (1-t)^{(d-3)/2}, with falling(x, i) = x (x-1) ... (x-i+1):
+
+    lambda_delta(k) = C_d |S^{d-2}| 2^{3(d-2)/2+k} / prod_{i<k} (d-1+2i)
+                      * sum_{i=0..k} C(k,i) falling(1/2, k-i) (-1)^i
+                        falling((d-3)/2, i) B(i+d/2, d-2+k-i).
+
+For odd d the terms past i = (d-3)/2 vanish.  Consecutive terms of both sums
+differ by rational factors, so each eigenvalue takes one Beta value.  The
+certification path builds no Gegenbauer polynomial; the basis below serves
+the quadrature oracle.  All values are exact.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from math import factorial
 
 from .backend import rat
+from .kernels import delta_kernel_closed_form
 from .polys import ExactPoly
 from .scalars import ExactScalar, beta_half_int, sphere_surface
 
@@ -90,40 +102,12 @@ def gegenbauer_at_one(d: int, k: int) -> ExactScalar:
     return gegenbauer_basis(d).at_one(k)
 
 
-_jacobi_moments: dict[tuple[int, int], list[ExactScalar]] = {}
-_jacobi_lock = threading.Lock()
-
-
-def jacobi_moment(two_alpha: int, two_beta: int, n: int) -> ExactScalar:
-    """Exact int_{-1}^{1} t^n (1+t)^{two_alpha/2} (1-t)^{two_beta/2} dt.
-
-    Cached per weight and extended under a lock, so a racing request never
-    shifts an entry.
-    """
-    if two_alpha < -1 or two_beta < -1 or n < 0:
-        raise ValueError("need two_alpha, two_beta >= -1 and n >= 0")
-    plus, minus = two_alpha + two_beta, two_alpha - two_beta
-    with _jacobi_lock:
-        seq = _jacobi_moments.get((two_alpha, two_beta))
-        if seq is None:
-            m0 = ExactScalar(1, plus + 2, 0) * beta_half_int(two_alpha + 2, two_beta + 2)
-            seq = _jacobi_moments[two_alpha, two_beta] = [m0, m0 * minus / (plus + 4)]
-        while n >= len(seq):  # the recurrence doubled, for M_{j+1}
-            j = len(seq) - 1
-            seq.append((seq[j - 1] * (2 * j) + seq[j] * minus) / (2 * j + plus + 4))
-        return seq[n]
-
-
-def _funk_hecke(kernel_coeffs, k: int, d: int, two_alpha: int, two_beta: int) -> ExactScalar:
-    """|S^{d-2}| / C_k(1) * sum_a sum_b K_a C_{k,b} M_{a+b} for the weight (two_alpha, two_beta)."""
-    basis = gegenbauer_basis(d)
-    ck = basis.poly(k).coeffs
-    total = ZERO
-    for a, ka in enumerate(kernel_coeffs):
-        for b, cb in enumerate(ck):
-            if ka and cb:
-                total = total + jacobi_moment(two_alpha, two_beta, a + b) * (ka * cb)
-    return sphere_surface(d - 1) / basis.at_one(k) * total
+def _rodrigues_prefactor(k: int, d: int) -> ExactScalar:
+    """|S^{d-2}| / prod_{i<k} (d-1+2i), shared by both sums."""
+    den = 1
+    for i in range(k):
+        den *= d - 1 + 2 * i
+    return sphere_surface(d - 1) / den
 
 
 def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
@@ -136,7 +120,13 @@ def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
         raise ValueError("need k >= 0 and d >= 3")
     if kernel.is_zero() or k > kernel.degree():
         return ZERO
-    return _funk_hecke(kernel.coeffs, k, d, d - 3, d - 3) * ExactScalar(1, *kernel.grade)
+    # term = p!/(p-k)! B((p-k+1)/2, k+(d-1)/2) / B(1/2, k+(d-1)/2), from p = k
+    total, term = rat(0), rat(factorial(k))
+    for p in range(k, len(kernel.coeffs), 2):
+        total += kernel.coeffs[p] * term
+        term *= rat((p + 2) * (p + 1), (p - k + 2) * (p + k + d))
+    beta = beta_half_int(1, 2 * k + d - 1)
+    return ExactScalar(total, *kernel.grade) * beta * _rodrigues_prefactor(k, d)
 
 
 def eigen_delta_weight(k: int, d: int) -> ExactScalar:
@@ -145,6 +135,16 @@ def eigen_delta_weight(k: int, d: int) -> ExactScalar:
         raise ValueError("k must be even and >= 0")
     if d < 3:
         raise ValueError("d must be >= 3")
-    from .kernels import delta_kernel_closed_form
-
-    return _funk_hecke([rat(1)], k, d, d - 2, 2 * d - 6) * delta_kernel_closed_form(d).constant
+    last = k if d % 2 == 0 else min(k, (d - 3) // 2)
+    # term i over B(d/2, d-2+k); term 0 is falling(1/2, k)
+    term = rat(1)
+    for j in range(k):
+        term *= rat(1 - 2 * j, 2)
+    total = rat(0)
+    for i in range(last + 1):
+        total += term
+        if i < last:  # past the last term the ratio's denominator can vanish (d = 3, i = k)
+            term *= rat((i - k) * (d - 3 - 2 * i) * (2 * i + d),
+                        2 * (i + 1) * (2 * i - 2 * k + 3) * (d - 3 + k - i))
+    scale = ExactScalar(total, 3 * (d - 2) + 2 * k) * beta_half_int(d, 2 * (d - 2 + k))
+    return delta_kernel_closed_form(d).constant * scale * _rodrigues_prefactor(k, d)

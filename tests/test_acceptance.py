@@ -27,6 +27,8 @@ from sharpcert.scheme import (
 # SHA-256 of json.dumps(compute_a_star(d).to_json(), indent=2) for d = 3..24;
 # refactors must leave these bytes unchanged.
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
+# The same digests for d = 25..32, checked the same way.
+PINS_D25_32 = json.loads((Path(__file__).resolve().parent / "pins_d25_32.json").read_text())
 
 
 def _report(num, desc, ok):
@@ -107,6 +109,17 @@ def test_criterion_06_full_range_certification():
         if not ok:
             break
     _report(6, "d in 3..24 certify with exact checks, minimal constants, pinned bytes", ok)
+
+
+def test_criterion_06_pinned_bytes_d25_to_d32():
+    ok = True
+    for d in range(25, 33):
+        cert = compute_a_star(d, tol=rat(1, 10**6))
+        digest = hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
+        if digest != PINS_D25_32[str(d)]:
+            print(f"d={d}: certificate bytes differ from the pin", file=sys.stderr)
+            ok = False
+    _report(6, "d in 25..32 certify to pinned bytes", ok)
 
 
 def test_criterion_07_quadrature_enclosures():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sharpcert
+from sharpcert import scheme
 from sharpcert.cli import main
 from sharpcert.scheme import compute_a_star
 
@@ -128,12 +129,14 @@ def _every_nonpositive(cert, value):
         _d7_with(lambda c: c["a_star"]["rational_times_grade"].update(rational=0)),
         _d9_with(lambda c: c["weights"][0].update(adm_margin=0)),
         _d9_with(lambda c: c.update(tail_check_depth=-1)),
+        _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(degree=3)),
+        _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(degree=-2)),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
          "dimension_float", "dimension_string", "tail_check_depth_float", "N_bool",
          "sqrt2_float", "c0_bool_and_rational_int", "c0_bool", "rational_int",
-         "adm_margin_int", "tail_check_depth_negative"],
+         "adm_margin_int", "tail_check_depth_negative", "degree_odd", "degree_negative"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -166,6 +169,38 @@ def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 1
     assert capsys.readouterr().err.startswith("certificate INVALID")
+
+
+@pytest.mark.parametrize(
+    "doc, top_degree, top_ell",
+    [
+        # d = 9: N = 3, top kernel degree 4N - 2, weight 1 covers ell = 1..3 + 25
+        (_d9_with(lambda c: c["weights"][0]["eig"][0].update(ell=20000)), 10, 28),
+        (_d9_with(lambda c: c["weights"][0]["coefficients"][0].update(degree=1000)), 10, 28),
+        # d = 5: no kernels; the evidence covers ell = 1..N + 25 with N = 1
+        (_with(D5, lambda c: c["delta_eigen_evidence"][0].update(ell=20000)), 0, 26),
+    ],
+    ids=["eig_ell_huge", "degree_huge", "evidence_ell_huge_d5"],
+)
+def test_verify_skips_rederiving_failed_weights(tmp_path, monkeypatch, doc, top_degree, top_ell):
+    # once a weight fails its coverage or coefficient check, none of its
+    # stored entries is re-derived: no kernel above the rebuilt top degree
+    # and no harmonic degree beyond the covered range is computed
+    kernel, delta = scheme.EigenTable.kernel, scheme.EigenTable.delta
+
+    def kernel_spy(self, two_m, identity):
+        assert two_m <= top_degree, f"kernel exponent {two_m} computed"
+        return kernel(self, two_m, identity)
+
+    def delta_spy(self, k):
+        assert k <= 2 * top_ell, f"delta eigenvalue at k={k} computed"
+        return delta(self, k)
+
+    monkeypatch.setattr(scheme.EigenTable, "kernel", kernel_spy)
+    monkeypatch.setattr(scheme.EigenTable, "delta", delta_spy)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 1
 
 
 @pytest.mark.parametrize(
@@ -325,3 +360,17 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     cert = json.loads(proc.stdout)
     assert cert["dimension"] == 7
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy serves only the quadrature oracle behind `eigen`, imported on use
+    src = str(Path(sharpcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sharpcert.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

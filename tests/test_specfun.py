@@ -1,5 +1,3 @@
-import sys
-import threading
 from math import comb
 
 import pytest
@@ -7,6 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpcert.backend import rat
+from sharpcert.kernels import (
+    MomentTable,
+    delta_kernel_closed_form,
+    directional_sphere_moment,
+    magical_kernel_poly,
+    nonmagical_kernel_poly,
+)
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
 from sharpcert.specfun import (
@@ -15,7 +20,6 @@ from sharpcert.specfun import (
     gegenbauer,
     gegenbauer_at_one,
     gegenbauer_basis,
-    jacobi_moment,
 )
 
 ZERO = ExactScalar(0)
@@ -48,12 +52,17 @@ def test_recurrence_holds():
                 assert lhs == rhs
 
 
+def _sym_moment(d, n):
+    # int_{-1}^{1} t^n (1-t^2)^{(d-3)/2} dt: zero for odd n, else one Beta value
+    return ZERO if n % 2 else beta_half_int(n + 1, d - 1)
+
+
 def _inner(d, p, q):
     total = ZERO
     for a, ca in enumerate(p.coeffs):
         for b, cb in enumerate(q.coeffs):
             if ca and cb:
-                total = total + jacobi_moment(d - 3, d - 3, a + b) * (ca * cb)
+                total = total + _sym_moment(d, a + b) * (ca * cb)
     return total
 
 
@@ -66,72 +75,48 @@ def test_orthogonality_exact():
 
 
 def test_jacobi_moment_symmetric_examples():
-    assert jacobi_moment(1, 1, 1).is_zero()
-    assert jacobi_moment(0, 0, 0) == ExactScalar(2)
-    assert jacobi_moment(0, 0, 2) == ExactScalar(rat(2, 3))
+    # at k = 0 the eigenvalue of t^n is |S^{d-2}| times the symmetric moment
+    two_pi = sphere_surface(2)
+    assert funk_hecke_eigen(ExactPoly([0, 1]), 0, 4).is_zero()
+    assert funk_hecke_eigen(ExactPoly([1]), 0, 3) == two_pi * ExactScalar(2)
+    assert funk_hecke_eigen(ExactPoly([0, 0, 1]), 0, 3) == two_pi * ExactScalar(rat(2, 3))
+    # d = 3, k = 2: C_2 / C_2(1) = (3t^2 - 1)/2, so t^2 gives 2 pi * 4/15
+    assert funk_hecke_eigen(ExactPoly([0, 0, 1]), 2, 3) == two_pi * ExactScalar(rat(4, 15))
 
 
 def test_jacobi_moment_delta_weight_examples():
-    assert jacobi_moment(1, 0, 0) == ExactScalar(rat(4, 3), 1, 0)  # (4/3) sqrt2
-    assert jacobi_moment(2, 2, 0) == ExactScalar(rat(4, 3))
-    # d=4: (1+t)(1-t) is even, so its first moment vanishes
-    assert jacobi_moment(2, 2, 1).is_zero()
+    # d = 3: the integrand at k = 0 is (1+t)^{1/2}, with integral (4/3) sqrt2
+    c3 = delta_kernel_closed_form(3).constant * sphere_surface(2)
+    assert eigen_delta_weight(0, 3) == c3 * ExactScalar(rat(4, 3), 1, 0)
+    # d = 4: the integrand is (1 - t^2) C_k(t) / C_k(1), with C_2 = 4t^2 - 1, C_2(1) = 3
+    c4 = delta_kernel_closed_form(4).constant * sphere_surface(3)
+    assert eigen_delta_weight(0, 4) == c4 * ExactScalar(rat(4, 3))
+    assert eigen_delta_weight(2, 4) == c4 * ExactScalar(rat(-4, 45))
 
 
-def _binomial_moment(two_alpha, two_beta, n):
-    # t^n = (s - 1)^n with s = 1+t; each (1+t)^{a+j} (1-t)^b term is one Beta
-    # value 2^{a+b+j+1} B(a+j+1, b+1)
+def _gegenbauer_moment_eigen(kernel, k, d):
+    # |S^{d-2}| / C_k(1) * sum_a sum_b K_a C_{k,b} M_{a+b}: the Gegenbauer
+    # expansion against symmetric Beta moments, independent of Rodrigues' formula
     total = ZERO
-    for j in range(n + 1):
-        beta = beta_half_int(two_alpha + 2 * j + 2, two_beta + 2)
-        term = ExactScalar(1, two_alpha + two_beta + 2 * j + 2, 0) * beta
-        total = total + term * ((-1) ** (n - j) * comb(n, j))
-    return total
+    for a, ka in enumerate(kernel.coeffs):
+        for b, cb in enumerate(gegenbauer(d, k).coeffs):
+            if ka and cb:
+                total = total + _sym_moment(d, a + b) * (ka * cb)
+    unit = ExactScalar(1, *kernel.grade)
+    return sphere_surface(d - 1) / gegenbauer_at_one(d, k) * total * unit
 
 
 def test_jacobi_moment_matches_independent_references():
-    # the symmetric weight (1-t^2)^{(d-3)/2}: zero for odd a, B((a+1)/2, (d-1)/2) for even a
+    for d in (3, 4, 5, 7, 8, 13, 24, 33):
+        table = MomentTable(d)
+        for m in range(9):
+            for kernel in (magical_kernel_poly(table, m), nonmagical_kernel_poly(table, m)):
+                for k in range(m + 4):
+                    assert funk_hecke_eigen(kernel, k, d) == _gegenbauer_moment_eigen(kernel, k, d)
+    # the directional sphere moment is |S^{d-2}| times the same symmetric moment
     for d in range(3, 31):
         for a in range(61):
-            expect = ZERO if a % 2 else beta_half_int(a + 1, d - 1)
-            assert jacobi_moment(d - 3, d - 3, a) == expect
-    # the delta weight (1+t)^{(d-2)/2} (1-t)^{d-3}, through (1-t)^{d-3} expanded
-    for d in (3, 4, 7, 12):
-        for a in range(16):
-            assert jacobi_moment(d - 2, 2 * d - 6, a) == _t_power_moment(d, a)
-    for two_alpha in range(-1, 6):
-        for two_beta in range(-1, 6):
-            for n in range(9):
-                assert jacobi_moment(two_alpha, two_beta, n) == _binomial_moment(two_alpha, two_beta, n)
-
-
-def test_jacobi_moment_threads_never_shift_entries():
-    # weights no other test uses, so the threads race to build each sequence
-    weights, top = [(9, 2 * j + 13) for j in range(6)], 30
-    expect = {w: [_binomial_moment(*w, n) for n in range(top)] for w in weights}
-    got = [[] for _ in range(6)]
-    start = threading.Barrier(6)
-
-    def work(i):
-        start.wait(timeout=60)
-        for w in weights:
-            for n in range(top):
-                got[i].append((w, n, jacobi_moment(*w, n)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for triples in got:
-        assert len(triples) == len(weights) * top
-        assert all(v == expect[w][n] for w, n, v in triples)
+            assert directional_sphere_moment(d, a) == sphere_surface(d - 1) * _sym_moment(d, a)
 
 
 def test_funk_hecke_constant_kernel():
@@ -168,30 +153,33 @@ def test_delta_eigen_rejects_odd_k():
         eigen_delta_weight(3, 5)
 
 
-def _t_power_moment(d, a):
-    # int_{-1}^{1} t^a (1-t)^{d-3} (1+t)^{(d-2)/2} dt by expanding (1-t)^{d-3}
-    # and then t^m in s = (1+t)/2: an independent route to the delta integrand
-    total = rat(0)
-    for i in range(d - 2):
-        m = a + i
-        for j in range(m + 1):
-            total += (-1) ** (i + m - j) * comb(d - 3, i) * comb(m, j) * 2**j * rat(2, d + 2 * j)
-    return ExactScalar(total * 2 ** (d // 2), d % 2, 0)
+def _t_power_moments(d, top):
+    # int_{-1}^{1} t^a (1-t)^{d-3} (1+t)^{(d-2)/2} dt for a < top, by expanding
+    # (1-t)^{d-3} and then t^m in s = (1+t)/2: an independent route to the
+    # delta integrand
+    by_m = []
+    for m in range(top + d - 3):
+        by_m.append(sum((-1) ** (m - j) * comb(m, j) * 2**j * rat(2, d + 2 * j)
+                        for j in range(m + 1)))
+    moments = []
+    for a in range(top):
+        total = sum((-1) ** i * comb(d - 3, i) * by_m[a + i] for i in range(d - 2))
+        moments.append(ExactScalar(total * 2 ** (d // 2), d % 2, 0))
+    return moments
 
 
 def test_flip_identity():
     # the t -> -t image of the delta-weight integral toggles the sign of the
     # odd Gegenbauer coefficients; for even k they vanish and both agree
-    from sharpcert.kernels import delta_kernel_closed_form
-
-    for d in (3, 5, 8, 11):
+    for d in list(range(3, 14)) + [24, 33]:
         basis = gegenbauer_basis(d)
         const = delta_kernel_closed_form(d).constant
-        for k in (0, 2, 4, 8):
+        moments = _t_power_moments(d, 41)
+        for k in range(0, 41, 2):
             flipped = ZERO
             for b, cb in enumerate(basis.poly(k).coeffs):
                 if cb != 0:
-                    flipped = flipped + _t_power_moment(d, b) * (cb if b % 2 == 0 else -cb)
+                    flipped = flipped + moments[b] * (cb if b % 2 == 0 else -cb)
             flipped = sphere_surface(d - 1) / basis.at_one(k) * const * flipped
             assert eigen_delta_weight(k, d) == flipped
 
