@@ -8,8 +8,9 @@ Every double-sphere integral collapses to the radial moment constants
     C(d, J, K) = int int |w3+w4|^{2J} (e . (w3+w4))^K dsigma dsigma   (unit e)
 
 which are products of the sphere-convolution constant, a directional sphere
-moment and a radial moment, all exact half-integer Beta data.  Substituting
-|w1+w2|^2 = 2 + 2t then yields polynomials in t = w1 . w2.
+moment and a radial moment, all exact half-integer Beta data.  Since
+|w1+w2|^2 = 2s with s = 1 + t = 1 + w1 . w2, a power alpha^p is 2^p s^p, so
+the polynomial kernels come out as ExactPolys in s directly.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from functools import lru_cache
 from math import factorial
 
 from .backend import rat
-from .polys import ExactPoly, taylor_shift
+from .polys import ExactPoly
 from .scalars import ExactScalar, beta_half_int, sphere_surface
 
 ZERO = ExactScalar(0)
 
 
 def radial_moment(d: int, a: int) -> ExactScalar:
-    """Exact int_0^2 r^a (4 - r^2)^{(d-3)/2} dr (via r = 2s and Beta values)."""
+    """Exact int_0^2 r^a (4 - r^2)^{(d-3)/2} dr (via r = 2x and Beta values)."""
     if d < 3 or a < 0:
         raise ValueError("need d >= 3 and a >= 0")
     return ExactScalar(2 ** (a + d - 3)) * beta_half_int(a + 1, d - 1)
@@ -110,15 +111,11 @@ def _multinomial(m: int, i: int, j: int, k: int) -> int:
     return factorial(m) // (factorial(i) * factorial(j) * factorial(k))
 
 
-def _collapse_to_t(a_coeffs: dict[int, ExactScalar]) -> ExactPoly:
-    """Rewrite sum c_p a^p with a = 2 + 2t as an exact polynomial in t.
-
-    (2+2t)^p = 2^p (1+t)^p, so the polynomial in s = 1+t is shifted by one.
-    """
-    in_s = ExactPoly.from_scalars(
+def _kernel_in_s(a_coeffs: dict[int, ExactScalar]) -> ExactPoly:
+    """Rewrite sum c_p alpha^p with alpha = |w1+w2|^2 = 2s as an ExactPoly in s."""
+    return ExactPoly.from_scalars(
         [a_coeffs.get(p, ZERO) * 2**p for p in range(max(a_coeffs) + 1)]
     )
-    return ExactPoly(taylor_shift(in_s.coeffs, 1), in_s.grade)
 
 
 def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
@@ -126,8 +123,8 @@ def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
 
     Trinomial expansion over alpha = |w1+w2|^2, beta = |w3+w4|^2,
     gamma = 2 (w1+w2).(w3+w4); each double-sphere factor becomes a moment
-    constant and powers of alpha collapse through alpha = 2+2t.  The leading
-    coefficient is exactly 2^{m-1} |S^{d-1}|^2.
+    constant and powers of alpha become powers of s through alpha = 2s.
+    The leading coefficient is exactly 2^{m-1} |S^{d-1}|^2.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -145,7 +142,7 @@ def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
                 add(i + k // 2, table.get(j + 1, k) * w)
             else:
                 add(i + (k + 1) // 2, table.get(j, k + 1) * (-w))
-    poly = _collapse_to_t(acc)
+    poly = _kernel_in_s(acc)
     assert poly.degree() == m + 1
     return poly
 
@@ -163,6 +160,6 @@ def nonmagical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
             w = rat(_multinomial(m, i, j, k)) * rat(2**k)
             c = table.get(j, k) * w
             acc[i + k // 2] = acc.get(i + k // 2, ZERO) + c
-    poly = _collapse_to_t(acc)
+    poly = _kernel_in_s(acc)
     assert poly.degree() == m
     return poly

@@ -25,7 +25,7 @@ from .errors import PrecisionExhausted
 from .kernels import MomentTable, delta_kernel_closed_form
 from .polys import ExactPoly
 from .scalars import ExactScalar, IntervalScalar, MPIntervalContext, sphere_surface
-from .specfun import gegenbauer, gegenbauer_at_one
+from .specfun import gegenbauer_basis
 
 MAX_SERIES_ORDER = 1 << 14
 
@@ -143,27 +143,29 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
     """Rigorous interval around the degree-k eigenvalue of a zonal kernel.
 
     ``kernel_desc`` is either the string ``"delta"`` (the singular-measure
-    kernel) or an ExactPoly in t.  The series order adapts until the
-    rational truncation radius clears the precision target; if the cap is
-    hit first, PrecisionExhausted is raised.
+    kernel) or an ExactPoly kernel, a polynomial in 1 + t that is expanded
+    here in t.  The series order adapts until the rational truncation radius
+    clears the precision target; if the cap is hit first, PrecisionExhausted
+    is raised.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     if k < 0 or d < 3:
         raise ValueError("need k >= 0 and d >= 3")
-    ck = gegenbauer(d, k)
+    basis = gegenbauer_basis(d)
+    ck = basis.poly(k)
     if isinstance(kernel_desc, str):
         if kernel_desc != "delta":
             raise ValueError(f"unknown kernel descriptor {kernel_desc!r}")
         const = delta_kernel_closed_form(d).constant
-        q = [c * const.coeff for c in ck.coeffs]
+        q = [c * const.coeff for c in ck]
         unit = ExactScalar(1, const.sqrt2, const.pi_half)
         two_alpha = 2 * (d - 3)  # (1-t) exponent, doubled
         two_beta = d - 2  # (1+t) exponent, doubled
     elif isinstance(kernel_desc, ExactPoly):
         if kernel_desc.is_zero():
             return ExactScalar(0).to_interval(precision_bits)
-        q = _mul(list(kernel_desc.coeffs), list(ck.coeffs))
+        q = _mul(_compose_linear_square(kernel_desc.coeffs, rat(1), rat(1)), ck)
         unit = ExactScalar(1, *kernel_desc.grade)
         two_alpha = two_beta = d - 3
     else:
@@ -176,7 +178,7 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
     b_left = _shift_up(_spread_even(_compose_linear_square(q, rat(-1), rat(1))), two_beta + 1)
     b_left = [2 * c for c in b_left]
 
-    pref = sphere_surface(d - 1) / gegenbauer_at_one(d, k) * unit
+    pref = sphere_surface(d - 1) / basis.at_one(k) * unit
     scale = rat(abs(pref.coeff)) * max(
         rat(1), _abs_integral_bound(b_right), _abs_integral_bound(b_left)
     )

@@ -1,6 +1,7 @@
 """Exact univariate polynomials and Sturm-based nonnegativity certificates.
 
-An ``ExactPoly`` is a kernel polynomial in t: rational coefficients plus one
+An ``ExactPoly`` is a zonal kernel polynomial in s = 1 + t, where t = w1 . w2
+is the cosine between two sphere points: rational coefficients plus one
 shared radical grade (a positive factor, so it never affects signs or
 roots).  The Sturm layer -- sequences, root isolation, interval evaluation,
 nonnegativity and minimal shifts -- takes grade-stripped rational
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .backend import rat, rat_str
 from .errors import GradeMismatch
-from .scalars import ExactScalar, Grade
+from .scalars import Grade
 
 RAT_GRADE: Grade = (0, 0)
 
@@ -27,7 +28,7 @@ def _trim(coeffs):
 
 
 class ExactPoly:
-    """Polynomial in t: grade * sum coeffs[i] * t^i, coeffs rational."""
+    """Kernel polynomial in s = 1 + t: grade * sum coeffs[i] * s^i, coeffs rational."""
 
     __slots__ = ("grade", "coeffs")
 
@@ -63,10 +64,6 @@ class ExactPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def eval_at(self, x) -> ExactScalar:
-        """Exact value at a rational point, carrying the polynomial's grade."""
-        return ExactScalar(_horner(self.coeffs, rat(x)), *self.grade)
 
     def __eq__(self, other):
         if not isinstance(other, ExactPoly):
@@ -105,15 +102,6 @@ def _horner(coeffs, x):
 
 def _deriv(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def taylor_shift(coeffs, c):
-    """Coefficients of P(x + c) from those of P(x), by repeated Horner steps."""
-    out = list(coeffs)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
-    return out
 
 
 def _gcd(a, b):

@@ -53,21 +53,18 @@ class EigenTable:
         self.d = d
         self.moments = MomentTable(d)
         self.lambda_delta: dict[int, ExactScalar] = {}
-        self.lambda_mag: dict[tuple[int, int], ExactScalar] = {}
-        self.mu_nonmag: dict[tuple[int, int], ExactScalar] = {}
-        self._kernels_mag: dict[int, ExactPoly] = {}
-        self._kernels_nonmag: dict[int, ExactPoly] = {}
+        self.kernels: dict[tuple[str, int], ExactPoly] = {}  # (identity, m)
+        self.lambda_poly: dict[tuple[str, int, int], ExactScalar] = {}  # (identity, two_m, k)
 
     def kernel(self, two_m: int, identity: str) -> ExactPoly:
         """The polynomial kernel of exponent ``two_m`` for ``identity``, cached."""
         if two_m < 0 or two_m % 2 == 1:
             raise ValueError("kernel exponent must be even and >= 0")
-        m = two_m // 2
-        cache = self._kernels_mag if identity == MAGICAL else self._kernels_nonmag
-        poly = cache.get(m)
+        key = (identity, two_m // 2)
+        poly = self.kernels.get(key)
         if poly is None:
             builder = magical_kernel_poly if identity == MAGICAL else nonmagical_kernel_poly
-            poly = cache.setdefault(m, builder(self.moments, m))
+            poly = self.kernels.setdefault(key, builder(self.moments, two_m // 2))
         return poly
 
     def delta(self, k: int) -> ExactScalar:
@@ -77,23 +74,21 @@ class EigenTable:
         return v
 
     def mag(self, two_m: int, k: int) -> ExactScalar:
-        key = (two_m, k)
-        v = self.lambda_mag.get(key)
-        if v is None:
-            v = funk_hecke_eigen(self.kernel(two_m, MAGICAL), k, self.d)
-            v = self.lambda_mag.setdefault(key, v)
-        return v
+        return self._poly_eigen(MAGICAL, two_m, k)
 
     def nonmag(self, two_m: int, k: int) -> ExactScalar:
-        key = (two_m, k)
-        v = self.mu_nonmag.get(key)
-        if v is None:
-            v = funk_hecke_eigen(self.kernel(two_m, NONMAGICAL), k, self.d)
-            v = self.mu_nonmag.setdefault(key, v)
-        return v
+        return self._poly_eigen(NONMAGICAL, two_m, k)
 
     def get(self, identity: str, two_m: int, k: int) -> ExactScalar:
         return self.mag(two_m, k) if identity == MAGICAL else self.nonmag(two_m, k)
+
+    def _poly_eigen(self, identity: str, two_m: int, k: int) -> ExactScalar:
+        key = (identity, two_m, k)
+        v = self.lambda_poly.get(key)
+        if v is None:
+            v = funk_hecke_eigen(self.kernel(two_m, identity), k, self.d)
+            v = self.lambda_poly.setdefault(key, v)
+        return v
 
 
 @dataclass
@@ -364,41 +359,43 @@ class Certificate:
             if obj.get("version") != 1 or type(obj["version"]) is not int:
                 raise MalformedCertificate(f"unsupported version {obj.get('version')!r}")
             weights = []
-            for wd in obj["weights"]:
+            for wd in _json(obj["weights"], list):
                 coeffs = {}
-                for cd in wd["coefficients"]:
-                    degree = _json_int(cd["degree"])
+                for cd in _json(wd["coefficients"], list):
+                    degree = _json(cd["degree"], int)
                     if degree < 0 or degree % 2 == 1:
                         raise MalformedCertificate(f"coefficient degree {degree} must be even and >= 0")
                     coeffs[degree] = ExactScalar.from_json(cd["value"])
                 w = WeightSpec(
-                    n=_json_int(wd["n"]),
-                    identity=str(wd["identity"]),
-                    has_delta=_json_bool(wd["has_delta"]),
-                    top_degree=_json_int(wd["top_degree"]),
+                    n=_json(wd["n"], int),
+                    identity=_json(wd["identity"], str),
+                    has_delta=_json(wd["has_delta"], bool),
+                    top_degree=_json(wd["top_degree"], int),
                     coeffs=coeffs,
                     c0=_json_rat(wd["c0"]),
                     adm_margin=_json_rat(wd["adm_margin"]),
-                    eig=[_eig_check_from_json(e) for e in wd["eig"]],
+                    eig=[_eig_check_from_json(e) for e in _json(wd["eig"], list)],
                 )
                 weights.append(w)
-            tail_check_depth = _json_int(obj["tail_check_depth"])
+            tail_check_depth = _json(obj["tail_check_depth"], int)
             if tail_check_depth < 0:
                 raise MalformedCertificate(f"tail_check_depth={tail_check_depth} must be >= 0")
+            evidence = _json(obj.get("delta_eigen_evidence", []), list)
+            baseline = obj.get("paper_baseline_decimal")
+            if baseline is not None:
+                _json(baseline, str)
             return cls(
-                dimension=_json_int(obj["dimension"]),
-                N=_json_int(obj["N"]),
+                dimension=_json(obj["dimension"], int),
+                N=_json(obj["N"], int),
                 tail_check_depth=tail_check_depth,
                 weights=weights,
-                sum_condition_ok=_json_bool(obj["sum_condition_ok"]),
+                sum_condition_ok=_json(obj["sum_condition_ok"], bool),
                 a_star=ExactScalar.from_json(obj["a_star"]["rational_times_grade"]),
-                a_star_decimal=str(obj["a_star"]["decimal"]),
-                paper_baseline_decimal=obj.get("paper_baseline_decimal"),
-                notes=[str(s) for s in obj.get("notes", [])],
-                delta_eigen_evidence=[
-                    _eig_check_from_json(e) for e in obj.get("delta_eigen_evidence", [])
-                ],
-                generator=dict(obj.get("generator", GENERATOR)),
+                a_star_decimal=_json(obj["a_star"]["decimal"], str),
+                paper_baseline_decimal=baseline,
+                notes=[_json(s, str) for s in _json(obj.get("notes", []), list)],
+                delta_eigen_evidence=[_eig_check_from_json(e) for e in evidence],
+                generator=dict(_json(obj.get("generator", GENERATOR), dict)),
             )
         except MalformedCertificate:
             raise
@@ -407,29 +404,26 @@ class Certificate:
             raise MalformedCertificate(str(exc)) from exc
 
 
-def _json_int(v) -> int:
-    if type(v) is not int:
-        raise MalformedCertificate(f"expected an integer, got {v!r}")
+_JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _json(v, kind):
+    """``v`` if its JSON type is ``kind`` exactly (so true is not an integer)."""
+    if type(v) is not kind:
+        raise MalformedCertificate(f"expected {_JSON_KINDS[kind]}, got {v!r:.60}")
     return v
 
 
 def _json_rat(v):
-    if type(v) is not str:
-        raise MalformedCertificate(f"expected a \"p/q\" string, got {v!r}")
-    return rat(v)
-
-
-def _json_bool(v) -> bool:
-    if type(v) is not bool:
-        raise MalformedCertificate(f"expected true or false, got {v!r}")
-    return v
+    return rat(_json(v, str))
 
 
 def _eig_check_from_json(e) -> EigCheck:
-    ell = _json_int(e["ell"])
+    ell = _json(e["ell"], int)
     if ell < 1:
         raise MalformedCertificate(f"eigenvalue index ell={ell} must be >= 1")
-    return EigCheck(ell, ExactScalar.from_json(e["value"]), _json_bool(e["nonpositive"]))
+    return EigCheck(ell, ExactScalar.from_json(e["value"]), _json(e["nonpositive"], bool))
 
 
 def _decimals(d: int, a_star: ExactScalar) -> tuple[str, str | None]:

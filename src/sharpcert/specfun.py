@@ -1,11 +1,7 @@
-"""Gegenbauer polynomials and the exact Funk-Hecke eigenvalues of zonal kernels.
+"""Exact Funk-Hecke eigenvalues of zonal kernels, and the Gegenbauer basis.
 
-For dimension d >= 3 the relevant index is nu = d/2 - 1; the polynomials
-are normalized by C_0 = 1, C_1 = 2 nu t and the three-term recurrence
-
-    k C_k = 2 t (k + nu - 1) C_{k-1} - (k + 2 nu - 2) C_{k-2}.
-
-A zonal kernel K(t) acts on degree-k spherical harmonics by the scalar
+For dimension d >= 3 the relevant index is nu = d/2 - 1.  A zonal kernel
+K(t) acts on degree-k spherical harmonics by the scalar
 
     lambda(k) = |S^{d-2}| / C_k(1) * int_{-1}^{1} K(t) C_k(t) (1-t^2)^{(d-3)/2} dt.
 
@@ -13,10 +9,11 @@ Rodrigues' formula (Szego, Orthogonal Polynomials, (4.7.12); DLMF 18.5.5)
 writes C_k(t) (1-t^2)^{(d-3)/2} / C_k(1) as a k-th derivative of
 (1-t^2)^{k+(d-3)/2} divided by (-2)^k ((d-1)/2)_k = (-1)^k prod_{i<k} (d-1+2i).
 Integrating by parts k times moves the derivatives onto K, and every
-remaining integral is one Beta value.  For a t-kernel sum_p a_p t^p:
+remaining integral is one Beta value.  A polynomial kernel is an ExactPoly
+in s = 1 + t, sum_p b_p s^p, and then
 
     lambda(k) = |S^{d-2}| / prod_{i<k} (d-1+2i)
-                * sum_{p >= k, p = k mod 2} a_p p!/(p-k)! B((p-k+1)/2, k+(d-1)/2),
+                * sum_{p >= k} b_p p!/(p-k)! 2^{p+k+d-2} B(p+(d-1)/2, k+(d-1)/2),
 
 which vanishes for k above the kernel degree.  For the delta-weight kernel
 C_d (1+t)^{1/2} (1-t)^{(d-3)/2}, with falling(x, i) = x (x-1) ... (x-i+1):
@@ -26,9 +23,15 @@ C_d (1+t)^{1/2} (1-t)^{(d-3)/2}, with falling(x, i) = x (x-1) ... (x-i+1):
                         falling((d-3)/2, i) B(i+d/2, d-2+k-i).
 
 For odd d the terms past i = (d-3)/2 vanish.  Consecutive terms of both sums
-differ by rational factors, so each eigenvalue takes one Beta value.  The
-certification path builds no Gegenbauer polynomial; the basis below serves
-the quadrature oracle.  All values are exact.
+differ by rational factors, so each eigenvalue takes one Beta value.  All
+values are exact.
+
+The Gegenbauer polynomials, normalized by C_0 = 1, C_1 = 2 nu t and
+
+    k C_k = 2 t (k + nu - 1) C_{k-1} - (k + 2 nu - 2) C_{k-2},
+
+are not on the certification path; ``GegenbauerBasis`` serves the
+quadrature oracle, which integrates the defining integral directly.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ ZERO = ExactScalar(0)
 class GegenbauerBasis:
     """Lazily extended exact Gegenbauer family for nu = d/2 - 1.
 
-    Extension behaves as an idempotent cache; concurrent requests are
-    serialized by a lock and produce identical polynomials.
+    ``poly(k)`` is the tuple of rational t-coefficients of C_k.  Extension
+    behaves as an idempotent cache; concurrent requests are serialized by a
+    lock and produce identical tuples.
     """
 
     def __init__(self, d: int):
@@ -57,34 +61,30 @@ class GegenbauerBasis:
             raise ValueError("d must be >= 3")
         self.d = d
         self.nu = rat(d - 2, 2)
-        self._polys = [
-            ExactPoly([rat(1)]),
-            ExactPoly([rat(0), 2 * self.nu]),
-        ]
+        self._polys = [(rat(1),), (rat(0), 2 * self.nu)]
         self._lock = threading.Lock()
 
-    def poly(self, k: int) -> ExactPoly:
+    def poly(self, k: int) -> tuple:
         if k < 0:
             raise ValueError("k must be >= 0")
         if k >= len(self._polys):
             with self._lock:
                 while len(self._polys) <= k:
                     j = len(self._polys)
-                    a = list(self._polys[j - 1].coeffs)
-                    b = list(self._polys[j - 2].coeffs)
                     f1 = rat(2 * (j + self.nu - 1), j)
                     f2 = rat(j + 2 * self.nu - 2, j)
                     coeffs = [rat(0)] * (j + 1)
-                    for i, c in enumerate(a):
+                    for i, c in enumerate(self._polys[j - 1]):
                         coeffs[i + 1] += f1 * c
-                    for i, c in enumerate(b):
+                    for i, c in enumerate(self._polys[j - 2]):
                         coeffs[i] -= f2 * c
-                    self._polys.append(ExactPoly(coeffs))
+                    self._polys.append(tuple(coeffs))
         return self._polys[k]
 
-    def at_one(self, k: int) -> ExactScalar:
-        v = self.poly(k).eval_at(rat(1))
-        if v.sign() <= 0:
+    def at_one(self, k: int):
+        """C_k(1), the coefficient sum; a positive rational."""
+        v = sum(self.poly(k))
+        if v <= 0:
             raise ArithmeticError(f"C_{k}(1) must be positive")
         return v
 
@@ -92,14 +92,6 @@ class GegenbauerBasis:
 @lru_cache(maxsize=None)
 def gegenbauer_basis(d: int) -> GegenbauerBasis:
     return GegenbauerBasis(d)
-
-
-def gegenbauer(d: int, k: int) -> ExactPoly:
-    return gegenbauer_basis(d).poly(k)
-
-
-def gegenbauer_at_one(d: int, k: int) -> ExactScalar:
-    return gegenbauer_basis(d).at_one(k)
 
 
 def _rodrigues_prefactor(k: int, d: int) -> ExactScalar:
@@ -111,7 +103,7 @@ def _rodrigues_prefactor(k: int, d: int) -> ExactScalar:
 
 
 def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
-    """Exact eigenvalue of a polynomial zonal kernel on degree-k harmonics.
+    """Exact eigenvalue of a polynomial zonal kernel in s on degree-k harmonics.
 
     Orthogonality makes this exactly zero whenever k exceeds the kernel's
     degree.
@@ -120,12 +112,12 @@ def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
         raise ValueError("need k >= 0 and d >= 3")
     if kernel.is_zero() or k > kernel.degree():
         return ZERO
-    # term = p!/(p-k)! B((p-k+1)/2, k+(d-1)/2) / B(1/2, k+(d-1)/2), from p = k
-    total, term = rat(0), rat(factorial(k))
-    for p in range(k, len(kernel.coeffs), 2):
+    # term = p!/(p-k)! 2^{p+k} B(p+(d-1)/2, k+(d-1)/2) / B(k+(d-1)/2, k+(d-1)/2), from p = k
+    total, term = rat(0), rat(4**k * factorial(k))
+    for p in range(k, len(kernel.coeffs)):
         total += kernel.coeffs[p] * term
-        term *= rat((p + 2) * (p + 1), (p - k + 2) * (p + k + d))
-    beta = beta_half_int(1, 2 * k + d - 1)
+        term *= rat((p + 1) * (2 * p + d - 1), (p + 1 - k) * (p + k + d - 1))
+    beta = beta_half_int(2 * k + d - 1, 2 * k + d - 1) * 2 ** (d - 2)
     return ExactScalar(total, *kernel.grade) * beta * _rodrigues_prefactor(k, d)
 
 

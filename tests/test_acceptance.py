@@ -159,7 +159,7 @@ def test_criterion_09_closed_form_anchors():
         s2 = sphere_surface(d) * sphere_surface(d)
         mt = MomentTable(d)
         k0 = magical_kernel_poly(mt, 0)
-        ok = ok and k0 == ExactPoly.from_scalars([s2, s2 * rat(1, 2)])
+        ok = ok and k0 == ExactPoly.from_scalars([s2 * rat(1, 2), s2 * rat(1, 2)])  # in s = 1+t
         for m in range(9):
             poly = magical_kernel_poly(mt, m)
             lead = ExactScalar(poly.coeffs[-1], *poly.grade)

@@ -131,12 +131,20 @@ def _every_nonpositive(cert, value):
         _d9_with(lambda c: c.update(tail_check_depth=-1)),
         _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(degree=3)),
         _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(degree=-2)),
+        _d9_with(lambda c: c["weights"][0].update(identity=5)),
+        _d9_with(lambda c: c["a_star"].update(decimal=1.5)),
+        _d9_with(lambda c: c.update(paper_baseline_decimal=1.5)),
+        _d9_with(lambda c: c.update(weights={})),
+        _d9_with(lambda c: c["weights"][0].update(eig={})),
+        _d9_with(lambda c: c.update(notes="abc")),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
          "dimension_float", "dimension_string", "tail_check_depth_float", "N_bool",
          "sqrt2_float", "c0_bool_and_rational_int", "c0_bool", "rational_int",
-         "adm_margin_int", "tail_check_depth_negative", "degree_odd", "degree_negative"],
+         "adm_margin_int", "tail_check_depth_negative", "degree_odd", "degree_negative",
+         "identity_int", "a_star_decimal_float", "baseline_decimal_float", "weights_object",
+         "eig_object", "notes_string"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

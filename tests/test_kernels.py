@@ -55,7 +55,8 @@ def test_delta_kernel_constant():
 def test_magical_m0_identity():
     for d in range(3, 17):
         s2 = sphere_surface(d) * sphere_surface(d)
-        expect = ExactPoly.from_scalars([s2, s2 * rat(1, 2)])
+        # m = 0: |S^{d-1}|^2 (1 + s)/2 in s = 1+t
+        expect = ExactPoly.from_scalars([s2 * rat(1, 2), s2 * rat(1, 2)])
         assert magical_kernel_poly(MomentTable(d), 0) == expect
 
 
@@ -81,9 +82,7 @@ def test_nonmagical_degree_and_examples():
     assert nonmagical_kernel_poly(MomentTable(3), 0) == ExactPoly.from_scalars(
         [sphere_surface(3) * sphere_surface(3)]
     )
-    # m=1, d=3: 2|S^2|^2 t + 2|S^2|^2 + C(3,1,0)
+    # m=1, d=3: C(3,1,0) + 2|S^2|^2 s, with s = 1+t
     s2 = sphere_surface(3) * sphere_surface(3)
-    expect = ExactPoly.from_scalars(
-        [s2 * 2 + ExactScalar(32, 0, 4), s2 * 2]
-    )
+    expect = ExactPoly.from_scalars([ExactScalar(32, 0, 4), s2 * 2])
     assert nonmagical_kernel_poly(MomentTable(3), 1) == expect

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -14,27 +15,29 @@ from sharpcert.kernels import (
 )
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
-from sharpcert.specfun import (
-    eigen_delta_weight,
-    funk_hecke_eigen,
-    gegenbauer,
-    gegenbauer_at_one,
-    gegenbauer_basis,
-)
+from sharpcert.specfun import eigen_delta_weight, funk_hecke_eigen, gegenbauer_basis
 
 ZERO = ExactScalar(0)
+T = ExactPoly([-1, 1])  # t = s - 1, in the kernels' variable s = 1+t
+
+
+def _at(coeffs, t):
+    return sum(c * rat(t) ** i for i, c in enumerate(coeffs))
 
 
 def test_gegenbauer_low_degrees():
-    assert gegenbauer(5, 0) == ExactPoly([1])
-    assert gegenbauer(4, 1) == ExactPoly([0, 2])
-    assert gegenbauer(3, 2) == ExactPoly([rat(-1, 2), rat(0), rat(3, 2)])
+    assert gegenbauer_basis(5).poly(0) == (1,)
+    assert gegenbauer_basis(4).poly(1) == (0, 2)
+    assert gegenbauer_basis(3).poly(2) == (rat(-1, 2), rat(0), rat(3, 2))
+    # plain rational tuples, not graded kernels
+    c7 = gegenbauer_basis(6).poly(7)
+    assert isinstance(c7, tuple) and all(isinstance(c, Fraction) for c in c7)
 
 
 def test_gegenbauer_at_one():
-    assert gegenbauer_at_one(7, 0) == ExactScalar(1)
-    assert gegenbauer_at_one(3, 2) == ExactScalar(1)
-    assert gegenbauer_at_one(4, 2) == ExactScalar(3)
+    assert gegenbauer_basis(7).at_one(0) == 1
+    assert gegenbauer_basis(3).at_one(2) == 1
+    assert gegenbauer_basis(4).at_one(2) == 3
 
 
 def test_recurrence_holds():
@@ -45,10 +48,10 @@ def test_recurrence_holds():
             # k C_k = 2 (k + nu - 1) t C_{k-1} - (k + 2 nu - 2) C_{k-2} at ten
             # points, which pins down an identity of degree <= 8
             for t in range(-4, 6):
-                lhs = basis.poly(k).eval_at(t) * k
-                rhs = basis.poly(k - 1).eval_at(t) * (2 * (k + nu - 1) * t) - basis.poly(
-                    k - 2
-                ).eval_at(t) * (k + 2 * nu - 2)
+                lhs = _at(basis.poly(k), t) * k
+                rhs = _at(basis.poly(k - 1), t) * (2 * (k + nu - 1) * t) - _at(
+                    basis.poly(k - 2), t
+                ) * (k + 2 * nu - 2)
                 assert lhs == rhs
 
 
@@ -59,8 +62,8 @@ def _sym_moment(d, n):
 
 def _inner(d, p, q):
     total = ZERO
-    for a, ca in enumerate(p.coeffs):
-        for b, cb in enumerate(q.coeffs):
+    for a, ca in enumerate(p):
+        for b, cb in enumerate(q):
             if ca and cb:
                 total = total + _sym_moment(d, a + b) * (ca * cb)
     return total
@@ -74,17 +77,20 @@ def test_orthogonality_exact():
                 assert _inner(d, basis.poly(j), basis.poly(k)).is_zero()
 
 
-def test_jacobi_moment_symmetric_examples():
+def test_funk_hecke_hand_examples():
     # at k = 0 the eigenvalue of t^n is |S^{d-2}| times the symmetric moment
     two_pi = sphere_surface(2)
-    assert funk_hecke_eigen(ExactPoly([0, 1]), 0, 4).is_zero()
+    t_squared = ExactPoly([1, -2, 1])  # (s - 1)^2
+    assert funk_hecke_eigen(T, 0, 4).is_zero()
     assert funk_hecke_eigen(ExactPoly([1]), 0, 3) == two_pi * ExactScalar(2)
-    assert funk_hecke_eigen(ExactPoly([0, 0, 1]), 0, 3) == two_pi * ExactScalar(rat(2, 3))
+    assert funk_hecke_eigen(t_squared, 0, 3) == two_pi * ExactScalar(rat(2, 3))
     # d = 3, k = 2: C_2 / C_2(1) = (3t^2 - 1)/2, so t^2 gives 2 pi * 4/15
-    assert funk_hecke_eigen(ExactPoly([0, 0, 1]), 2, 3) == two_pi * ExactScalar(rat(4, 15))
+    assert funk_hecke_eigen(t_squared, 2, 3) == two_pi * ExactScalar(rat(4, 15))
+    # d = 3, k = 1: C_1 / C_1(1) = t, so s = 1 + t gives 2 pi * 2/3
+    assert funk_hecke_eigen(ExactPoly([0, 1]), 1, 3) == two_pi * ExactScalar(rat(2, 3))
 
 
-def test_jacobi_moment_delta_weight_examples():
+def test_delta_eigen_hand_examples():
     # d = 3: the integrand at k = 0 is (1+t)^{1/2}, with integral (4/3) sqrt2
     c3 = delta_kernel_closed_form(3).constant * sphere_surface(2)
     assert eigen_delta_weight(0, 3) == c3 * ExactScalar(rat(4, 3), 1, 0)
@@ -95,18 +101,22 @@ def test_jacobi_moment_delta_weight_examples():
 
 
 def _gegenbauer_moment_eigen(kernel, k, d):
-    # |S^{d-2}| / C_k(1) * sum_a sum_b K_a C_{k,b} M_{a+b}: the Gegenbauer
-    # expansion against symmetric Beta moments, independent of Rodrigues' formula
+    # |S^{d-2}| / C_k(1) * sum_a sum_b K_a C_{k,b} M_{a+b}: the kernel expanded
+    # in t by the binomial theorem, then its Gegenbauer expansion against
+    # symmetric Beta moments, independent of Rodrigues' formula
+    n = len(kernel.coeffs)
+    in_t = [sum(c * comb(p, a) for p, c in enumerate(kernel.coeffs)) for a in range(n)]
+    basis = gegenbauer_basis(d)
     total = ZERO
-    for a, ka in enumerate(kernel.coeffs):
-        for b, cb in enumerate(gegenbauer(d, k).coeffs):
+    for a, ka in enumerate(in_t):
+        for b, cb in enumerate(basis.poly(k)):
             if ka and cb:
                 total = total + _sym_moment(d, a + b) * (ka * cb)
     unit = ExactScalar(1, *kernel.grade)
-    return sphere_surface(d - 1) / gegenbauer_at_one(d, k) * total * unit
+    return sphere_surface(d - 1) / basis.at_one(k) * total * unit
 
 
-def test_jacobi_moment_matches_independent_references():
+def test_rodrigues_sums_match_independent_references():
     for d in (3, 4, 5, 7, 8, 13, 24, 33):
         table = MomentTable(d)
         for m in range(9):
@@ -128,7 +138,7 @@ def test_funk_hecke_constant_kernel():
 
 
 def test_funk_hecke_low_degree_kernel():
-    assert funk_hecke_eigen(ExactPoly([0, 1]), 2, 3).is_zero()
+    assert funk_hecke_eigen(T, 2, 3).is_zero()
 
 
 @given(
@@ -177,7 +187,7 @@ def test_flip_identity():
         moments = _t_power_moments(d, 41)
         for k in range(0, 41, 2):
             flipped = ZERO
-            for b, cb in enumerate(basis.poly(k).coeffs):
+            for b, cb in enumerate(basis.poly(k)):
                 if cb != 0:
                     flipped = flipped + moments[b] * (cb if b % 2 == 0 else -cb)
             flipped = sphere_surface(d - 1) / basis.at_one(k) * const * flipped
