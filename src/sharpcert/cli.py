@@ -109,10 +109,10 @@ def cmd_certify(args) -> int:
 
 
 def _scan_one(task):
-    d, tol_str, tail_depth = task
+    d, tol, tail_depth = task
     t0 = time.monotonic()
     try:
-        cert = compute_a_star(d, tol=_parse_tol(tol_str), tail_depth=tail_depth)
+        cert = compute_a_star(d, tol=tol, tail_depth=tail_depth)
         status = "ok"
         a_dec = cert.a_star_decimal
         grade = _grade_str(cert.a_star.grade)
@@ -131,7 +131,7 @@ def cmd_scan(args) -> int:
         print("error: need 3 <= d-min <= d-max", file=sys.stderr)
         return EXIT_INVALID_INPUT
     dims = list(range(args.d_min, args.d_max + 1))
-    tasks = [(d, str(args.tol), args.tail_depth) for d in dims]
+    tasks = [(d, args.tol, args.tail_depth) for d in dims]
     if len(dims) > 1 and args.jobs != 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_one, tasks))

@@ -3,27 +3,29 @@
 The delta-weight kernel has the closed form C_d (1+t)^{1/2} (1-t)^{(d-3)/2};
 the polynomial families come from integrating powers of |w1+w2+w3+w4| (times
 the quartic-form factor M for the "magical" family) over two sphere copies.
-Every double-sphere integral collapses to the radial moment constants
+Write x = w1+w2, alpha = |x|^2 and y = w3+w4 = rho omega.  The direction
+omega of y is uniform on S^{d-1}, E (e . omega)^{2l} = (1/2)_l / (d/2)_l for
+a unit e, and the Chu-Vandermonde sum 2F1(-n, b; c; 1) = (c-b)_n / (c)_n
+(DLMF 15.4.24) collapses the binomial expansion of |x + rho omega|^{2m} to
 
-    C(d, J, K) = int int |w3+w4|^{2J} (e . (w3+w4))^K dsigma dsigma   (unit e)
+    E |x + rho omega|^{2m} = sum_n C(m,n) (d/2+m-n)_n / (d/2)_n alpha^n rho^{2(m-n)},
 
-which are products of the sphere-convolution constant, a directional sphere
-moment and a radial moment, all exact half-integer Beta data.  Since
-|w1+w2|^2 = 2s with s = 1 + t = 1 + w1 . w2, a power alpha^p is 2^p s^p, so
-the polynomial kernels come out as ExactPolys in s directly.
+with (a)_n = a (a+1) ... (a+n-1) the Pochhammer symbol.  The radial powers
+then integrate to the moment constants C(d, J, 0).  With beta = |y|^2 and
+gamma = 2 x . y, the quartic factor (alpha + beta - gamma/2)/4 splits as
+(3/8)(alpha + beta) - |x+y|^2/8, so the magical kernel is three such sums.
+Since |w1+w2|^2 = 2s with s = 1 + t = 1 + w1 . w2, a power alpha^p is
+2^p s^p, so the polynomial kernels come out as ExactPolys in s directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from .backend import rat
 from .polys import ExactPoly
-from .scalars import ExactScalar, beta_half_int, sphere_surface
-
-ZERO = ExactScalar(0)
+from .scalars import ZERO, ExactScalar, beta_half_int, sphere_surface
 
 
 def radial_moment(d: int, a: int) -> ExactScalar:
@@ -81,7 +83,13 @@ def delta_kernel_closed_form(d: int) -> DeltaKernel:
 
 
 class MomentTable:
-    """Cache of the double-sphere moment constants C(d, J, K) for one dimension."""
+    """Cache of the double-sphere moment constants for one dimension,
+
+        C(d, J, K) = int int |w3+w4|^{2J} (e . (w3+w4))^K dsigma dsigma   (unit e),
+
+    products of the sphere-convolution constant, a directional sphere moment
+    and a radial moment, all exact half-integer Beta data.
+    """
 
     def __init__(self, d: int):
         if d < 3:
@@ -107,42 +115,38 @@ class MomentTable:
         return got
 
 
-def _multinomial(m: int, i: int, j: int, k: int) -> int:
-    return factorial(m) // (factorial(i) * factorial(j) * factorial(k))
+def _mean_power(table: MomentTable, m: int, shift: int = 0) -> list[ExactScalar]:
+    """alpha-coefficients of int |x+y|^{2m} |y|^{2 shift} d(sigma*sigma)(y).
+
+    Entry n is C(m,n) prod_{i<n} (d+2(m-n)+2i)/(d+2i) C(d, m-n+shift, 0);
+    the rational weight steps from n to n+1 by one factor.
+    """
+    d, w, coeffs = table.d, rat(1), []
+    for n in range(m + 1):
+        coeffs.append(table.get(m - n + shift, 0) * w)
+        w *= rat((m - n) * (d + 2 * (m - n - 1)), (n + 1) * (d + 2 * n))
+    return coeffs
 
 
-def _kernel_in_s(a_coeffs: dict[int, ExactScalar]) -> ExactPoly:
+def _kernel_in_s(a_coeffs: list[ExactScalar]) -> ExactPoly:
     """Rewrite sum c_p alpha^p with alpha = |w1+w2|^2 = 2s as an ExactPoly in s."""
-    return ExactPoly.from_scalars(
-        [a_coeffs.get(p, ZERO) * 2**p for p in range(max(a_coeffs) + 1)]
-    )
+    return ExactPoly.from_scalars([c * 2**p for p, c in enumerate(a_coeffs)])
 
 
 def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
     """The degree-(m+1) kernel of |sum w|^{2m} times the quartic-form factor.
 
-    Trinomial expansion over alpha = |w1+w2|^2, beta = |w3+w4|^2,
-    gamma = 2 (w1+w2).(w3+w4); each double-sphere factor becomes a moment
-    constant and powers of alpha become powers of s through alpha = 2s.
-    The leading coefficient is exactly 2^{m-1} |S^{d-1}|^2.
+    The factor is (3/8)(alpha + |w3+w4|^2) - |sum w|^2/8, so the kernel is
+    (3/8)(alpha N_m + N_m') - N_{m+1}/8, where N_m integrates |sum w|^{2m}
+    over w3, w4 and N_m' integrates it times |w3+w4|^2.  The leading
+    coefficient is exactly 2^{m-1} |S^{d-1}|^2.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    acc: dict[int, ExactScalar] = {}
-
-    def add(power: int, value: ExactScalar):
-        acc[power] = acc.get(power, ZERO) + value
-
-    for i in range(m + 1):
-        for j in range(m - i + 1):
-            k = m - i - j
-            w = rat(_multinomial(m, i, j, k)) * rat(2**k, 4)
-            if k % 2 == 0:
-                add(i + 1 + k // 2, table.get(j, k) * w)
-                add(i + k // 2, table.get(j + 1, k) * w)
-            else:
-                add(i + (k + 1) // 2, table.get(j, k + 1) * (-w))
-    poly = _kernel_in_s(acc)
+    n_m, n_next = _mean_power(table, m), _mean_power(table, m + 1)
+    weighted = _mean_power(table, m, shift=1)
+    poly = _kernel_in_s([(a + b) * rat(3, 8) - c * rat(1, 8)
+                         for a, b, c in zip([ZERO, *n_m], [*weighted, ZERO], n_next)])
     assert poly.degree() == m + 1
     return poly
 
@@ -151,15 +155,6 @@ def nonmagical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
     """The degree-m kernel of |sum w|^{2m} alone (no quartic-form factor)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    acc: dict[int, ExactScalar] = {}
-    for i in range(m + 1):
-        for j in range(m - i + 1):
-            k = m - i - j
-            if k % 2 == 1:
-                continue
-            w = rat(_multinomial(m, i, j, k)) * rat(2**k)
-            c = table.get(j, k) * w
-            acc[i + k // 2] = acc.get(i + k // 2, ZERO) + c
-    poly = _kernel_in_s(acc)
+    poly = _kernel_in_s(_mean_power(table, m))
     assert poly.degree() == m
     return poly

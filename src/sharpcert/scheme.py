@@ -24,10 +24,8 @@ from .backend import rat, rat_str
 from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
 from .kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from .polys import ExactPoly, minimal_shift, nonneg_on
-from .scalars import ExactScalar
+from .scalars import ZERO, ExactScalar
 from .specfun import eigen_delta_weight, funk_hecke_eigen
-
-ZERO = ExactScalar(0)
 
 GENERATOR = {"name": "sharpcert", "version": "0.1.0"}
 

@@ -36,24 +36,20 @@ quadrature oracle, which integrates the defining integral directly.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from math import factorial
 
 from .backend import rat
 from .kernels import delta_kernel_closed_form
 from .polys import ExactPoly
-from .scalars import ExactScalar, beta_half_int, sphere_surface
-
-ZERO = ExactScalar(0)
+from .scalars import ZERO, ExactScalar, beta_half_int, sphere_surface
 
 
 class GegenbauerBasis:
     """Lazily extended exact Gegenbauer family for nu = d/2 - 1.
 
     ``poly(k)`` is the tuple of rational t-coefficients of C_k.  Extension
-    behaves as an idempotent cache; concurrent requests are serialized by a
-    lock and produce identical tuples.
+    behaves as an idempotent cache.
     """
 
     def __init__(self, d: int):
@@ -62,23 +58,20 @@ class GegenbauerBasis:
         self.d = d
         self.nu = rat(d - 2, 2)
         self._polys = [(rat(1),), (rat(0), 2 * self.nu)]
-        self._lock = threading.Lock()
 
     def poly(self, k: int) -> tuple:
         if k < 0:
             raise ValueError("k must be >= 0")
-        if k >= len(self._polys):
-            with self._lock:
-                while len(self._polys) <= k:
-                    j = len(self._polys)
-                    f1 = rat(2 * (j + self.nu - 1), j)
-                    f2 = rat(j + 2 * self.nu - 2, j)
-                    coeffs = [rat(0)] * (j + 1)
-                    for i, c in enumerate(self._polys[j - 1]):
-                        coeffs[i + 1] += f1 * c
-                    for i, c in enumerate(self._polys[j - 2]):
-                        coeffs[i] -= f2 * c
-                    self._polys.append(tuple(coeffs))
+        while len(self._polys) <= k:
+            j = len(self._polys)
+            f1 = rat(2 * (j + self.nu - 1), j)
+            f2 = rat(j + 2 * self.nu - 2, j)
+            coeffs = [rat(0)] * (j + 1)
+            for i, c in enumerate(self._polys[j - 1]):
+                coeffs[i + 1] += f1 * c
+            for i, c in enumerate(self._polys[j - 2]):
+                coeffs[i] -= f2 * c
+            self._polys.append(tuple(coeffs))
         return self._polys[k]
 
     def at_one(self, k: int):

@@ -1,3 +1,7 @@
+from math import factorial
+
+import pytest
+
 from sharpcert.backend import rat
 from sharpcert.kernels import (
     MomentTable,
@@ -86,3 +90,50 @@ def test_nonmagical_degree_and_examples():
     s2 = sphere_surface(3) * sphere_surface(3)
     expect = ExactPoly.from_scalars([ExactScalar(32, 0, 4), s2 * 2])
     assert nonmagical_kernel_poly(MomentTable(3), 1) == expect
+    # m=2: E |x + rho omega|^4 = alpha^2 + rho^4 + (2 + 4/d) alpha rho^2, alpha = 2s
+    for d in (3, 4, 9, 24):
+        table = MomentTable(d)
+        expect = ExactPoly.from_scalars(
+            [table.get(2, 0), table.get(1, 0) * (2 * (2 + rat(4, d))), table.get(0, 0) * 4]
+        )
+        assert nonmagical_kernel_poly(table, 2) == expect
+
+
+def _multinomial(m, i, j, k):
+    return factorial(m) // (factorial(i) * factorial(j) * factorial(k))
+
+
+def _trinomial_kernel(table, m, magical):
+    """Reference: expand (alpha + beta + gamma)^m term by term.
+
+    alpha = |w1+w2|^2 = 2s, beta = |w3+w4|^2 and gamma = 2 (w1+w2).(w3+w4);
+    beta^j gamma^k integrates to 2^k C(d, j, k) alpha^{k/2}.  The magical
+    family multiplies by the quartic factor (alpha + beta - gamma/2)/4 first.
+    """
+    acc = {}
+
+    def add(power, value):
+        acc[power] = acc.get(power, ExactScalar(0)) + value
+
+    for i in range(m + 1):
+        for j in range(m - i + 1):
+            k = m - i - j
+            w = rat(_multinomial(m, i, j, k) * 2**k)
+            if not magical:
+                add(i + k // 2, table.get(j, k) * w)
+                continue
+            w = w / 4
+            if k % 2 == 0:
+                add(i + 1 + k // 2, table.get(j, k) * w)
+                add(i + k // 2, table.get(j + 1, k) * w)
+            else:
+                add(i + (k + 1) // 2, table.get(j, k + 1) * (-w))
+    return ExactPoly.from_scalars([acc.get(p, ExactScalar(0)) * 2**p for p in range(max(acc) + 1)])
+
+
+@pytest.mark.parametrize("d", [*range(3, 14), 24, 33, 48])
+def test_kernels_match_trinomial_reference(d):
+    table = MomentTable(d)
+    for m in range(13):
+        assert magical_kernel_poly(table, m) == _trinomial_kernel(table, m, magical=True)
+        assert nonmagical_kernel_poly(table, m) == _trinomial_kernel(table, m, magical=False)
