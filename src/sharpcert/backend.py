@@ -3,11 +3,12 @@
 All exact computation in this package runs over arbitrary-precision
 ``fractions.Fraction`` rationals.  The rest of the package only ever builds
 rationals through :func:`rat` and reads them through ``.numerator``/
-``.denominator``.
+``.denominator``; certificates store them as :func:`rat_str` strings.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 BACKEND = "fraction"
@@ -26,3 +27,13 @@ def rat_str(x) -> str:
     """Serialize as "p/q" (or "p" when the denominator is 1)."""
     n, d = x.numerator, x.denominator
     return f"{n}" if d == 1 else f"{n}/{d}"
+
+
+_RAT_STR = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def rat_parse(s):
+    """Inverse of :func:`rat_str`: only a "p/q" or "p" string of ASCII digits."""
+    if type(s) is not str or not _RAT_STR.fullmatch(s):
+        raise ValueError(f"rational must be a \"p/q\" string, got {s!r:.60}")
+    return Fraction(s)

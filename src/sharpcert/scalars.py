@@ -17,7 +17,7 @@ import math
 
 from mpmath.ctx_iv import MPIntervalContext
 
-from .backend import is_rational, rat, rat_str
+from .backend import is_rational, rat, rat_parse, rat_str
 from .errors import GradeMismatch
 
 Grade = tuple  # (sqrt2, pi_half)
@@ -163,11 +163,9 @@ class ExactScalar:
     @classmethod
     def from_json(cls, obj: dict) -> "ExactScalar":
         rational, sqrt2, pi_half = obj["rational"], obj["sqrt2"], obj["pi_half"]
-        if type(rational) is not str:
-            raise ValueError(f"rational must be a \"p/q\" string, got {rational!r}")
-        if type(sqrt2) is not int or type(pi_half) is not int:
-            raise ValueError(f"radical exponents must be integers, got {sqrt2!r}, {pi_half!r}")
-        return cls(rat(rational), sqrt2, pi_half)
+        if type(sqrt2) is not int or sqrt2 not in (0, 1) or type(pi_half) is not int:
+            raise ValueError(f"sqrt2 must be 0 or 1 and pi_half an integer, got {sqrt2!r}, {pi_half!r}")
+        return cls(rat_parse(rational), sqrt2, pi_half)
 
 
 ZERO = ExactScalar(0)

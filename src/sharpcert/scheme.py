@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backend import rat, rat_str
+from .backend import rat, rat_parse, rat_str
 from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
 from .kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from .polys import ExactPoly, minimal_shift, nonneg_on
@@ -370,8 +370,8 @@ class Certificate:
                     has_delta=_json(wd["has_delta"], bool),
                     top_degree=_json(wd["top_degree"], int),
                     coeffs=coeffs,
-                    c0=_json_rat(wd["c0"]),
-                    adm_margin=_json_rat(wd["adm_margin"]),
+                    c0=rat_parse(wd["c0"]),
+                    adm_margin=rat_parse(wd["adm_margin"]),
                     eig=[_eig_check_from_json(e) for e in _json(wd["eig"], list)],
                 )
                 weights.append(w)
@@ -397,8 +397,7 @@ class Certificate:
             )
         except MalformedCertificate:
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            # ZeroDivisionError: a "p/0" rational; OverflowError: a JSON Infinity
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCertificate(str(exc)) from exc
 
 
@@ -411,10 +410,6 @@ def _json(v, kind):
     if type(v) is not kind:
         raise MalformedCertificate(f"expected {_JSON_KINDS[kind]}, got {v!r:.60}")
     return v
-
-
-def _json_rat(v):
-    return rat(_json(v, str))
 
 
 def _eig_check_from_json(e) -> EigCheck:

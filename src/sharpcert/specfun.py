@@ -15,16 +15,17 @@ in s = 1 + t, sum_p b_p s^p, and then
     lambda(k) = |S^{d-2}| / prod_{i<k} (d-1+2i)
                 * sum_{p >= k} b_p p!/(p-k)! 2^{p+k+d-2} B(p+(d-1)/2, k+(d-1)/2),
 
-which vanishes for k above the kernel degree.  For the delta-weight kernel
-C_d (1+t)^{1/2} (1-t)^{(d-3)/2}, with falling(x, i) = x (x-1) ... (x-i+1):
+which vanishes for k above the kernel degree.  Consecutive terms differ by
+rational factors, so each eigenvalue takes one Beta value.
 
-    lambda_delta(k) = C_d |S^{d-2}| 2^{3(d-2)/2+k} / prod_{i<k} (d-1+2i)
-                      * sum_{i=0..k} C(k,i) falling(1/2, k-i) (-1)^i
-                        falling((d-3)/2, i) B(i+d/2, d-2+k-i).
+The delta-weight kernel C_d (1+t)^{1/2} (1-t)^{(d-3)/2} instead takes
+C_k(t)/C_k(1) = 2F1(-k, k+d-2; (d-1)/2; (1-t)/2) (DLMF 18.5(iii)): against
+(1+t)^{(d-2)/2} (1-t)^{d-3} each power ((1-t)/2)^j is one Beta ratio, so
 
-For odd d the terms past i = (d-3)/2 vanish.  Consecutive terms of both sums
-differ by rational factors, so each eigenvalue takes one Beta value.  All
-values are exact.
+    lambda_delta(k) = K_d 3F2(-k, k+d-2, d-2; (d-1)/2, (3d-4)/2; 1),
+    K_d = C_d |S^{d-2}| 2^{3(d-2)/2} B(d-2, d/2).
+
+All values are exact.
 
 The Gegenbauer polynomials, normalized by C_0 = 1, C_1 = 2 nu t and
 
@@ -37,7 +38,7 @@ quadrature oracle, which integrates the defining integral directly.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .backend import rat
 from .kernels import delta_kernel_closed_form
@@ -87,14 +88,6 @@ def gegenbauer_basis(d: int) -> GegenbauerBasis:
     return GegenbauerBasis(d)
 
 
-def _rodrigues_prefactor(k: int, d: int) -> ExactScalar:
-    """|S^{d-2}| / prod_{i<k} (d-1+2i), shared by both sums."""
-    den = 1
-    for i in range(k):
-        den *= d - 1 + 2 * i
-    return sphere_surface(d - 1) / den
-
-
 def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
     """Exact eigenvalue of a polynomial zonal kernel in s on degree-k harmonics.
 
@@ -111,7 +104,15 @@ def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
         total += kernel.coeffs[p] * term
         term *= rat((p + 1) * (2 * p + d - 1), (p + 1 - k) * (p + k + d - 1))
     beta = beta_half_int(2 * k + d - 1, 2 * k + d - 1) * 2 ** (d - 2)
-    return ExactScalar(total, *kernel.grade) * beta * _rodrigues_prefactor(k, d)
+    rodrigues = sphere_surface(d - 1) / prod(range(d - 1, d + 2 * k - 1, 2))
+    return ExactScalar(total, *kernel.grade) * beta * rodrigues
+
+
+@lru_cache(maxsize=None)
+def _delta_constant(d: int) -> ExactScalar:
+    """K_d = C_d |S^{d-2}| 2^{3(d-2)/2} B(d-2, d/2), the k-free factor of lambda_delta."""
+    return (delta_kernel_closed_form(d).constant * sphere_surface(d - 1)
+            * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d))
 
 
 def eigen_delta_weight(k: int, d: int) -> ExactScalar:
@@ -120,16 +121,10 @@ def eigen_delta_weight(k: int, d: int) -> ExactScalar:
         raise ValueError("k must be even and >= 0")
     if d < 3:
         raise ValueError("d must be >= 3")
-    last = k if d % 2 == 0 else min(k, (d - 3) // 2)
-    # term i over B(d/2, d-2+k); term 0 is falling(1/2, k)
-    term = rat(1)
-    for j in range(k):
-        term *= rat(1 - 2 * j, 2)
-    total = rat(0)
-    for i in range(last + 1):
-        total += term
-        if i < last:  # past the last term the ratio's denominator can vanish (d = 3, i = k)
-            term *= rat((i - k) * (d - 3 - 2 * i) * (2 * i + d),
-                        2 * (i + 1) * (2 * i - 2 * k + 3) * (d - 3 + k - i))
-    scale = ExactScalar(total, 3 * (d - 2) + 2 * k) * beta_half_int(d, 2 * (d - 2 + k))
-    return delta_kernel_closed_form(d).constant * scale * _rodrigues_prefactor(k, d)
+    # the 3F2 from the inside out: S_j = 1 + (a/b) S_{j+1} = num/den, with S_k = 1
+    num = den = 1
+    for j in range(k - 1, -1, -1):
+        a = 4 * (j - k) * (k + d - 2 + j) * (d - 2 + j)
+        b = (d - 1 + 2 * j) * (3 * d - 4 + 2 * j) * (j + 1)
+        num, den = b * den + a * num, b * den
+    return _delta_constant(d) * rat(num, den)

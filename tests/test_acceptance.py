@@ -29,6 +29,8 @@ from sharpcert.scheme import (
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
 # The same digests for d = 25..32, checked the same way.
 PINS_D25_32 = json.loads((Path(__file__).resolve().parent / "pins_d25_32.json").read_text())
+# And for d = 33..48.
+PINS_D33_48 = json.loads((Path(__file__).resolve().parent / "pins_d33_48.json").read_text())
 
 
 def _report(num, desc, ok):
@@ -111,15 +113,23 @@ def test_criterion_06_full_range_certification():
     _report(6, "d in 3..24 certify with exact checks, minimal constants, pinned bytes", ok)
 
 
-def test_criterion_06_pinned_bytes_d25_to_d32():
+def _pinned_bytes_ok(pins):
     ok = True
-    for d in range(25, 33):
+    for d in map(int, pins):
         cert = compute_a_star(d, tol=rat(1, 10**6))
         digest = hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
-        if digest != PINS_D25_32[str(d)]:
+        if digest != pins[str(d)]:
             print(f"d={d}: certificate bytes differ from the pin", file=sys.stderr)
             ok = False
-    _report(6, "d in 25..32 certify to pinned bytes", ok)
+    return ok
+
+
+def test_criterion_06_pinned_bytes_d25_to_d32():
+    _report(6, "d in 25..32 certify to pinned bytes", _pinned_bytes_ok(PINS_D25_32))
+
+
+def test_criterion_06_pinned_bytes_d33_to_d48():
+    _report(6, "d in 33..48 certify to pinned bytes", _pinned_bytes_ok(PINS_D33_48))
 
 
 def test_criterion_07_quadrature_enclosures():

@@ -137,6 +137,13 @@ def _every_nonpositive(cert, value):
         _d9_with(lambda c: c.update(weights={})),
         _d9_with(lambda c: c["weights"][0].update(eig={})),
         _d9_with(lambda c: c.update(notes="abc")),
+        _d7_with(lambda c: c["weights"][0].update(c0="1e400")),
+        _d7_with(lambda c: c["weights"][0].update(c0="1e10000000")),
+        _d9_with(lambda c: c["weights"][0].update(adm_margin=" 0 ")),
+        _d7_with(lambda c: c["a_star"]["rational_times_grade"].update(rational="2.5")),
+        _d7_with(lambda c: c["weights"][0].update(c0="1_000")),
+        _d9_with(lambda c: c["a_star"]["rational_times_grade"].update(sqrt2=40000000)),
+        _d9_with(lambda c: c["weights"][0]["eig"][0]["value"].update(sqrt2=-1)),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
@@ -144,7 +151,9 @@ def _every_nonpositive(cert, value):
          "sqrt2_float", "c0_bool_and_rational_int", "c0_bool", "rational_int",
          "adm_margin_int", "tail_check_depth_negative", "degree_odd", "degree_negative",
          "identity_int", "a_star_decimal_float", "baseline_decimal_float", "weights_object",
-         "eig_object", "notes_string"],
+         "eig_object", "notes_string", "c0_exponent", "c0_huge_exponent",
+         "adm_margin_spaces", "rational_decimal", "c0_underscore",
+         "sqrt2_huge", "sqrt2_negative"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

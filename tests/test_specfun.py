@@ -15,6 +15,7 @@ from sharpcert.kernels import (
 )
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
+from sharpcert.scheme import ell_star
 from sharpcert.specfun import eigen_delta_weight, funk_hecke_eigen, gegenbauer_basis
 
 ZERO = ExactScalar(0)
@@ -192,6 +193,35 @@ def test_flip_identity():
                     flipped = flipped + moments[b] * (cb if b % 2 == 0 else -cb)
             flipped = sphere_surface(d - 1) / basis.at_one(k) * const * flipped
             assert eigen_delta_weight(k, d) == flipped
+
+
+def _rodrigues_delta(k, d):
+    # Rodrigues' formula integrated by parts k times against the delta kernel:
+    # C_d |S^{d-2}| 2^{3(d-2)/2+k} / prod_{i<k} (d-1+2i) * sum_{i=0..k} C(k,i)
+    # falling(1/2, k-i) (-1)^i falling((d-3)/2, i) B(i+d/2, d-2+k-i); for odd d
+    # the terms past i = (d-3)/2 vanish
+    last = k if d % 2 == 0 else min(k, (d - 3) // 2)
+    term = rat(1)  # term i over B(d/2, d-2+k); term 0 is falling(1/2, k)
+    for j in range(k):
+        term *= rat(1 - 2 * j, 2)
+    total = rat(0)
+    for i in range(last + 1):
+        total += term
+        if i < last:  # past the last term the ratio's denominator can vanish (d = 3, i = k)
+            term *= rat((i - k) * (d - 3 - 2 * i) * (2 * i + d),
+                        2 * (i + 1) * (2 * i - 2 * k + 3) * (d - 3 + k - i))
+    scale = ExactScalar(total, 3 * (d - 2) + 2 * k) * beta_half_int(d, 2 * (d - 2 + k))
+    den = 1
+    for i in range(k):
+        den *= d - 1 + 2 * i
+    return delta_kernel_closed_form(d).constant * scale * sphere_surface(d - 1) / den
+
+
+def test_delta_eigen_matches_rodrigues_sum():
+    # the 3F2 sum against the Rodrigues sum, at every even k certify asks for
+    for d in range(3, 49):
+        for k in range(0, 2 * (ell_star(d) + 25) + 1, 2):
+            assert eigen_delta_weight(k, d) == _rodrigues_delta(k, d), (d, k)
 
 
 def test_delta_eigen_grade_coherence():
