@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .backend import rat
+from .errors import GradeMismatch
 from .polys import ExactPoly
 from .scalars import ZERO, ExactScalar, beta_half_int, sphere_surface
 
@@ -88,13 +89,16 @@ class MomentTable:
         C(d, J, K) = int int |w3+w4|^{2J} (e . (w3+w4))^K dsigma dsigma   (unit e),
 
     products of the sphere-convolution constant, a directional sphere moment
-    and a radial moment, all exact half-integer Beta data.
+    and a radial moment, all exact half-integer Beta data.  Every nonzero
+    C(d, J, K) has the grade of C(d, 0, 0) = |S^{d-1}|^2 (``grade``), so
+    kernels sum their rational parts.
     """
 
     def __init__(self, d: int):
         if d < 3:
             raise ValueError("d must be >= 3")
         self.d = d
+        self.grade = (sphere_surface(d) * sphere_surface(d)).grade
         self.entries: dict[tuple[int, int], ExactScalar] = {}
 
     def get(self, j: int, k: int) -> ExactScalar:
@@ -111,26 +115,28 @@ class MomentTable:
                 * directional_sphere_moment(self.d, k)
                 * radial_moment(self.d, 2 * j + k + self.d - 2)
             )
+            if val.grade != self.grade:
+                raise GradeMismatch(f"C({self.d}, {j}, {k}) has grade {val.grade}, not {self.grade}")
             got = self.entries.setdefault(key, val)
         return got
 
 
-def _mean_power(table: MomentTable, m: int, shift: int = 0) -> list[ExactScalar]:
-    """alpha-coefficients of int |x+y|^{2m} |y|^{2 shift} d(sigma*sigma)(y).
+def _mean_power(table: MomentTable, m: int, shift: int = 0) -> list:
+    """alpha-coefficients of int |x+y|^{2m} |y|^{2 shift} d(sigma*sigma)(y), as rationals times ``table.grade``.
 
     Entry n is C(m,n) prod_{i<n} (d+2(m-n)+2i)/(d+2i) C(d, m-n+shift, 0);
     the rational weight steps from n to n+1 by one factor.
     """
     d, w, coeffs = table.d, rat(1), []
     for n in range(m + 1):
-        coeffs.append(table.get(m - n + shift, 0) * w)
+        coeffs.append(table.get(m - n + shift, 0).coeff * w)
         w *= rat((m - n) * (d + 2 * (m - n - 1)), (n + 1) * (d + 2 * n))
     return coeffs
 
 
-def _kernel_in_s(a_coeffs: list[ExactScalar]) -> ExactPoly:
+def _kernel_in_s(table: MomentTable, a_coeffs: list) -> ExactPoly:
     """Rewrite sum c_p alpha^p with alpha = |w1+w2|^2 = 2s as an ExactPoly in s."""
-    return ExactPoly.from_scalars([c * 2**p for p, c in enumerate(a_coeffs)])
+    return ExactPoly([c * 2**p for p, c in enumerate(a_coeffs)], table.grade)
 
 
 def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
@@ -145,8 +151,9 @@ def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
         raise ValueError("m must be >= 0")
     n_m, n_next = _mean_power(table, m), _mean_power(table, m + 1)
     weighted = _mean_power(table, m, shift=1)
-    poly = _kernel_in_s([(a + b) * rat(3, 8) - c * rat(1, 8)
-                         for a, b, c in zip([ZERO, *n_m], [*weighted, ZERO], n_next)])
+    zero = rat(0)
+    poly = _kernel_in_s(table, [(a + b) * rat(3, 8) - c * rat(1, 8)
+                                for a, b, c in zip([zero, *n_m], [*weighted, zero], n_next)])
     assert poly.degree() == m + 1
     return poly
 
@@ -155,6 +162,6 @@ def nonmagical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
     """The degree-m kernel of |sum w|^{2m} alone (no quartic-form factor)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    poly = _kernel_in_s(_mean_power(table, m))
+    poly = _kernel_in_s(table, _mean_power(table, m))
     assert poly.degree() == m
     return poly

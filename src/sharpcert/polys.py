@@ -3,14 +3,19 @@
 An ``ExactPoly`` is a zonal kernel polynomial in s = 1 + t, where t = w1 . w2
 is the cosine between two sphere points: rational coefficients plus one
 shared radical grade (a positive factor, so it never affects signs or
-roots).  The Sturm layer -- sequences, root isolation, interval evaluation,
+roots).  The Sturm layer -- sequences, root isolation, interval enclosures,
 nonnegativity and minimal shifts -- takes grade-stripped rational
-coefficient lists.  Everything on the certification path is exact rational
-arithmetic; no floating point.
+coefficient lists and works on integers: each list's denominators are
+cleared once, Sturm chain members are primitive integer lists, and a
+polynomial is evaluated at a rational point n/q by the homogenised integer
+Horner sum, which has the sign of the value and, over a known positive
+scale, equals it.  Every rational the layer returns (roots, isolating
+intervals, minima, shifts, witnesses) is exact and the same as plain
+rational arithmetic gives; no floating point.
 """
-
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .backend import rat, rat_str
@@ -90,7 +95,13 @@ class NonnegCertificate:
     witness: tuple | None = None
 
 
-# -- rational coefficient-list helpers (grade-stripped) ----------------------
+# -- coefficient-list helpers (grade-stripped) -------------------------------
+#
+# A rational list p is cleared once to integers P = L p with L > 0.  At a
+# rational point n/q (q > 0) the homogenised Horner sum q^deg P(n/q) is an
+# integer with the sign of p(n/q), and p(n/q) = that sum / (L q^deg), so
+# every sign test and every bisection step runs on plain ints; a Fraction is
+# built only for a point or a bound that is returned.
 
 
 def _horner(coeffs, x):
@@ -104,72 +115,112 @@ def _deriv(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _gcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _polydiv(a, b)[1]
-    if a:
-        la = a[-1]
-        a = [c / la for c in a]
-    return a
+def _clear(coeffs):
+    """Integers P and L > 0 with coeffs = P / L (L = 1 for an integer list)."""
+    L = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (L // c.denominator) for c in coeffs], L
 
 
-def squarefree_part(coeffs):
-    coeffs = _trim(coeffs)
-    if len(coeffs) <= 1:
-        return coeffs
-    g = _gcd(coeffs, _deriv(coeffs))
-    if len(g) == 1:
-        return coeffs
-    # exact division coeffs / g
-    q, r = _polydiv(coeffs, g)
-    assert not r
-    return q
+def _hval(P, n, q):
+    """q^deg P(n/q) for integer P, n and q > 0, deg = len(P) - 1."""
+    acc, qp = 0, 1
+    for c in reversed(P):
+        acc = acc * n + c * qp
+        qp *= q
+    return acc
 
 
-def _polydiv(a, b):
-    a = list(_trim(a))
-    b = _trim(b)
+def _primitive(P):
+    """P divided by the (positive) gcd of its coefficients; [] stays []."""
+    g = math.gcd(*P)
+    return [c // g for c in P] if g > 1 else P
+
+
+def _prem(a, b):
+    """The remainder of |lc(b)|^k a on division by b, for the k that keeps it in integers.
+
+    By uniqueness of the remainder it is |lc(b)|^k times the rational
+    remainder of a by b: a positive multiple, so it has the same signs.
+    """
+    r = _trim(a)
     db, lb = len(b) - 1, b[-1]
-    q = [rat(0)] * max(0, len(a) - db)
-    while True:
-        a = _trim(a)
-        if len(a) - 1 < db or not a:
-            break
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        q[shift] = f
+    alb, sb = abs(lb), (1 if lb > 0 else -1)
+    while len(r) > db:
+        f, shift = r[-1] * sb, len(r) - 1 - db
+        r = [c * alb for c in r]
         for i, c in enumerate(b):
-            a[i + shift] = a[i + shift] - f * c
-        a.pop()
-    return _trim(q), a
+            r[i + shift] -= f * c
+        r = _trim(r)
+    return r
+
+
+def _exact_div(P, g):
+    """P / g for integer P and primitive g dividing it; the quotient is integral (Gauss's lemma)."""
+    r = list(P)
+    dg, lg = len(g) - 1, g[-1]
+    quot = [0] * (len(P) - dg)
+    for shift in range(len(P) - 1 - dg, -1, -1):
+        f, rem = divmod(r[shift + dg], lg)
+        assert rem == 0
+        quot[shift] = f
+        for i, c in enumerate(g):
+            r[i + shift] -= f * c
+    assert not any(r)
+    return quot
+
+
+def _squarefree(P):
+    """A positive integer multiple of P / gcd(P, P'): the same roots, each simple."""
+    if len(P) <= 1:
+        return P
+    a, b = P, _primitive(_deriv(P))
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    if len(a) == 1:
+        return P
+    return _exact_div(P, a if a[-1] > 0 else [-c for c in a])
 
 
 def sturm_chain(coeffs):
-    chain = [_trim(coeffs)]
-    d = _deriv(coeffs)
-    if _trim(d):
-        chain.append(_trim(d))
+    """Sturm sequence of ``coeffs`` as primitive integer lists.
+
+    Each member is a positive multiple of the rational Sturm sequence's
+    member, so every sign, and every count of sign changes, is the same.
+    """
+    chain = [_primitive(_clear(_trim(coeffs))[0])]
+    dP = _deriv(chain[0])
+    if dP:
+        chain.append(_primitive(dP))
         while True:
-            r = _polydiv(chain[-2], chain[-1])[1]
+            r = _prem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append([-c for c in r])
+            chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _sign_changes(chain, x):
-    signs = []
-    for p in chain:
-        v = _horner(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_changes(chain, n, q):
+    changes, last = 0, 0
+    for P in chain:
+        v = _hval(P, n, q)
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
 
 
 def count_roots_halfopen(chain, lo, hi):
     """Number of distinct real roots in (lo, hi] (Sturm's theorem)."""
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    lo, hi = rat(lo), rat(hi)
+    return (_sign_changes(chain, lo.numerator, lo.denominator)
+            - _sign_changes(chain, hi.numerator, hi.denominator))
+
+
+def _common(a, b):
+    """(A, B, D) with a = A/D and b = B/D, D > 0."""
+    D = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
 
 
 def isolate_roots(coeffs, lo, hi):
@@ -178,44 +229,48 @@ def isolate_roots(coeffs, lo, hi):
     Returns (exact_roots, intervals, q): rational roots found exactly along
     the way; open intervals (a, b) with q(a), q(b) != 0, each containing
     exactly one (simple) root of q and no exact root; and the squarefree,
-    rational-root-deflated polynomial q the intervals refer to.
+    rational-root-deflated polynomial q the intervals refer to, as a
+    positive multiple with integer coefficients.
 
     Any rational root the bisection stumbles on is divided out and the pass
     restarts, so the Sturm counts are only ever taken at non-roots.
     """
     lo, hi = rat(lo), rat(hi)
-    q = squarefree_part(coeffs)
+    q = _squarefree(_clear(_trim(coeffs))[0])
     exact = []
     if len(q) <= 1:
         return exact, [], q
     while True:
         for pt in (lo, hi):
-            while len(q) > 1 and _horner(q, pt) == 0:
+            while len(q) > 1 and _hval(q, pt.numerator, pt.denominator) == 0:
                 exact.append(pt)
-                q, _ = _polydiv(q, [-pt, rat(1)])
+                q = _exact_div(q, [-pt.numerator, pt.denominator])
         if len(q) <= 1:
             return sorted(set(exact)), [], q
         chain = sturm_chain(q)
         intervals = []
         rational_root = None
-        stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
-        while stack and rational_root is None:
-            a, b, n = stack.pop()
-            if n == 0:
+        # bisect with both endpoints over one denominator, carrying each
+        # endpoint's count of sign changes
+        A, B, D = _common(lo, hi)
+        stack = [(A, B, D, _sign_changes(chain, A, D), _sign_changes(chain, B, D))]
+        while stack:
+            A, B, D, va, vb = stack.pop()
+            if va == vb:
                 continue
-            if n == 1:
-                intervals.append((a, b))
+            if va - vb == 1:
+                intervals.append((rat(A, D), rat(B, D)))
                 continue
-            m = (a + b) / 2
-            if _horner(q, m) == 0:
-                rational_root = m
+            M, D = A + B, 2 * D
+            if _hval(q, M, D) == 0:
+                rational_root = rat(M, D)
                 break
-            nl = count_roots_halfopen(chain, a, m)
-            stack.append((a, m, nl))
-            stack.append((m, b, n - nl))
+            vm = _sign_changes(chain, M, D)
+            stack.append((2 * A, M, D, va, vm))
+            stack.append((M, 2 * B, D, vm, vb))
         if rational_root is not None:
             exact.append(rational_root)
-            q, _ = _polydiv(q, [-rational_root, rat(1)])
+            q = _exact_div(q, [-rational_root.numerator, rational_root.denominator])
             continue
         # shrink each interval until it contains no exact rational root,
         # so root locators never overlap
@@ -230,30 +285,31 @@ def isolate_roots(coeffs, lo, hi):
         return sorted(set(exact)), sorted(clean), q
 
 
+def _halve(Q, A, B, D, up):
+    """One bisection step of (A/D, B/D) around a simple root of Q.
+
+    ``up`` says whether Q is positive at A/D.  Returns (A, B, D) over the
+    doubled denominator, with A == B when the midpoint is the root.
+    """
+    M, D = A + B, 2 * D
+    sm = _hval(Q, M, D)
+    if sm == 0:
+        return M, M, D
+    if (sm > 0) == up:
+        return M, 2 * B, D
+    return 2 * A, M, D
+
+
 def refine_interval(coeffs, a, b, widths):
     """Shrink a single-simple-root isolating interval below ``widths``."""
-    sa = _horner(coeffs, a)
-    sb = _horner(coeffs, b)
+    Q = _clear(coeffs)[0]
+    widths = rat(widths)
+    A, B, D = _common(rat(a), rat(b))
+    sa, sb = _hval(Q, A, D), _hval(Q, B, D)
     assert sa != 0 and sb != 0 and (sa > 0) != (sb > 0)
-    while b - a > widths:
-        m = (a + b) / 2
-        sm = _horner(coeffs, m)
-        if sm == 0:
-            return m, m
-        if (sm > 0) == (sa > 0):
-            a, sa = m, sm
-        else:
-            b = m
-    return a, b
-
-
-def interval_eval(coeffs, lo, hi):
-    """Exact rational interval extension of the polynomial over [lo, hi]."""
-    alo = ahi = rat(0)
-    for c in reversed(coeffs):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+    while A != B and (B - A) * widths.denominator > widths.numerator * D:
+        A, B, D = _halve(Q, A, B, D, sa > 0)
+    return rat(A, D), rat(B, D)
 
 
 def _sample_points(lo, hi, exact_roots, intervals):
@@ -289,8 +345,9 @@ def nonneg_on(coeffs, lo, hi) -> NonnegCertificate:
         return NonnegCertificate(False, witness=(lo, hi))
 
     exact_roots, intervals, _ = isolate_roots(coeffs, lo, hi)
+    P = _clear(coeffs)[0]
     for x in _sample_points(lo, hi, exact_roots, intervals):
-        if _horner(coeffs, x) < 0:
+        if _hval(P, x.numerator, x.denominator) < 0:
             return NonnegCertificate(False, witness=(x, x))
     if exact_roots or intervals:
         return NonnegCertificate(True, lower_bound=rat(0))
@@ -303,30 +360,64 @@ def _default_tol(coeffs, lo, hi):
     return max(scale, 1) / (1 << 40)
 
 
+def _enclosure(P, A, B, D):
+    """Interval Horner of integer P over [A/D, B/D], scaled by D^deg: (lo, hi) integers."""
+    elo = ehi = 0
+    dp = 1
+    for c in reversed(P):
+        cands = (elo * A, elo * B, ehi * A, ehi * B)
+        elo, ehi = min(cands) + c * dp, max(cands) + c * dp
+        dp *= D
+    return elo, ehi
+
+
 def certified_min(coeffs, lo, hi, tol):
-    """A rational m with  min - tol <= m <= min  of the polynomial on [lo, hi]."""
+    """A rational m with  min - tol <= m <= min  of the polynomial on [lo, hi].
+
+    Candidates are kept as integer pairs (num, den), den > 0; the least
+    becomes a rational only once.  A critical-point candidate is the lower
+    end of the interval Horner enclosure of coeffs over an isolating
+    interval of the critical point, bisected until the enclosure is at most
+    tol wide.
+    """
     coeffs = _trim(list(coeffs))
     lo, hi, tol = rat(lo), rat(hi), rat(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not coeffs:
         return rat(0)
-    candidates = [_horner(coeffs, lo), _horner(coeffs, hi)]
-    dcoeffs = _deriv(coeffs)
-    if _trim(dcoeffs):
-        exact_crit, crit_intervals, q = isolate_roots(dcoeffs, lo, hi)
-        candidates += [_horner(coeffs, r) for r in exact_crit]
+    P, L = _clear(coeffs)
+    deg = len(P) - 1
+
+    def value(n, q):  # p(n/q) as the pair (q^deg P(n/q), L q^deg)
+        return _hval(P, n, q), L * q**deg
+
+    candidates = [value(x.numerator, x.denominator) for x in (lo, hi)]
+    dP = _deriv(P)
+    if dP:
+        exact_crit, crit_intervals, Q = isolate_roots(dP, lo, hi)
+        candidates += [value(r.numerator, r.denominator) for r in exact_crit]
         for a, b in crit_intervals:
+            A, B, D = _common(a, b)
+            up = _hval(Q, A, D) > 0
             while True:
-                elo, ehi = interval_eval(coeffs, a, b)
-                if ehi - elo <= tol:
-                    candidates.append(elo)
+                scale = L * D**deg
+                elo, ehi = _enclosure(P, A, B, D)
+                if (ehi - elo) * tol.denominator <= tol.numerator * scale:
+                    candidates.append((elo, scale))
                     break
-                a, b = refine_interval(q, a, b, (b - a) / 4)
-                if a == b:  # landed exactly on the critical point
-                    candidates.append(_horner(coeffs, a))
+                for _ in range(2):  # a quarter of the width per enclosure
+                    A, B, D = _halve(Q, A, B, D, up)
+                    if A == B:
+                        break
+                if A == B:  # landed exactly on the critical point
+                    candidates.append(value(A, D))
                     break
-    return min(candidates)
+    n, q = candidates[0]
+    for m, r in candidates[1:]:
+        if m * q < n * r:
+            n, q = m, r
+    return rat(n, q)
 
 
 def minimal_shift(coeffs, lo, hi, tol):

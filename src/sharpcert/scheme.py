@@ -5,10 +5,10 @@ sum is a Dirac delta plus a constant: odd-indexed weights are certified
 through the quartic-form ("magical") kernel eigenvalues, even-indexed ones
 through the plain ("non-magical") ones.  Each weight's leading coefficient
 is dictated by the sum condition; each subsequent coefficient is the
-clipped ratio that flips the corresponding eigenvalue sign; the constant
-term is the minimal certified shift making the weight nonnegative on the
-ball (radius 4, i.e. u = |xi|^2 in [0, 16]).  The reported constant is the
-sum of those shifts.
+clipped ratio that flips the corresponding eigenvalue sign.  Once that
+coefficient ladder is built, each weight's constant term is set to the
+minimal certified shift making it nonnegative on the ball (radius 4, i.e.
+u = |xi|^2 in [0, 16]).  The reported constant is the sum of those shifts.
 
 Everything is exact.  All coefficients share one radical grade (the ratio
 of the delta-kernel eigenvalue grade to the polynomial-kernel eigenvalue
@@ -115,6 +115,8 @@ class WeightSpec:
     c0: object
     adm_margin: object = rat(0)
     eig: list[EigCheck] = field(default_factory=list)
+    # the sign stored with each coefficient, for a weight read from JSON
+    stored_signs: dict[int, int] | None = None
 
     def sign_at(self, degree: int) -> int:
         if self.n >= 2 and degree == self.top_degree:
@@ -166,12 +168,14 @@ def _knob_degree(identity: str, ell: int) -> int:
 
 
 def build_weights(d: int, tol, tail_depth: int = 25):
-    """Run the full inductive construction; returns (weights, table, grade).
+    """Run the coefficient ladder; returns (weights, table, grade).
 
     Weights are produced in declaration order (coefficients from the top
     degree down within each weight); every eigenvalue condition is checked
     exactly, including ``tail_depth`` values beyond each weight's
-    structural cutoff.
+    structural cutoff.  Constant terms are left at 0: the eigenvalues do
+    not depend on them, and :func:`compute_a_star` sets them with the shift
+    tolerance ``tol``, which is only validated here.
     """
     N = ell_star(d)
     if N < 2:
@@ -216,11 +220,6 @@ def build_weights(d: int, tol, tail_depth: int = 25):
             if ratio.sign() > 0:
                 coeffs[q_star] = ratio  # clipped ratio {.}_+
         _check_grades(w, grade)
-        w.c0 = minimal_shift(w.polynomial_part(include_constant=False), 0, 16, tol)
-        cert = nonneg_on(w.polynomial_part(include_constant=True), 0, 16)
-        if not cert.holds:
-            raise SchemeInfeasible(f"d={d} n={n}: admissibility failed after shift")
-        w.adm_margin = cert.lower_bound
         for ell in range(1, cutoff + tail_depth + 1):
             v = weight_eigen(w, table, ell)
             nonpos = v.sign() <= 0
@@ -358,11 +357,12 @@ class Certificate:
                 raise MalformedCertificate(f"unsupported version {obj.get('version')!r}")
             weights = []
             for wd in _json(obj["weights"], list):
-                coeffs = {}
+                coeffs, signs = {}, {}
                 for cd in _json(wd["coefficients"], list):
                     degree = _json(cd["degree"], int)
                     if degree < 0 or degree % 2 == 1:
                         raise MalformedCertificate(f"coefficient degree {degree} must be even and >= 0")
+                    signs[degree] = _json(cd["sign"], int)
                     coeffs[degree] = ExactScalar.from_json(cd["value"])
                 w = WeightSpec(
                     n=_json(wd["n"], int),
@@ -373,6 +373,7 @@ class Certificate:
                     c0=rat_parse(wd["c0"]),
                     adm_margin=rat_parse(wd["adm_margin"]),
                     eig=[_eig_check_from_json(e) for e in _json(wd["eig"], list)],
+                    stored_signs=signs,
                 )
                 weights.append(w)
             tail_check_depth = _json(obj["tail_check_depth"], int)
@@ -461,6 +462,11 @@ def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certifica
         raise SchemeInfeasible(f"d={d}: sum condition violated")
     total = rat(0)
     for w in weights:
+        w.c0 = minimal_shift(w.polynomial_part(include_constant=False), 0, 16, tol)
+        cert = nonneg_on(w.polynomial_part(include_constant=True), 0, 16)
+        if not cert.holds:
+            raise SchemeInfeasible(f"d={d} n={w.n}: admissibility failed after shift")
+        w.adm_margin = cert.lower_bound
         total += w.c0
     a_star = ExactScalar(total, *grade)
     a_star_decimal, baseline = _decimals(d, a_star)
@@ -486,10 +492,12 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Recompute every verdict in a certificate from scratch.
 
     Checks, independently of how the certificate was produced: the shape of
-    the weight family, every clipped coefficient against a fresh eigenvalue
-    table, every recorded eigenvalue and its sign, that the recorded
-    eigenvalues cover ell = 1..cutoff + tail_check_depth, admissibility at
-    the stored constant term less the stored margin (constants larger than
+    the weight family (each weight's index ``n`` included), every clipped
+    coefficient and its stored sign against a fresh eigenvalue table and
+    coefficient ladder, every recorded eigenvalue and its sign, that the
+    recorded eigenvalues cover ell = 1..cutoff + tail_check_depth,
+    admissibility with one Sturm check at the stored constant term less the
+    stored margin (the rebuild computes no shifts: constants larger than
     minimal are accepted; admissibility is what matters), the sum
     condition, the reported constant and its decimal renderings.  A weight
     whose coefficients or eigenvalue coverage fail is not re-derived entry
@@ -534,10 +542,15 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     except (SchemeInfeasible, GradeMismatch) as exc:
         return False, [f"reconstruction failed: {exc}"]
     for w, rw in zip(cert.weights, rebuilt):
-        tag = f"weight {w.n}"
-        if (w.identity, w.has_delta, w.top_degree) != (rw.identity, rw.has_delta, rw.top_degree):
-            failures.append(f"{tag}: shape mismatch")
+        tag = f"weight {rw.n}"
+        shape = (w.n, w.identity, w.has_delta, w.top_degree)
+        if shape != (rw.n, rw.identity, rw.has_delta, rw.top_degree):
+            failures.append(f"{tag}: shape mismatch (n, identity, has_delta or top_degree)")
             continue
+        if w.stored_signs is not None:
+            bad = sorted(q for q, sign in w.stored_signs.items() if sign != rw.sign_at(q))
+            if bad:
+                failures.append(f"{tag}: stored coefficient signs wrong at degrees {bad}")
         stored = {q: c for q, c in w.coeffs.items() if not c.is_zero()}
         expect = {q: c for q, c in rw.coeffs.items() if not c.is_zero()}
         rederive = stored == expect  # a weight failing this or coverage is not re-derived

@@ -144,6 +144,7 @@ def _every_nonpositive(cert, value):
         _d7_with(lambda c: c["weights"][0].update(c0="1_000")),
         _d9_with(lambda c: c["a_star"]["rational_times_grade"].update(sqrt2=40000000)),
         _d9_with(lambda c: c["weights"][0]["eig"][0]["value"].update(sqrt2=-1)),
+        _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(sign="garbage")),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
@@ -153,7 +154,7 @@ def _every_nonpositive(cert, value):
          "identity_int", "a_star_decimal_float", "baseline_decimal_float", "weights_object",
          "eig_object", "notes_string", "c0_exponent", "c0_huge_exponent",
          "adm_margin_spaces", "rational_decimal", "c0_underscore",
-         "sqrt2_huge", "sqrt2_negative"],
+         "sqrt2_huge", "sqrt2_negative", "sign_string"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -177,9 +178,13 @@ def _empty_every_eig(cert):
         _d9_with(lambda c: c["weights"][0]["eig"].pop(3)),
         _with(D5, lambda c: c.pop("delta_eigen_evidence")),
         _with(D5, lambda c: c["delta_eigen_evidence"].pop()),
+        _d9_with(lambda c: c["weights"][0].update(n=99)),
+        _d9_with(lambda c: c["weights"][0].update(n=0)),
+        _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(sign=1)),
     ],
     ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
-         "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5"],
+         "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5",
+         "n_99", "n_0", "sign_flipped"],
 )
 def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

@@ -48,6 +48,14 @@ def test_double_sphere_moment_examples():
     assert MomentTable(3).get(1, 0) == ExactScalar(32, 0, 4)
 
 
+@pytest.mark.parametrize("d", [7, 8, 24, 25])
+def test_moments_share_one_grade(d):
+    # kernels sum the moments' rational parts under MomentTable.grade
+    table = MomentTable(d)
+    assert table.grade == table.get(0, 0).grade
+    assert {table.get(j, k).grade for j in range(2 * d) for k in range(0, 12, 2)} == {table.grade}
+
+
 def test_delta_kernel_constant():
     k3 = delta_kernel_closed_form(3)
     assert k3.constant == ExactScalar(rat(3, 2), 1, 2)  # (3 pi / 2) sqrt 2

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sharpcert import scheme
 from sharpcert.backend import rat
 from sharpcert.errors import MalformedCertificate
 from sharpcert.polys import nonneg_on
@@ -257,3 +258,23 @@ def test_negative_adm_margin_must_be_certified_bound():
         ok, failures = verify_certificate(Certificate.from_json(tampered))
         assert ok == valid, (margin, failures)
         assert valid or any("admissibility" in f for f in failures)
+
+
+@pytest.mark.parametrize("d", [9, 17, 24])
+def test_verify_does_no_shift_work(monkeypatch, d):
+    # the verifier rebuilds only the coefficient ladder; admissibility is
+    # one Sturm check per weight at the stored constant term
+    cert = compute_a_star(d)
+    calls = {"minimal_shift": 0, "nonneg_on": 0}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(scheme, name, spy(name, getattr(scheme, name)))
+    ok, failures = verify_certificate(cert)
+    assert ok, failures
+    assert calls == {"minimal_shift": 0, "nonneg_on": len(cert.weights)}
