@@ -161,28 +161,37 @@ def weight_eigen(w: WeightSpec, table: EigenTable, ell: int) -> ExactScalar:
     return total
 
 
+def _eig_check(w: WeightSpec, table: EigenTable, ell: int) -> EigCheck:
+    """The ``eig`` entry of weight ``w`` at ``ell``, as certificates store it."""
+    v = weight_eigen(w, table, ell)
+    return EigCheck(ell, v, v.sign() <= 0)
+
+
+def _delta_check(table: EigenTable, ell: int) -> EigCheck:
+    """The ``delta_eigen_evidence`` entry lambda_delta(2 ell), as certificates store it."""
+    v = table.delta(2 * ell)
+    return EigCheck(ell, v, v.sign() <= 0)
+
+
 def _knob_degree(identity: str, ell: int) -> int:
     # the lowest-degree kernel whose eigenvalue at harmonic degree 2*ell is
     # still nonzero -- and provably positive
     return 4 * ell - 2 if identity == MAGICAL else 4 * ell
 
 
-def build_weights(d: int, tol, tail_depth: int = 25):
+def build_weights(d: int, tail_depth: int = 25):
     """Run the coefficient ladder; returns (weights, table, grade).
 
     Weights are produced in declaration order (coefficients from the top
     degree down within each weight); every eigenvalue condition is checked
     exactly, including ``tail_depth`` values beyond each weight's
-    structural cutoff.  Constant terms are left at 0: the eigenvalues do
-    not depend on them, and :func:`compute_a_star` sets them with the shift
-    tolerance ``tol``, which is only validated here.
+    structural cutoff, and each weight's ``eig`` table lists ell =
+    1..cutoff + tail_depth.  Constant terms are left at 0: the eigenvalues
+    do not depend on them, and :func:`compute_a_star` sets them.
     """
     N = ell_star(d)
     if N < 2:
         raise ValueError("scheme needs N >= 2 (d >= 7)")
-    tol = rat(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if tail_depth < 0:
         raise ValueError("tail_depth must be >= 0")
     table = EigenTable(d)
@@ -221,17 +230,16 @@ def build_weights(d: int, tol, tail_depth: int = 25):
                 coeffs[q_star] = ratio  # clipped ratio {.}_+
         _check_grades(w, grade)
         for ell in range(1, cutoff + tail_depth + 1):
-            v = weight_eigen(w, table, ell)
-            nonpos = v.sign() <= 0
-            if not nonpos:
+            e = _eig_check(w, table, ell)
+            if not e.nonpositive:
                 raise SchemeInfeasible(
                     f"d={d} n={n}: eigenvalue condition fails at ell={ell}"
                 )
-            if ell > cutoff and n != 1 and not v.is_zero():
+            if ell > cutoff and n != 1 and not e.value.is_zero():
                 raise SchemeInfeasible(
                     f"d={d} n={n}: expected structural zero at ell={ell}"
                 )
-            w.eig.append(EigCheck(ell, v, nonpos))
+            w.eig.append(e)
         for q, c in coeffs.items():
             if w.sign_at(q) == -1 and not c.is_zero():
                 transfers[q] = transfers.get(q, ZERO) + c
@@ -240,17 +248,14 @@ def build_weights(d: int, tol, tail_depth: int = 25):
 
 
 def _coefficient_grade(table: EigenTable, N: int) -> tuple:
-    """The shared grade of every clipped ratio: grade(lambda_1) - grade(lambda)."""
-    num = table.delta(2 * N)
+    """The shared grade of every clipped ratio: grade(lambda_1) - grade(lambda).
+
+    Every lambda_1 value is K_d times a rational, and lambda_1(0) = K_d > 0.
+    """
     den = table.mag(4 * N - 2, 2 * N)
     if den.sign() <= 0:
         raise SchemeInfeasible("leading magical eigenvalue not positive")
-    if num.is_zero():  # fall back to any nonzero delta eigenvalue
-        for k in range(2, 2 * N + 40, 2):
-            num = table.delta(k)
-            if not num.is_zero():
-                break
-    return (num / den).grade if not num.is_zero() else (0, 0)
+    return (table.delta(0) / den).grade
 
 
 def _check_grades(w: WeightSpec, grade: tuple) -> None:
@@ -266,15 +271,19 @@ def _check_grades(w: WeightSpec, grade: tuple) -> None:
 
 
 def check_sum_condition(weights: list[WeightSpec]) -> bool:
-    """Sum of the signed weights must be exactly one delta plus a constant."""
+    """Sum of the signed weights must be exactly one delta plus a constant.
+
+    Distinct grades are linearly independent over the rationals, so the
+    signed coefficients at each degree must cancel grade by grade.
+    """
     if sum(1 for w in weights if w.has_delta) != 1:
         return False
-    acc: dict[int, ExactScalar] = {}
+    acc: dict[tuple[int, tuple], object] = {}  # (degree, grade) -> rational sum
     for w in weights:
         for q, c in w.coeffs.items():
-            term = c if w.sign_at(q) == 1 else -c
-            acc[q] = acc.get(q, ZERO) + term
-    return all(v.is_zero() for q, v in acc.items() if q >= 1)
+            if q >= 1:
+                acc[q, c.grade] = acc.get((q, c.grade), 0) + w.sign_at(q) * c.coeff
+    return not any(acc.values())
 
 
 PAPER_BASELINE_D8 = ExactScalar(rat(2**25, 5**2 * 7**2 * 11), 0, 4)  # 2^25 pi^2 / (5^2 7^2 11)
@@ -430,62 +439,68 @@ def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certifica
     """Full certification run for one dimension.
 
     For d >= 7 (N >= 2) the inductive scheme runs and the constant is the
-    sum of the weights' constant terms.  For d in {3,...,6} the constant is
-    0 by prior results; the certificate then carries the finite
-    delta-kernel eigenvalue sign table as supporting evidence only.
+    sum of the weights' constant terms, each the minimal shift to within
+    ``tol``.  For d in {3,...,6} the constant is 0 by prior results; the
+    certificate then carries the finite delta-kernel eigenvalue sign table
+    as supporting evidence only.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
+    if rat(tol) <= 0:
+        raise ValueError("tol must be positive")
     if tail_depth < 0:
         raise ValueError("tail_depth must be >= 0")
     N = ell_star(d)
+    cert = Certificate(
+        dimension=d,
+        N=N,
+        tail_check_depth=tail_depth,
+        weights=[],
+        sum_condition_ok=True,
+        a_star=ZERO,
+        a_star_decimal="0.0",
+        paper_baseline_decimal=None,
+        notes=[PRIOR_NOTE, TAIL_NOTE] if N < 2 else [TAIL_NOTE],
+    )
     if N < 2:
         table = EigenTable(d)
-        evidence = []
-        for ell in range(1, N + tail_depth + 1):
-            v = table.delta(2 * ell)
-            evidence.append(EigCheck(ell, v, v.sign() <= 0))
-        return Certificate(
-            dimension=d,
-            N=N,
-            tail_check_depth=tail_depth,
-            weights=[],
-            sum_condition_ok=True,
-            a_star=ZERO,
-            a_star_decimal="0.0",
-            paper_baseline_decimal=None,
-            notes=[PRIOR_NOTE, TAIL_NOTE],
-            delta_eigen_evidence=evidence,
-        )
-    weights, table, grade = build_weights(d, tol, tail_depth)
+        cert.delta_eigen_evidence = [_delta_check(table, ell) for ell in range(1, N + tail_depth + 1)]
+        return cert
+    weights, table, grade = build_weights(d, tail_depth)
     if not check_sum_condition(weights):
         raise SchemeInfeasible(f"d={d}: sum condition violated")
     total = rat(0)
     for w in weights:
         w.c0 = minimal_shift(w.polynomial_part(include_constant=False), 0, 16, tol)
-        cert = nonneg_on(w.polynomial_part(include_constant=True), 0, 16)
-        if not cert.holds:
+        adm = nonneg_on(w.polynomial_part(include_constant=True), 0, 16)
+        if not adm.holds:
             raise SchemeInfeasible(f"d={d} n={w.n}: admissibility failed after shift")
-        w.adm_margin = cert.lower_bound
+        w.adm_margin = adm.lower_bound
         total += w.c0
-    a_star = ExactScalar(total, *grade)
-    a_star_decimal, baseline = _decimals(d, a_star)
-    return Certificate(
-        dimension=d,
-        N=N,
-        tail_check_depth=tail_depth,
-        weights=weights,
-        sum_condition_ok=True,
-        a_star=a_star,
-        a_star_decimal=a_star_decimal,
-        paper_baseline_decimal=baseline,
-        notes=[TAIL_NOTE],
-    )
+    cert.weights = weights
+    cert.a_star = ExactScalar(total, *grade)
+    cert.a_star_decimal, cert.paper_baseline_decimal = _decimals(d, cert.a_star)
+    return cert
 
 
-def _covers(checks: list[EigCheck], top_ell: int) -> bool:
-    """Whether the checks list ell = 1..top_ell exactly, in order."""
-    return len(checks) == top_ell and all(e.ell == i for i, e in enumerate(checks, 1))
+def _sign_table_failures(tag: str, stored: list[EigCheck], top_ell: int, entry) -> list[str]:
+    """Failures of a stored sign table against the rebuilt entries ``entry(ell)``.
+
+    The table must list exactly ell = 1..top_ell in order, checked before
+    anything is computed (an uncovered ell may be arbitrarily large); then
+    each stored entry, one at a time, must equal the rebuilt one, and that
+    must be nonpositive.
+    """
+    if len(stored) != top_ell or any(e.ell != i for i, e in enumerate(stored, 1)):
+        return [f"{tag}: stored eigenvalues do not cover ell = 1..{top_ell}"]
+    failures = []
+    for e in stored:
+        want = entry(e.ell)
+        if e != want:
+            failures.append(f"{tag}: eigenvalue or sign flag mismatch at ell={e.ell}")
+        if not want.nonpositive:
+            failures.append(f"{tag}: eigenvalue condition fails at ell={e.ell}")
+    return failures
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
@@ -494,14 +509,16 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     Checks, independently of how the certificate was produced: the shape of
     the weight family (each weight's index ``n`` included), every clipped
     coefficient and its stored sign against a fresh eigenvalue table and
-    coefficient ladder, every recorded eigenvalue and its sign, that the
-    recorded eigenvalues cover ell = 1..cutoff + tail_check_depth,
-    admissibility with one Sturm check at the stored constant term less the
-    stored margin (the rebuild computes no shifts: constants larger than
-    minimal are accepted; admissibility is what matters), the sum
-    condition, the reported constant and its decimal renderings.  A weight
-    whose coefficients or eigenvalue coverage fail is not re-derived entry
-    by entry, so tampered indices cost no work.
+    coefficient ladder, admissibility with one Sturm check at the stored
+    constant term less the stored margin (the rebuild computes no shifts:
+    constants larger than minimal are accepted; admissibility is what
+    matters), the sum condition, the reported constant and its decimal
+    renderings.  Every sign table (each weight's ``eig``, and
+    ``delta_eigen_evidence`` for d <= 6) must list exactly ell =
+    1..cutoff + tail_check_depth, and each entry must equal the entry
+    certify makes for the rebuilt weight, with a nonpositive eigenvalue.
+    Only rebuilt weights are evaluated, so a tampered ``degree`` or ``ell``
+    costs no work.
     """
     failures: list[str] = []
     d = cert.dimension
@@ -520,16 +537,10 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
             failures.append("weights present for a prior-results dimension")
         if not cert.a_star.is_zero():
             failures.append("a_star must be 0 for prior-results dimensions")
-        top_ell = N + cert.tail_check_depth
-        if not _covers(cert.delta_eigen_evidence, top_ell):
-            failures.append(f"delta eigenvalue evidence does not cover ell = 1..{top_ell}")
-            return False, failures  # an uncovered ell may be arbitrarily large
-        for e in cert.delta_eigen_evidence:
-            v = table.delta(2 * e.ell)
-            if v != e.value:
-                failures.append(f"delta eigenvalue mismatch at ell={e.ell}")
-            if e.nonpositive != (v.sign() <= 0):
-                failures.append(f"delta eigenvalue sign flag wrong at ell={e.ell}")
+        failures += _sign_table_failures(
+            "delta eigenvalue evidence", cert.delta_eigen_evidence,
+            N + cert.tail_check_depth, lambda ell: _delta_check(table, ell),
+        )
         return (not failures), failures
 
     if len(cert.weights) != 2 * N:
@@ -538,7 +549,7 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
 
     # recompute the coefficient ladder in declaration order
     try:
-        rebuilt, table, grade = build_weights(d, rat(1, 10**6), tail_depth=0)
+        rebuilt, table, grade = build_weights(d, tail_depth=0)
     except (SchemeInfeasible, GradeMismatch) as exc:
         return False, [f"reconstruction failed: {exc}"]
     for w, rw in zip(cert.weights, rebuilt):
@@ -553,25 +564,15 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
                 failures.append(f"{tag}: stored coefficient signs wrong at degrees {bad}")
         stored = {q: c for q, c in w.coeffs.items() if not c.is_zero()}
         expect = {q: c for q, c in rw.coeffs.items() if not c.is_zero()}
-        rederive = stored == expect  # a weight failing this or coverage is not re-derived
-        if not rederive:
+        if stored != expect:
             bad = sorted(set(stored) ^ set(expect)) or sorted(
                 q for q in stored if stored[q] != expect.get(q)
             )
             failures.append(f"{tag}: coefficient mismatch at degrees {bad} (sum condition or clipping)")
-        # recorded eigenvalues, from the stored coefficients
-        top_ell = rw.structural_cutoff() + cert.tail_check_depth
-        if not _covers(w.eig, top_ell):
-            failures.append(f"{tag}: recorded eigenvalues do not cover ell = 1..{top_ell}")
-            rederive = False
-        for e in w.eig if rederive else ():
-            v = weight_eigen(w, table, e.ell)
-            if v != e.value:
-                failures.append(f"{tag}: eigenvalue mismatch at ell={e.ell}")
-            if e.nonpositive != (v.sign() <= 0):
-                failures.append(f"{tag}: eigenvalue sign flag wrong at ell={e.ell}")
-            if not e.nonpositive or v.sign() > 0:
-                failures.append(f"{tag}: eigenvalue condition fails at ell={e.ell}")
+        failures += _sign_table_failures(
+            tag, w.eig, rw.structural_cutoff() + cert.tail_check_depth,
+            lambda ell: _eig_check(rw, table, ell),
+        )
         # admissibility at the stored constant, one Sturm check: with a
         # margin >= 0, poly - margin >= 0 implies Adm.  A negative margin is
         # a certified minimum rounded below zero; it is checked on poly

@@ -181,10 +181,11 @@ def _empty_every_eig(cert):
         _d9_with(lambda c: c["weights"][0].update(n=99)),
         _d9_with(lambda c: c["weights"][0].update(n=0)),
         _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(sign=1)),
+        _d9_with(lambda c: c["weights"][5]["coefficients"][0]["value"].update(pi_half=-6)),
     ],
     ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
          "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5",
-         "n_99", "n_0", "sign_flipped"],
+         "n_99", "n_0", "sign_flipped", "coefficient_grade"],
 )
 def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -199,15 +200,17 @@ def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
         # d = 9: N = 3, top kernel degree 4N - 2, weight 1 covers ell = 1..3 + 25
         (_d9_with(lambda c: c["weights"][0]["eig"][0].update(ell=20000)), 10, 28),
         (_d9_with(lambda c: c["weights"][0]["coefficients"][0].update(degree=1000)), 10, 28),
+        (_d9_with(lambda c: c.update(tail_check_depth=1000)), 10, 28),
         # d = 5: no kernels; the evidence covers ell = 1..N + 25 with N = 1
         (_with(D5, lambda c: c["delta_eigen_evidence"][0].update(ell=20000)), 0, 26),
     ],
-    ids=["eig_ell_huge", "degree_huge", "evidence_ell_huge_d5"],
+    ids=["eig_ell_huge", "degree_huge", "tail_check_depth_huge", "evidence_ell_huge_d5"],
 )
 def test_verify_skips_rederiving_failed_weights(tmp_path, monkeypatch, doc, top_degree, top_ell):
-    # once a weight fails its coverage or coefficient check, none of its
-    # stored entries is re-derived: no kernel above the rebuilt top degree
-    # and no harmonic degree beyond the covered range is computed
+    # verify evaluates only the rebuilt weights, and a sign table only once
+    # it lists exactly ell = 1..cutoff + tail_check_depth: no kernel above
+    # the rebuilt top degree and no harmonic degree beyond the stored range
+    # is computed
     kernel, delta = scheme.EigenTable.kernel, scheme.EigenTable.delta
 
     def kernel_spy(self, two_m, identity):
@@ -385,14 +388,16 @@ def test_console_script_entry_point():
 
 
 def test_cli_import_does_not_load_numpy():
-    # numpy serves only the quadrature oracle behind `eigen`, imported on use
+    # numpy serves only the quadrature oracle behind `eigen`, and
+    # concurrent.futures only `scan`'s workers; both are imported on use
     src = str(Path(sharpcert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, sharpcert.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, sharpcert.cli; print({'numpy', 'concurrent.futures'} & set(sys.modules))"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "set()"
