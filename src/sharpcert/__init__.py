@@ -8,7 +8,7 @@ from .errors import (
     SchemeInfeasible,
 )
 from .polys import ExactPoly, NonnegCertificate
-from .scalars import ExactScalar, IntervalScalar
+from .scalars import ExactScalar
 from .scheme import Certificate, compute_a_star, ell_star, verify_certificate
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ __all__ = [
     "ExactPoly",
     "ExactScalar",
     "GradeMismatch",
-    "IntervalScalar",
     "MalformedCertificate",
     "NonnegCertificate",
     "PrecisionExhausted",

@@ -150,7 +150,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    from .oracle import quad_eigen_enclosure  # loads numpy, which only this command needs
+    from .oracle import quad_eigen_enclosure  # loads mpmath, which only this command needs
 
     if args.dimension < 3:
         print("error: dimension must be >= 3", file=sys.stderr)
@@ -191,7 +191,7 @@ def cmd_eigen(args) -> int:
             {
                 "k": k,
                 "exact": exact.to_json(),
-                "decimal": exact.decimal(30, args.precision_bits) if not exact.is_zero() else "0",
+                "decimal": exact.decimal(30) if not exact.is_zero() else "0",
                 "enclosure": [str(enclosure.lo), str(enclosure.hi)],
                 "contained": contained,
             }
@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", required=True, help="comma-separated harmonic degrees")
     sp.add_argument("--precision-bits", type=_int_at_least(64, "precision-bits"),
                     default=DEFAULT_PRECISION,
-                    help="working precision for decimals and enclosures (default 128, min 64)")
+                    help="working precision of the quadrature enclosures (default 128, min 64); "
+                    "decimals are always correctly rounded to 30 digits")
     out_option(sp)
     sp.set_defaults(func=cmd_eigen)
 

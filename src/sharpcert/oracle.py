@@ -1,30 +1,29 @@
 """Independent numeric cross-checks for the exact eigenvalue path.
 
-Two oracles live here.  ``quad_eigen_enclosure`` evaluates the defining
-one-dimensional integral of an eigenvalue and returns a rigorous interval:
-the endpoint substitutions t = 1 - s^2 and t = s^2 - 1 absorb the
-half-power singular factors into even powers of s, after which the only
-non-polynomial factor is (2 - s^2)^gamma, expanded as a binomial series
-with an exact rational tail bound; the polynomial part integrates exactly.
+``quad_eigen_enclosure`` evaluates the defining one-dimensional integral
+of an eigenvalue and returns a rigorous interval: the endpoint
+substitutions t = 1 - s^2 and t = s^2 - 1 absorb the half-power singular
+factors into even powers of s, after which the only non-polynomial factor
+is (2 - s^2)^gamma, expanded as a binomial series with an exact rational
+tail bound; the polynomial part integrates exactly.
 The interval width shrinks geometrically in the series order, so enclosures
 at 128 bits are routine.
 
-``mc_double_sphere_moment`` estimates the double-sphere moment constants by
-vectorized Monte Carlo with a fixed probe direction; it is a statistical
-sanity check, never a certification path.
+Intervals are mpmath balls (``IntervalScalar``); ``_enclose`` is the one
+conversion of an exact value into one.  Nothing on the certification path
+imports this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from .backend import rat
 from .errors import PrecisionExhausted
-from .kernels import MomentTable, delta_kernel_closed_form
+from .kernels import delta_kernel_closed_form
 from .polys import ExactPoly
-from .scalars import ExactScalar, IntervalScalar, MPIntervalContext, sphere_surface
+from .scalars import ZERO, ExactScalar, sphere_surface
 from .specfun import gegenbauer_basis
 
 MAX_SERIES_ORDER = 1 << 14
@@ -116,27 +115,65 @@ def _half_power_piece(bcoeffs, two_gamma, order):
     return center, tail * _abs_integral_bound(bcoeffs)
 
 
-def _iv_rat(ctx, q):
-    return ctx.mpf(int(q.numerator)) / ctx.mpf(int(q.denominator))
+class IntervalScalar:
+    """A closed interval [lo, hi] of mpmath floats; every constructor rounds outward."""
+
+    __slots__ = ("ctx", "iv", "precision_bits")
+
+    def __init__(self, ctx: MPIntervalContext, iv, precision_bits: int):
+        if iv.delta < 0:
+            raise ValueError("negative radius")
+        self.ctx = ctx
+        self.iv = iv
+        self.precision_bits = precision_bits
+
+    @property
+    def center(self):
+        lo = mpmath.mp.make_mpf(self.iv._mpi_[0])
+        hi = mpmath.mp.make_mpf(self.iv._mpi_[1])
+        with mpmath.workprec(self.precision_bits + 8):
+            return (lo + hi) / 2
+
+    @property
+    def lo(self):
+        return self.iv.a
+
+    @property
+    def hi(self):
+        return self.iv.b
+
+    def contains(self, other) -> bool:
+        """Containment of an ExactScalar, IntervalScalar, or float.
+
+        An ExactScalar is refuted only when its own enclosure is disjoint
+        from this one: when this interval is itself just a rounding of an
+        exact value, a second rounding at the same precision need not fit
+        inside it.
+        """
+        if isinstance(other, ExactScalar):
+            other = _enclose(other, self.precision_bits + 16)
+            return other.iv.a <= self.iv.b and self.iv.a <= other.iv.b
+        if isinstance(other, IntervalScalar):
+            return self.iv.a <= other.iv.a and other.iv.b <= self.iv.b
+        return self.iv.a <= other <= self.iv.b
+
+    def __repr__(self):
+        return f"IntervalScalar([{self.iv.a}, {self.iv.b}])"
 
 
-def _iv_scalar(ctx, s: ExactScalar):
-    if s.is_zero():
-        return ctx.mpf(0)
-    v = _iv_rat(ctx, rat(s.coeff))
-    if s.sqrt2:
+def _enclose(x: ExactScalar, precision_bits: int) -> IntervalScalar:
+    """A floating interval provably containing the exact value x."""
+    if precision_bits < 32:
+        raise ValueError("precision_bits must be >= 32")
+    ctx = MPIntervalContext()
+    ctx.prec = precision_bits
+    v = ctx.mpf(x.coeff.numerator) / ctx.mpf(x.coeff.denominator)
+    if x.sqrt2:
         v = v * ctx.sqrt(ctx.mpf(2))
-    if s.pi_half:
-        p = ctx.sqrt(ctx.pi) ** abs(s.pi_half)
-        v = v * p if s.pi_half > 0 else v / p
-    return v
-
-
-def _iv_center_radius(ctx, center, radius):
-    v = _iv_rat(ctx, center)
-    if radius:
-        v = v + _iv_rat(ctx, radius) * ctx.mpf([-1, 1])
-    return v
+    if x.pi_half:
+        p = ctx.sqrt(ctx.pi) ** abs(x.pi_half)
+        v = v * p if x.pi_half > 0 else v / p
+    return IntervalScalar(ctx, v, precision_bits)
 
 
 def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128) -> IntervalScalar:
@@ -164,7 +201,7 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
         two_beta = d - 2  # (1+t) exponent, doubled
     elif isinstance(kernel_desc, ExactPoly):
         if kernel_desc.is_zero():
-            return ExactScalar(0).to_interval(precision_bits)
+            return _enclose(ZERO, precision_bits)
         q = _mul(_compose_linear_square(kernel_desc.coeffs, rat(1), rat(1)), ck)
         unit = ExactScalar(1, *kernel_desc.grade)
         two_alpha = two_beta = d - 3
@@ -196,112 +233,11 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
             )
         order *= 2
 
-    ctx = MPIntervalContext()
-    ctx.prec = precision_bits + 16
-    sqrt2 = ctx.sqrt(ctx.mpf(2))
-    total = ctx.mpf(0)
+    # each piece is (center +- radius) 2^{two_g/2} pref, with 16 guard bits
+    pieces = []
     for (center, radius), two_g in ((c_r, r_r), two_beta), ((c_l, r_l), two_alpha):
-        piece = _iv_center_radius(ctx, center, radius)
-        piece = piece * ctx.mpf(2) ** (two_g // 2)
-        if two_g % 2:
-            piece = piece * sqrt2
-        total = total + piece
-    total = total * _iv_scalar(ctx, pref)
-    return IntervalScalar(ctx, total, precision_bits)
-
-
-# -- Monte Carlo double-sphere moments ----------------------------------------
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
-
-
-def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    # a fresh draw for the (measure-zero) event of an underflowed norm
-    bad = norms[:, 0] < 1e-150
-    while bad.any():
-        g[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms[bad] = np.linalg.norm(g[bad], axis=1, keepdims=True)
-        bad = norms[:, 0] < 1e-150
-    return g / norms
-
-
-_CHUNK = 1 << 17
-
-
-def mc_double_sphere_moment(d: int, J: int, K: int, samples: int, seed: int) -> McEstimate:
-    """Monte Carlo estimate of the double-sphere moment constant.
-
-    Each draw is an independent pair (w1, w2) of uniform sphere points with
-    the probe direction fixed to the first coordinate axis (a unit vector,
-    so no rescaling of the estimate is needed); the surface-measure
-    normalization multiplies the sample mean by the squared sphere area.
-    Sub-streams are split off the seed with numpy's SeedSequence.spawn, one
-    per chunk of 2^17 pairs, so results are reproducible and chunk order
-    independent.
-    """
-    if samples < 10**4:
-        raise ValueError("samples must be >= 10^4")
-    if d < 2 or J < 0 or K < 0:
-        raise ValueError("need d >= 2, J >= 0, K >= 0")
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    for ss in streams:
-        n = min(_CHUNK, samples - done)
-        rng = np.random.default_rng(ss)
-        w = _unit_rows(rng, 2 * n, d)
-        s = w[:n] + w[n:]
-        x = np.ones(n)
-        if J:
-            x = np.einsum("ij,ij->i", s, s) ** J
-        if K:
-            x = x * s[:, 0] ** K
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
-        done += n
-    area = float(sphere_surface(d).to_interval(64).center)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    scale = area * area
-    return McEstimate(
-        mean=scale * mean,
-        stderr=scale * (var / samples) ** 0.5,
-        samples=samples,
-        seed=seed,
-    )
-
-
-def mc_agrees(estimate: McEstimate, exact: ExactScalar, sigmas: float = 4.0) -> bool:
-    target = float(exact.to_interval(64).center) if not exact.is_zero() else 0.0
-    # constant integrands have zero sample variance; leave room for the
-    # double-precision rounding of the exact target in that degenerate case
-    slack = 1e-12 * max(1.0, abs(target), abs(estimate.mean))
-    return abs(estimate.mean - target) <= sigmas * estimate.stderr + slack
-
-
-def mc_check_moment(
-    d: int, J: int, K: int, samples: int = 10**6, seed: int = 0, sigmas: float = 4.0
-):
-    """Estimate one moment and compare against the exact value.
-
-    A single miss at ``sigmas`` standard errors triggers one rerun at four
-    times the sample count on a distinct sub-seed; a repeated miss is a
-    genuine disagreement.  Returns (estimate, agrees).
-    """
-    exact = MomentTable(d).get(J, K)
-    est = mc_double_sphere_moment(d, J, K, samples, seed)
-    if mc_agrees(est, exact, sigmas):
-        return est, True
-    retry_seed = int(np.random.SeedSequence(seed).spawn(2)[1].generate_state(1)[0])
-    est = mc_double_sphere_moment(d, J, K, 4 * samples, retry_seed)
-    return est, mc_agrees(est, exact, sigmas)
+        factor = ExactScalar(1, two_g) * pref
+        c = _enclose(factor * center, precision_bits + 16)
+        r = _enclose(factor * radius, precision_bits + 16)
+        pieces.append(c.iv + r.iv * c.ctx.mpf([-1, 1]))
+    return IntervalScalar(c.ctx, pieces[0] + pieces[1], precision_bits)

@@ -1,4 +1,4 @@
-"""Exact scalars: rational x (sqrt 2)^s x (sqrt pi)^p, plus interval enclosures.
+"""Exact scalars: rational x (sqrt 2)^s x (sqrt pi)^p, rendered as decimals in integers.
 
 Every real constant in the certification pipeline (surface measures,
 Beta/Gamma values at half-integers, Funk-Hecke eigenvalues, weight
@@ -9,13 +9,17 @@ coefficients) lives in the graded field
 with coeff an arbitrary-precision rational, sqrt2 in {0, 1} (even powers
 of sqrt 2 are folded into coeff) and pi_half any integer.  Sums across
 distinct grades are not representable and raise :class:`GradeMismatch`.
+
+Decimal renderings are correctly rounded and computed in integers (pi by
+Machin's formula, square roots by ``math.isqrt``), so this module, like
+the whole certification path, needs nothing outside the standard library.
+Interval enclosures belong to the numeric oracle, ``sharpcert.oracle``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-from mpmath.ctx_iv import MPIntervalContext
 
 from .backend import is_rational, rat, rat_parse, rat_str
 from .errors import GradeMismatch
@@ -124,24 +128,47 @@ class ExactScalar:
 
     # -- numeric rendering ---------------------------------------------------
 
-    def to_interval(self, precision_bits: int = 128) -> "IntervalScalar":
-        """A floating interval provably containing the exact value."""
-        if precision_bits < 32:
-            raise ValueError("precision_bits must be >= 32")
-        ctx = MPIntervalContext()
-        ctx.prec = precision_bits
-        v = ctx.mpf(int(self.coeff.numerator)) / ctx.mpf(int(self.coeff.denominator))
-        if self.sqrt2:
-            v = v * ctx.sqrt(ctx.mpf(2))
-        if self.pi_half:
-            p = ctx.sqrt(ctx.pi) ** abs(self.pi_half)
-            v = v * p if self.pi_half > 0 else v / p
-        return IntervalScalar.from_iv(v, precision_bits)
+    def decimal(self, digits: int = 30) -> str:
+        """The value to ``digits`` significant digits, correctly rounded.
 
-    def decimal(self, digits: int = 30, precision_bits: int | None = None) -> str:
-        if precision_bits is None:
-            precision_bits = max(128, int(digits * 3.4) + 32)
-        return self.to_interval(precision_bits).decimal(digits)
+        Ties round half up in magnitude; only a rational (grade (0, 0)) can
+        tie.  The layout is mpmath's ``nstr(x, digits, strip_zeros=False)``:
+        fixed notation for a decimal exponent e with min(-(digits // 3), -5)
+        < e < digits, else ``d.ddd...e+N``, and ``"0.0"`` for zero.  All
+        arithmetic is on integers: x^2 = coeff^2 2^sqrt2 pi^pi_half lies
+        between two rationals, with pi enclosed by Machin's formula, and the
+        precision doubles (Ziv's loop) until both ends round alike.  The cost
+        grows with |pi_half|, through the power of pi.
+        """
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        if self.is_zero():
+            return "0.0"
+        num = self.coeff.numerator ** 2 << self.sqrt2
+        den = self.coeff.denominator ** 2
+        h = abs(self.pi_half)
+        bits = 4 * digits + 32 + h.bit_length()
+        while True:
+            ends = [(num, den)]
+            if h:  # pi^h between (p -+ err)^h / 2^(bits h)
+                p, err = _pi_fixed(bits)
+                one = 1 << (bits * h)
+                powers = [(p - err) ** h, (p + err) ** h]
+                ends = [(num * q, den * one) for q in powers]
+                if self.pi_half < 0:
+                    ends = [(num * one, den * q) for q in powers]
+            rounded = {_sqrt_digits(a, b, digits) for a, b in ends}
+            if len(rounded) == 1:
+                break
+            bits *= 2
+        e, m = rounded.pop()
+        sign = "-" if self.coeff < 0 else ""
+        s = str(m)
+        if min(-(digits // 3), -5) < e < digits:
+            if e < 0:
+                return f"{sign}0.{'0' * (-e - 1)}{s}"
+            return f"{sign}{s[:e + 1]}.{s[e + 1:]}"
+        return f"{sign}{s[0]}.{s[1:]}e{e:+d}"
 
     def __repr__(self):
         s = rat_str(self.coeff)
@@ -169,6 +196,55 @@ class ExactScalar:
 
 
 ZERO = ExactScalar(0)
+
+
+@functools.lru_cache(maxsize=32)
+def _pi_fixed(bits: int) -> tuple[int, int]:
+    """(p, err) with |pi 2^bits - p| < err, from pi = 16 atan(1/5) - 4 atan(1/239).
+
+    The n-th series term of 2^bits atan(1/x) is taken as
+    floor(2^bits / ((2n+1) x^(2n+1))), off by less than 1; the series stops
+    at the first term that floors to 0, and the alternating tail from there
+    is below 1.  So n terms are within n + 1 of 2^bits atan(1/x).
+    """
+
+    def atan_inv(x: int) -> tuple[int, int]:
+        total, n, power = 0, 0, (1 << bits) // x  # power = floor(2^bits / x^(2n+1))
+        while power:
+            total += -(power // (2 * n + 1)) if n % 2 else power // (2 * n + 1)
+            power //= x * x
+            n += 1
+        return total, n + 1
+
+    a, err_a = atan_inv(5)
+    b, err_b = atan_inv(239)
+    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
+
+
+def _sqrt_digits(a: int, b: int, digits: int) -> tuple[int, int]:
+    """(e, m): sqrt(a/b) rounds half up to m 10^(e + 1 - digits), with m of ``digits`` digits.
+
+    e is the decimal exponent of the rounded value, found from
+    10^(2e) <= a/b < 10^(2e+2) before rounding and raised by one when the
+    mantissa carries to 10^digits.  e is first estimated from bit lengths:
+    CPython will not convert an int of more than 4,300 digits to str.
+    """
+
+    def at_least(t: int) -> bool:  # a/b >= 10^t
+        return a >= b * 10**t if t >= 0 else a * 10**-t >= b
+
+    t = (a.bit_length() - b.bit_length()) * 30103 // 100000
+    while not at_least(t):
+        t -= 1
+    while at_least(t + 1):
+        t += 1
+    e = t // 2
+    k = 2 * (digits - 1 - e)
+    q = 4 * a * 10**k // b if k >= 0 else 4 * a // (b * 10**-k)
+    m = (math.isqrt(q) + 1) // 2  # round(sqrt(q / 4)), half up
+    if m == 10**digits:
+        return e + 1, m // 10
+    return e, m
 
 
 def pi_power_half(k: int) -> ExactScalar:
@@ -205,64 +281,3 @@ def sphere_surface(d: int) -> ExactScalar:
         raise ValueError("d must be >= 1")
     return ExactScalar(2) * pi_power_half(d) / gamma_half_int(d)
 
-
-class IntervalScalar:
-    """A closed interval [lo, hi] of mpmath floats.
-
-    Used as the numeric cross-check of the exact path and for decimal
-    rendering; every constructor rounds outward.
-    """
-
-    __slots__ = ("ctx", "iv", "precision_bits")
-
-    def __init__(self, ctx: MPIntervalContext, iv, precision_bits: int):
-        if iv.delta < 0:
-            raise ValueError("negative radius")
-        self.ctx = ctx
-        self.iv = iv
-        self.precision_bits = precision_bits
-
-    @classmethod
-    def from_iv(cls, iv, precision_bits: int) -> "IntervalScalar":
-        return cls(iv.ctx, iv, precision_bits)
-
-    @property
-    def center(self):
-        import mpmath
-
-        lo = mpmath.mp.make_mpf(self.iv._mpi_[0])
-        hi = mpmath.mp.make_mpf(self.iv._mpi_[1])
-        with mpmath.workprec(self.precision_bits + 8):
-            return (lo + hi) / 2
-
-    @property
-    def lo(self):
-        return self.iv.a
-
-    @property
-    def hi(self):
-        return self.iv.b
-
-    def contains(self, other) -> bool:
-        """Containment of an ExactScalar, IntervalScalar, or float.
-
-        An ExactScalar is refuted only when its own enclosure is disjoint
-        from this one: when this interval is itself just a rounding of an
-        exact value, a second rounding at the same precision need not fit
-        inside it.
-        """
-        if isinstance(other, ExactScalar):
-            other = other.to_interval(self.precision_bits + 16)
-            return other.iv.a <= self.iv.b and self.iv.a <= other.iv.b
-        if isinstance(other, IntervalScalar):
-            return self.iv.a <= other.iv.a and other.iv.b <= self.iv.b
-        return self.iv.a <= other <= self.iv.b
-
-    def decimal(self, digits: int = 30) -> str:
-        import mpmath
-
-        with mpmath.workprec(self.precision_bits + 8):
-            return mpmath.nstr(self.center, digits, strip_zeros=False)
-
-    def __repr__(self):
-        return f"IntervalScalar([{self.iv.a}, {self.iv.b}])"

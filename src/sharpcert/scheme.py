@@ -431,8 +431,7 @@ def _eig_check_from_json(e) -> EigCheck:
 
 def _decimals(d: int, a_star: ExactScalar) -> tuple[str, str | None]:
     """The certificate's two decimal strings, a* and the d = 8 paper baseline."""
-    a_star_decimal = a_star.decimal(30) if not a_star.is_zero() else "0.0"
-    return a_star_decimal, PAPER_BASELINE_D8.decimal(30) if d == 8 else None
+    return a_star.decimal(30), PAPER_BASELINE_D8.decimal(30) if d == 8 else None
 
 
 def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certificate:
@@ -503,6 +502,19 @@ def _sign_table_failures(tag: str, stored: list[EigCheck], top_ell: int, entry) 
     return failures
 
 
+def _constant_failures(cert: Certificate, a_star: ExactScalar, message: str) -> list[str]:
+    """Failures of the stored constant and decimals against the re-derived ``a_star``.
+
+    The decimals are rendered from the re-derived value, whose grade the
+    rebuild bounds, never from the stored one: rendering costs time that
+    grows with |pi_half|.
+    """
+    failures = [] if cert.a_star == a_star else [message]
+    if (cert.a_star_decimal, cert.paper_baseline_decimal) != _decimals(cert.dimension, a_star):
+        failures.append("decimal strings are not the renderings of a_star and the d = 8 baseline")
+    return failures
+
+
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Recompute every verdict in a certificate from scratch.
 
@@ -514,9 +526,10 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     constants larger than minimal are accepted; admissibility is what
     matters), the sum condition, the reported constant and its decimal
     renderings.  Every sign table (each weight's ``eig``, and
-    ``delta_eigen_evidence`` for d <= 6) must list exactly ell =
-    1..cutoff + tail_check_depth, and each entry must equal the entry
-    certify makes for the rebuilt weight, with a nonpositive eigenvalue.
+    ``delta_eigen_evidence``) must list exactly ell = 1..cutoff +
+    tail_check_depth, and each entry must equal the entry certify makes
+    for the rebuilt weight, with a nonpositive eigenvalue; the evidence
+    cutoff is N for d <= 6, and past that the evidence must be empty.
     Only rebuilt weights are evaluated, so a tampered ``degree`` or ``ell``
     costs no work.
     """
@@ -528,15 +541,12 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     if N != cert.N:
         failures.append(f"N mismatch: stored {cert.N}, expected {N}")
         return False, failures
-    if (cert.a_star_decimal, cert.paper_baseline_decimal) != _decimals(d, cert.a_star):
-        failures.append("decimal strings are not the renderings of a_star and the d = 8 baseline")
 
     if N < 2:
         table = EigenTable(d)
         if cert.weights:
             failures.append("weights present for a prior-results dimension")
-        if not cert.a_star.is_zero():
-            failures.append("a_star must be 0 for prior-results dimensions")
+        failures += _constant_failures(cert, ZERO, "a_star must be 0 for prior-results dimensions")
         failures += _sign_table_failures(
             "delta eigenvalue evidence", cert.delta_eigen_evidence,
             N + cert.tail_check_depth, lambda ell: _delta_check(table, ell),
@@ -552,6 +562,11 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
         rebuilt, table, grade = build_weights(d, tail_depth=0)
     except (SchemeInfeasible, GradeMismatch) as exc:
         return False, [f"reconstruction failed: {exc}"]
+    # past d = 6 certify makes no evidence: the table must list ell = 1..0
+    failures += _sign_table_failures(
+        "delta eigenvalue evidence", cert.delta_eigen_evidence, 0,
+        lambda ell: _delta_check(table, ell),
+    )
     for w, rw in zip(cert.weights, rebuilt):
         tag = f"weight {rw.n}"
         shape = (w.n, w.identity, w.has_delta, w.top_degree)
@@ -594,6 +609,7 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     total = rat(0)
     for w in cert.weights:
         total += w.c0
-    if cert.a_star != (ExactScalar(total, *grade) if total != 0 else ZERO):
-        failures.append("a_star does not equal the sum of the constant terms")
+    failures += _constant_failures(
+        cert, ExactScalar(total, *grade), "a_star does not equal the sum of the constant terms"
+    )
     return (not failures), failures

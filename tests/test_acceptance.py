@@ -10,9 +10,11 @@ import sys
 import time
 from pathlib import Path
 
+from montecarlo import mc_check_moment
+
 from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
-from sharpcert.oracle import mc_check_moment, quad_eigen_enclosure
+from sharpcert.oracle import quad_eigen_enclosure
 from sharpcert.polys import ExactPoly, nonneg_on
 from sharpcert.scalars import ExactScalar, sphere_surface
 from sharpcert.scheme import (
@@ -86,7 +88,7 @@ def test_criterion_05_d8_certificate_with_baseline():
     ok = cert.a_star.sign() == 1
     ok = ok and cert.paper_baseline_decimal is not None
     baseline = ExactScalar(rat(2**25, 5**2 * 7**2 * 11), 0, 4)
-    ok = ok and cert.paper_baseline_decimal == baseline.decimal(30, 128)
+    ok = ok and cert.paper_baseline_decimal == baseline.decimal(30)
     ok = ok and cert.a_star_decimal != ""
     _report(5, "d=8 certifies a_star > 0 and records the baseline decimal", ok)
 

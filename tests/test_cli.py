@@ -182,10 +182,13 @@ def _empty_every_eig(cert):
         _d9_with(lambda c: c["weights"][0].update(n=0)),
         _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(sign=1)),
         _d9_with(lambda c: c["weights"][5]["coefficients"][0]["value"].update(pi_half=-6)),
+        # past d = 6 certify makes no evidence, so any entry is unbacked
+        _d9_with(lambda c: c["delta_eigen_evidence"].append(
+            {"ell": 1, "value": {"rational": "5", "sqrt2": 0, "pi_half": 0}, "nonpositive": True})),
     ],
     ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
          "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5",
-         "n_99", "n_0", "sign_flipped", "coefficient_grade"],
+         "n_99", "n_0", "sign_flipped", "coefficient_grade", "evidence_added_d9"],
 )
 def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -316,6 +319,18 @@ def test_eigen_exact_rounding_enclosure(tmp_path):
     assert json.loads(out.read_text())["values"][0]["contained"]
 
 
+def test_eigen_decimal_independent_of_precision(tmp_path):
+    # --precision-bits sets the enclosure's precision only; the decimal is
+    # the correctly rounded 30-digit rendering at any setting
+    decimals = []
+    for bits in ("64", "256"):
+        out = tmp_path / f"eig{bits}.json"
+        assert run(["eigen", "--kernel", "delta", "-d", "9", "--k", "2",
+                    "--precision-bits", bits, "--out", str(out)]) == 0
+        decimals.append(json.loads(out.read_text())["values"][0]["decimal"])
+    assert decimals == ["1.98212338878467333857646183903"] * 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -387,17 +402,26 @@ def test_console_script_entry_point():
     assert cert["dimension"] == 7
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy serves only the quadrature oracle behind `eigen`, and
-    # concurrent.futures only `scan`'s workers; both are imported on use
+def test_cli_import_does_not_load_numpy(tmp_path):
+    # certify and verify run on the standard library alone: mpmath serves
+    # only the quadrature oracle behind `eigen`, numpy only the tests, and
+    # concurrent.futures only `scan`'s workers.  d = 8 also renders the
+    # paper baseline.
     src = str(Path(sharpcert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cert = str(tmp_path / "c8.json")
+    script = (
+        "import sys\n"
+        "from sharpcert.cli import main\n"
+        f"assert main(['certify', '-d', '8', '--out', {cert!r}]) == 0\n"
+        f"assert main(['verify', {cert!r}]) == 0\n"
+        "print(sorted({'mpmath', 'numpy', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sharpcert.cli; print({'numpy', 'concurrent.futures'} & set(sys.modules))"],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "set()"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -1,17 +1,49 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from montecarlo import _unit_rows, mc_check_moment, mc_double_sphere_moment
 
 from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
-from sharpcert.oracle import (
-    _unit_rows,
-    mc_agrees,
-    mc_check_moment,
-    mc_double_sphere_moment,
-    quad_eigen_enclosure,
-)
+from sharpcert.oracle import _enclose, quad_eigen_enclosure
 from sharpcert.polys import ExactPoly
+from sharpcert.scalars import ExactScalar
 from sharpcert.scheme import EigenTable
+
+PI = ExactScalar(1, 0, 2)
+
+rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+grades = st.tuples(st.integers(0, 1), st.integers(-6, 6))
+
+
+def test_interval_third():
+    iv = _enclose(ExactScalar(rat(1, 3)), 64)
+    assert iv.contains(ExactScalar(rat(1, 3)))
+    assert iv.hi - iv.lo <= 2.0**-59
+
+
+def test_interval_pi():
+    iv = _enclose(PI, 128)
+    assert abs(float(iv.center) - math.pi) < 1e-15
+    assert PI.decimal(15) == "3.14159265358979"
+    assert iv.hi - iv.lo < 2.0**-119
+
+
+def test_interval_zero():
+    iv = _enclose(ExactScalar(0), 64)
+    assert iv.lo == 0 and iv.hi == 0
+
+
+@given(rationals, grades)
+@settings(max_examples=150)
+def test_interval_precision_nesting(p, g):
+    x = ExactScalar(rat(p), *g)
+    coarse = _enclose(x, 64)
+    fine = _enclose(x, 128)
+    assert coarse.contains(fine)
 
 
 def test_constant_kernel_odd_k_contains_zero():

@@ -1,5 +1,6 @@
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sharpcert.backend import rat
@@ -125,33 +126,80 @@ def test_mul_grades_add(p, g1, q, g2):
         assert prod.sqrt2 == (g1[0] + g2[0]) % 2
 
 
-def test_interval_third():
-    iv = ExactScalar(rat(1, 3)).to_interval(64)
-    assert iv.contains(ExactScalar(rat(1, 3)))
-    assert iv.hi - iv.lo <= 2.0**-59
+def _mpmath_decimal(x: ExactScalar, digits: int) -> str:
+    """The reference rendering: mpmath at 512 bits."""
+    with mpmath.workprec(512):
+        v = mpmath.mpf(x.coeff.numerator) / x.coeff.denominator
+        v *= mpmath.sqrt(2) ** x.sqrt2 * mpmath.sqrt(mpmath.pi) ** x.pi_half
+        return mpmath.nstr(v, digits, strip_zeros=False)
 
 
-def test_interval_pi():
-    import math
+def _is_decimal_tie(x: ExactScalar, digits: int) -> bool:
+    """An exact tie: a rational whose digits past the last kept one are exactly 5."""
+    if x.grade != (0, 0) or x.is_zero():
+        return False
+    c, e = abs(x.coeff), 0
+    while c >= 10**(e + 1):
+        e += 1
+    while c < 10**e:
+        e -= 1
+    y = 2 * c * rat(10) ** (digits - 1 - e)
+    return y.denominator == 1 and y.numerator % 2 == 1
 
-    iv = PI.to_interval(128)
-    assert abs(float(iv.center) - math.pi) < 1e-15
-    assert iv.decimal(15).startswith("3.14159265358979")
-    assert iv.hi - iv.lo < 2.0**-119
+
+@given(
+    st.integers(-(10**60), 10**60).filter(bool),
+    st.integers(1, 10**60),
+    st.integers(0, 1),
+    st.integers(-80, 80),
+)
+@settings(max_examples=300, deadline=None)
+def test_decimal_matches_mpmath(p, q, sqrt2, pi_half):
+    x = ExactScalar(rat(p, q), sqrt2, pi_half)
+    assume(not _is_decimal_tie(x, 30))
+    assert x.decimal(30) == _mpmath_decimal(x, 30)
 
 
-def test_interval_zero():
-    iv = ExactScalar(0).to_interval(64)
-    assert iv.lo == 0 and iv.hi == 0
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        # decimal exponent -10 is the first in scientific notation, -9 the last fixed
+        (ExactScalar(rat(123, 10**12)), "1.23000000000000000000000000000e-10"),
+        (ExactScalar(rat(123, 10**11)), "0.00000000123000000000000000000000000000"),
+        # exponent 29 is the last fixed (the point closes the string), 30 the first scientific
+        (ExactScalar(rat(10**29)), "100000000000000000000000000000."),
+        (ExactScalar(rat(10**30)), "1.00000000000000000000000000000e+30"),
+        # a carry to 10^30 raises the exponent by one
+        (ExactScalar(rat(10**31 - 1, 10)), "1.00000000000000000000000000000e+30"),
+        (ExactScalar(rat(-(10**31) + 1, 10)), "-1.00000000000000000000000000000e+30"),
+        (ExactScalar(rat(-1, 3), 1, -3), None),
+        (-PI, "-3.14159265358979323846264338328"),
+        (ExactScalar(0), "0.0"),
+    ],
+    ids=["e_minus_10", "e_minus_9", "e_29", "e_30", "carry", "carry_negative",
+         "negative_graded", "negative_pi", "zero"],
+)
+def test_decimal_layout(x, want):
+    got = x.decimal(30)
+    assert got == _mpmath_decimal(x, 30)
+    if want is not None:
+        assert got == want
 
 
-@given(rationals, grades)
-@settings(max_examples=150)
-def test_interval_precision_nesting(p, g):
-    x = ExactScalar(rat(p), *g)
-    coarse = x.to_interval(64)
-    fine = x.to_interval(128)
-    assert coarse.contains(fine)
+def test_decimal_ties_round_half_up_in_magnitude():
+    # 10^30 + 5 has 31 digits and ends in 5: an exact tie at 30 digits
+    tie = ExactScalar(rat(10**30 + 5))
+    assert _is_decimal_tie(tie, 30)
+    assert tie.decimal(30) == "1.00000000000000000000000000001e+30"
+    assert (-tie).decimal(30) == "-1.00000000000000000000000000001e+30"
+    assert ExactScalar(rat(1, 40)).decimal(1) == "0.03"
+
+
+def test_decimal_digits():
+    assert PI.decimal(15) == "3.14159265358979"
+    assert PI.decimal(1) == "3." == _mpmath_decimal(PI, 1)
+    with pytest.raises(ValueError):
+        PI.decimal(0)
 
 
 def test_json_round_trip():
