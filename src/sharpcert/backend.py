@@ -29,11 +29,13 @@ def rat_str(x) -> str:
     return f"{n}" if d == 1 else f"{n}/{d}"
 
 
-_RAT_STR = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_RAT_STR = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def rat_parse(s):
     """Inverse of :func:`rat_str`: only a "p/q" or "p" string of ASCII digits."""
-    if type(s) is not str or not _RAT_STR.fullmatch(s):
+    m = _RAT_STR.fullmatch(s) if type(s) is str else None
+    if m is None:
         raise ValueError(f"rational must be a \"p/q\" string, got {s!r:.60}")
-    return Fraction(s)
+    p, q = m.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))

@@ -85,10 +85,15 @@ def cmd_certify(args) -> int:
     except SchemeInfeasible as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    ok, failures = verify_certificate(cert)
-    payload = cert.to_json()
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    _write_out(json.dumps(payload, indent=2), args.out)
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    text = json.dumps({**cert.to_json(), "timestamp": timestamp}, indent=2)
+    _write_out(text, args.out)
+    # self-check the certificate as written; it reuses the eigenvalue table
+    # that compute_a_star built
+    try:
+        ok, failures = verify_certificate(Certificate.from_json(json.loads(text)))
+    except MalformedCertificate as exc:
+        ok, failures = False, [f"written certificate does not load: {exc}"]
     n_eig = sum(len(w.eig) for w in cert.weights)
     print(f"d={cert.dimension}  N={cert.N}", file=sys.stderr)
     print(f"a_star = {cert.a_star_decimal}  [{cert.a_star!r}]", file=sys.stderr)
@@ -191,7 +196,7 @@ def cmd_eigen(args) -> int:
             {
                 "k": k,
                 "exact": exact.to_json(),
-                "decimal": exact.decimal(30) if not exact.is_zero() else "0",
+                "decimal": exact.decimal(30),
                 "enclosure": [str(enclosure.lo), str(enclosure.hi)],
                 "contained": contained,
             }

@@ -20,7 +20,7 @@ Since |w1+w2|^2 = 2s with s = 1 + t = 1 + w1 . w2, a power alpha^p is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .backend import rat
@@ -58,12 +58,8 @@ def directional_sphere_moment(d: int, k: int) -> ExactScalar:
     return sphere_surface(d - 1) * beta_half_int(k + 1, d - 1)
 
 
-@dataclass(frozen=True)
-class DeltaKernel:
-    """Closed form of the delta-weight kernel: constant * (1+t)^{1/2} (1-t)^{(d-3)/2}."""
-
-    d: int
-    constant: ExactScalar
+DeltaKernel = namedtuple("DeltaKernel", "d constant")
+DeltaKernel.__doc__ = "Closed form of the delta-weight kernel: constant * (1+t)^{1/2} (1-t)^{(d-3)/2}."
 
 
 @lru_cache(maxsize=None)

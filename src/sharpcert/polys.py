@@ -16,7 +16,7 @@ rational arithmetic gives; no floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .backend import rat, rat_str
 from .errors import GradeMismatch
@@ -81,18 +81,14 @@ class ExactPoly:
         return f"ExactPoly({[rat_str(c) for c in self.coeffs]}, grade={self.grade})"
 
 
-@dataclass(frozen=True)
-class NonnegCertificate:
-    """Outcome of an exact nonnegativity check on an interval.
+NonnegCertificate = namedtuple("NonnegCertificate", "holds lower_bound witness",
+                               defaults=(None, None))
+NonnegCertificate.__doc__ = """Outcome of an exact nonnegativity check on an interval.
 
-    When ``holds``, ``lower_bound`` is a certified rational lower bound for
-    the (grade-stripped) minimum; otherwise ``witness`` is a rational
-    interval containing a point where the polynomial is negative.
-    """
-
-    holds: bool
-    lower_bound: object | None = None
-    witness: tuple | None = None
+When ``holds``, ``lower_bound`` is a certified rational lower bound for the
+(grade-stripped) minimum; otherwise ``witness`` is a rational interval
+containing a point where the polynomial is negative.
+"""
 
 
 # -- coefficient-list helpers (grade-stripped) -------------------------------

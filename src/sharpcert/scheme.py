@@ -18,7 +18,8 @@ rather than falling back to floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import lru_cache
 
 from .backend import rat, rat_parse, rat_str
 from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
@@ -89,14 +90,18 @@ class EigenTable:
         return v
 
 
-@dataclass
-class EigCheck:
-    ell: int
-    value: ExactScalar
-    nonpositive: bool
+@lru_cache(maxsize=1)
+def _eigen_table(d: int) -> EigenTable:
+    """The eigenvalue table of d, shared by certify and its self-check.
+
+    Only the latest d is kept, so a scan does not hold every table alive.
+    """
+    return EigenTable(d)
 
 
-@dataclass
+EigCheck = namedtuple("EigCheck", "ell value nonpositive")
+
+
 class WeightSpec:
     """One Fourier-side weight of the decomposition.
 
@@ -104,19 +109,22 @@ class WeightSpec:
     coefficient magnitude; the sign it enters with is +1 at the top degree
     of weights n >= 2 and -1 everywhere else (weight 1 leads with the
     delta).  ``c0`` is the constant term, grade-stripped rational; all
-    coefficient magnitudes share one grade.
+    coefficient magnitudes share one grade.  ``stored_signs`` holds the sign
+    stored with each coefficient, for a weight read from JSON.
     """
 
-    n: int
-    identity: str
-    has_delta: bool
-    top_degree: int
-    coeffs: dict[int, ExactScalar]
-    c0: object
-    adm_margin: object = rat(0)
-    eig: list[EigCheck] = field(default_factory=list)
-    # the sign stored with each coefficient, for a weight read from JSON
-    stored_signs: dict[int, int] | None = None
+    def __init__(self, n: int, identity: str, has_delta: bool, top_degree: int,
+                 coeffs: dict[int, ExactScalar], c0, adm_margin=rat(0),
+                 eig: list[EigCheck] | None = None, stored_signs: dict[int, int] | None = None):
+        self.n = n
+        self.identity = identity
+        self.has_delta = has_delta
+        self.top_degree = top_degree
+        self.coeffs = coeffs
+        self.c0 = c0
+        self.adm_margin = adm_margin
+        self.eig = [] if eig is None else eig
+        self.stored_signs = stored_signs
 
     def sign_at(self, degree: int) -> int:
         if self.n >= 2 and degree == self.top_degree:
@@ -194,7 +202,7 @@ def build_weights(d: int, tail_depth: int = 25):
         raise ValueError("scheme needs N >= 2 (d >= 7)")
     if tail_depth < 0:
         raise ValueError("tail_depth must be >= 0")
-    table = EigenTable(d)
+    table = _eigen_table(d)
     grade = _coefficient_grade(table, N)
 
     weights: list[WeightSpec] = []
@@ -296,19 +304,23 @@ TAIL_NOTE = (
 PRIOR_NOTE = "a_star = 0 for this dimension rests on prior results; no weight scheme is run."
 
 
-@dataclass
 class Certificate:
-    dimension: int
-    N: int
-    tail_check_depth: int
-    weights: list[WeightSpec]
-    sum_condition_ok: bool
-    a_star: ExactScalar
-    a_star_decimal: str
-    paper_baseline_decimal: str | None
-    notes: list[str]
-    delta_eigen_evidence: list[EigCheck] = field(default_factory=list)
-    generator: dict = field(default_factory=lambda: dict(GENERATOR))
+    def __init__(self, dimension: int, N: int, tail_check_depth: int,
+                 weights: list[WeightSpec], sum_condition_ok: bool, a_star: ExactScalar,
+                 a_star_decimal: str, paper_baseline_decimal: str | None, notes: list[str],
+                 delta_eigen_evidence: list[EigCheck] | None = None,
+                 generator: dict | None = None):
+        self.dimension = dimension
+        self.N = N
+        self.tail_check_depth = tail_check_depth
+        self.weights = weights
+        self.sum_condition_ok = sum_condition_ok
+        self.a_star = a_star
+        self.a_star_decimal = a_star_decimal
+        self.paper_baseline_decimal = paper_baseline_decimal
+        self.notes = notes
+        self.delta_eigen_evidence = [] if delta_eigen_evidence is None else delta_eigen_evidence
+        self.generator = dict(GENERATOR) if generator is None else generator
 
     def to_json(self) -> dict:
         return {
@@ -462,7 +474,7 @@ def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certifica
         notes=[PRIOR_NOTE, TAIL_NOTE] if N < 2 else [TAIL_NOTE],
     )
     if N < 2:
-        table = EigenTable(d)
+        table = _eigen_table(d)
         cert.delta_eigen_evidence = [_delta_check(table, ell) for ell in range(1, N + tail_depth + 1)]
         return cert
     weights, table, grade = build_weights(d, tail_depth)
@@ -516,15 +528,16 @@ def _constant_failures(cert: Certificate, a_star: ExactScalar, message: str) -> 
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
-    """Recompute every verdict in a certificate from scratch.
+    """Recompute every verdict in a certificate from its dimension alone.
 
     Checks, independently of how the certificate was produced: the shape of
     the weight family (each weight's index ``n`` included), every clipped
-    coefficient and its stored sign against a fresh eigenvalue table and
-    coefficient ladder, admissibility with one Sturm check at the stored
-    constant term less the stored margin (the rebuild computes no shifts:
-    constants larger than minimal are accepted; admissibility is what
-    matters), the sum condition, the reported constant and its decimal
+    coefficient and its stored sign against the exact eigenvalue table of
+    the dimension (shared with a certify run earlier in the same process)
+    and a rebuilt coefficient ladder, admissibility with one Sturm check at
+    the stored constant term less the stored margin (the rebuild computes
+    no shifts: constants larger than minimal are accepted; admissibility is
+    what matters), the sum condition, the reported constant and its decimal
     renderings.  Every sign table (each weight's ``eig``, and
     ``delta_eigen_evidence``) must list exactly ell = 1..cutoff +
     tail_check_depth, and each entry must equal the entry certify makes
@@ -543,7 +556,7 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
         return False, failures
 
     if N < 2:
-        table = EigenTable(d)
+        table = _eigen_table(d)
         if cert.weights:
             failures.append("weights present for a prior-results dimension")
         failures += _constant_failures(cert, ZERO, "a_star must be 0 for prior-results dimensions")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,50 @@ def test_certify_deterministic_apart_from_timestamp(tmp_path):
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     da.pop("timestamp"), db.pop("timestamp")
     assert da == db
+
+
+def test_certify_computes_each_eigenvalue_once(tmp_path, monkeypatch):
+    # the self-check reuses the eigenvalue table that certify built; the
+    # table outlives a test, so start from an empty one
+    scheme._eigen_table.cache_clear()
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append((fn.__name__, repr(args)))
+            return fn(*args)
+        return wrapped
+
+    for name in ("eigen_delta_weight", "funk_hecke_eigen"):
+        monkeypatch.setattr(scheme, name, spy(getattr(scheme, name)))
+    assert run(["certify", "-d", "12", "--out", str(tmp_path / "c.json")]) == 0
+    assert {name for name, _ in calls} == {"eigen_delta_weight", "funk_hecke_eigen"}
+    assert len(set(calls)) == len(calls)
+
+
+def _bump_eig(obj):
+    value = obj["weights"][0]["eig"][0]["value"]
+    value["rational"] = str(Fraction(value["rational"]) + 1)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_bump_eig, lambda obj: obj["weights"][0].update(c0="0.5")],
+    ids=["eig_value", "c0_malformed"],
+)
+def test_certify_self_checks_the_written_json(tmp_path, monkeypatch, capsys, edit):
+    to_json = scheme.Certificate.to_json
+
+    def to_json_edited(self):
+        obj = to_json(self)
+        edit(obj)
+        return obj
+
+    monkeypatch.setattr(scheme.Certificate, "to_json", to_json_edited)
+    out = tmp_path / "c.json"
+    assert run(["certify", "-d", "9", "--out", str(out)]) == 1
+    assert "re-verification FAIL" in capsys.readouterr().err
+    assert out.exists()
 
 
 def test_verify_round_trip(tmp_path):
@@ -157,6 +202,16 @@ def _every_nonpositive(cert, value):
          "sqrt2_huge", "sqrt2_negative", "sign_string"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("malformed certificate:")
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int() digit limit set")
+def test_verify_rational_past_int_digit_limit_exits_2(tmp_path, capsys):
+    # the digits pass the "p/q" pattern, and int() then refuses them
+    doc = _d7_with(lambda c: c["weights"][0].update(c0="7" * (sys.get_int_max_str_digits() + 1)))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 2
@@ -291,6 +346,7 @@ def test_eigen_magical_structural_zero(tmp_path):
                 "--k", "4", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["values"][0]["exact"]["rational"] == "0"
+    assert report["values"][0]["decimal"] == "0.0"
 
 
 def test_eigen_nonmagical_positive(tmp_path):
@@ -405,8 +461,8 @@ def test_console_script_entry_point():
 def test_cli_import_does_not_load_numpy(tmp_path):
     # certify and verify run on the standard library alone: mpmath serves
     # only the quadrature oracle behind `eigen`, numpy only the tests, and
-    # concurrent.futures only `scan`'s workers.  d = 8 also renders the
-    # paper baseline.
+    # concurrent.futures only `scan`'s workers; dataclasses (which loads
+    # inspect) serves nothing.  d = 8 also renders the paper baseline.
     src = str(Path(sharpcert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     cert = str(tmp_path / "c8.json")
@@ -415,7 +471,8 @@ def test_cli_import_does_not_load_numpy(tmp_path):
         "from sharpcert.cli import main\n"
         f"assert main(['certify', '-d', '8', '--out', {cert!r}]) == 0\n"
         f"assert main(['verify', {cert!r}]) == 0\n"
-        "print(sorted({'mpmath', 'numpy', 'concurrent.futures'} & set(sys.modules)))\n"
+        "print(sorted({'mpmath', 'numpy', 'concurrent.futures', 'dataclasses', 'inspect'}\n"
+        "             & set(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sharpcert.backend import rat
+from sharpcert.backend import rat, rat_parse
 from sharpcert.errors import GradeMismatch
 from sharpcert.scalars import (
     ExactScalar,
@@ -205,3 +205,16 @@ def test_decimal_digits():
 def test_json_round_trip():
     x = ExactScalar(rat(-22, 7), 1, -3)
     assert ExactScalar.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("text, want", [("2/4", rat(1, 2)), ("-0", rat(0)), ("007", rat(7)),
+                                        ("-6/3", rat(-2)), ("12", rat(12))])
+def test_rat_parse_normalises(text, want):
+    assert rat_parse(text) == want
+
+
+# int() alone would accept a plus sign, spaces, underscores and non-ASCII digits
+@pytest.mark.parametrize("text", ["", "+1", "1/-2", "1/", " 1", "1_0", "\u0663", "1/\u0663", None])
+def test_rat_parse_rejects(text):
+    with pytest.raises(ValueError):
+        rat_parse(text)
