@@ -192,6 +192,8 @@ class ExactScalar:
         rational, sqrt2, pi_half = obj["rational"], obj["sqrt2"], obj["pi_half"]
         if type(sqrt2) is not int or sqrt2 not in (0, 1) or type(pi_half) is not int:
             raise ValueError(f"sqrt2 must be 0 or 1 and pi_half an integer, got {sqrt2!r}, {pi_half!r}")
+        if rational == "0":  # structural zeros, most entries of a certificate
+            return ZERO
         return cls(rat_parse(rational), sqrt2, pi_half)
 
 

@@ -8,10 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sharpcert
 from sharpcert import scheme
-from sharpcert.cli import main
+from sharpcert.cli import _dumps, main
+from sharpcert.scalars import ExactScalar
 from sharpcert.scheme import compute_a_star
 
 
@@ -48,6 +51,36 @@ def test_certify_deterministic_apart_from_timestamp(tmp_path):
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     da.pop("timestamp"), db.pop("timestamp")
     assert da == db
+
+
+# the file the CLI writes is in json.dumps(indent=2) layout, not just equal as JSON
+@pytest.mark.parametrize("d", [5, 8, 24])
+def test_certify_json_layout(tmp_path, d):
+    out = tmp_path / "c.json"
+    assert run(["certify", "-d", str(d), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2)
+
+
+_json_char = st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\U0001f600')
+_json_text = st.text(_json_char, max_size=6)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | _json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_dumps_matches_stdlib_indent_2(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: 2}, ExactScalar(3, 1, 2), {"a": [0, 1.5]}],
+                         ids=["float", "tuple", "int_key", "exact_scalar", "nested_float"])
+def test_dumps_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
 
 
 def test_certify_computes_each_eigenvalue_once(tmp_path, monkeypatch):
@@ -218,6 +251,23 @@ def test_verify_rational_past_int_digit_limit_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("malformed certificate:")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xff\xfe{",  # not UTF-8
+        b"[" * 100_000,  # nested past the parser's recursion limit
+        # an integer literal past int()'s digit limit (where one is set)
+        b'{"version": 1, "dimension": ' + b"9" * max(5000, sys.get_int_max_str_digits() + 1) + b"}",
+    ],
+    ids=["not_utf8", "deep_nesting", "huge_int_literal"],
+)
+def test_verify_unreadable_json_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("malformed certificate:")
+
+
 def _empty_every_eig(cert):
     for w in cert["weights"]:
         w["eig"] = []
@@ -324,6 +374,15 @@ def test_scan_prior_range(tmp_path):
     assert all(r["a_star_decimal"] == "0.0" for r in rows)
 
 
+def test_scan_json_layout(tmp_path):
+    out = tmp_path / "scan.json"
+    assert run(["scan", "--d-min", "7", "--d-max", "8", "--jobs", "1", "--format", "json",
+                "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2)
+    assert [r["d"] for r in json.loads(text)] == [7, 8]
+
+
 def test_scan_empty_range():
     assert run(["scan", "--d-min", "9", "--d-max", "8"]) == 2
     assert run(["scan", "--d-min", "1", "--d-max", "2"]) == 2
@@ -355,6 +414,14 @@ def test_eigen_nonmagical_positive(tmp_path):
                 "--k", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert not report["values"][0]["decimal"].startswith("-")
+
+
+def test_eigen_json_layout(tmp_path):
+    out = tmp_path / "eig.json"
+    assert run(["eigen", "-d", "8", "--kernel", "nonmagical", "--m", "2", "--k", "0,1,2",
+                "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2)
 
 
 def test_eigen_validation():

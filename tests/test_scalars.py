@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sharpcert.backend import rat, rat_parse
 from sharpcert.errors import GradeMismatch
 from sharpcert.scalars import (
+    ZERO,
     ExactScalar,
     beta_half_int,
     gamma_half_int,
@@ -205,6 +206,22 @@ def test_decimal_digits():
 def test_json_round_trip():
     x = ExactScalar(rat(-22, 7), 1, -3)
     assert ExactScalar.from_json(x.to_json()) == x
+
+
+def test_json_zero_loads_as_shared_zero():
+    # a zero drops its grade, as the constructor does
+    x = ExactScalar.from_json({"rational": "0", "sqrt2": 1, "pi_half": 7})
+    assert x is ZERO and x == ExactScalar(0, 1, 7)
+    assert x.grade == (0, 0)
+    for text in ("-0", "00", "0/5"):  # other spellings of zero take the ordinary path
+        assert ExactScalar.from_json({"rational": text, "sqrt2": 1, "pi_half": 7}) == ZERO
+
+
+# the zero shortcut runs only after the grade fields are checked
+@pytest.mark.parametrize("field, value", [("sqrt2", 2), ("sqrt2", True), ("pi_half", "1")])
+def test_json_zero_still_checks_grade_fields(field, value):
+    with pytest.raises(ValueError):
+        ExactScalar.from_json({"rational": "0", "sqrt2": 0, "pi_half": 0, field: value})
 
 
 @pytest.mark.parametrize("text, want", [("2/4", rat(1, 2)), ("-0", rat(0)), ("007", rat(7)),
