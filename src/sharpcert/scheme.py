@@ -376,7 +376,7 @@ class Certificate:
                         raise MalformedCertificate(f"coefficient degree {degree} must be even and >= 0")
                     signs[degree] = _json(cd["sign"], int)
                     coeffs[degree] = ExactScalar.from_json(cd["value"])
-                w = WeightSpec(
+                weights.append(WeightSpec(
                     n=_json(wd["n"], int),
                     identity=_json(wd["identity"], str),
                     has_delta=_json(wd["has_delta"], bool),
@@ -386,8 +386,7 @@ class Certificate:
                     adm_margin=rat_parse(wd["adm_margin"]),
                     eig=[_eig_check_from_json(e) for e in _json(wd["eig"], list)],
                     stored_signs=signs,
-                )
-                weights.append(w)
+                ))
             tail_check_depth = _json(obj["tail_check_depth"], int)
             if tail_check_depth < 0:
                 raise MalformedCertificate(f"tail_check_depth={tail_check_depth} must be >= 0")
@@ -514,27 +513,31 @@ def _signed_coeffs(w: WeightSpec) -> dict:
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Re-derive every claim of a certificate from its dimension and tail depth alone.
 
-    First, before anything is computed, N, the weight count and the length
-    of every sign table must be those certify writes for d at the stored
-    ``tail_check_depth`` (cutoff + depth entries in each weight's ``eig``;
-    N + depth in ``delta_eigen_evidence`` for d <= 6, none past that), so
-    a stored depth costs no more work than the stored tables.  Then
-    certify's construction runs again, and each weight's shape, signed
-    coefficients and ``eig`` list, and the evidence list, must equal the
-    rebuilt ones.  Last come the fields the construction leaves free:
-    admissibility of each rebuilt weight with one Sturm check at the
-    stored constant term less the stored margin (constants larger than
-    minimal are accepted), the sum condition, the ``sum_condition_ok``
+    First, before anything is computed, N and the weight count, and then
+    the length of every sign table, must be those certify writes for d at
+    the stored ``tail_check_depth`` (cutoff + depth entries in each weight's
+    ``eig``; N + depth in ``delta_eigen_evidence`` for d <= 6, none past
+    that), so neither d nor the depth costs more work than the stored
+    tables.  Then certify's construction runs again, and each weight's
+    shape, signed coefficients and ``eig`` list, and the evidence list,
+    must equal the rebuilt ones.  Last come the fields the construction
+    leaves free: admissibility of each rebuilt weight with one Sturm check
+    at the stored constant term less the stored margin (constants larger
+    than minimal are accepted), the sum condition, the ``sum_condition_ok``
     flag, a* as the sum of the constant terms, and its decimal renderings.
     """
     d, depth = cert.dimension, cert.tail_check_depth
     if d < 3:
         return False, [f"dimension {d} out of range"]
     N = ell_star(d)
-    stored = (cert.N, [len(w.eig) for w in cert.weights], len(cert.delta_eigen_evidence))
-    if stored != (N, [cutoff + depth for *_, cutoff in _shapes(N)], N + depth if N < 2 else 0):
-        return False, [f"N, weight count or sign-table lengths are not those of d={d} "
-                       f"at tail depth {depth}"]
+    n_weights, n_evidence = (2 * N, 0) if N >= 2 else (0, N + depth)
+    for what, stored, want in (("N", cert.N, N), ("weight count", len(cert.weights), n_weights),
+                               ("evidence length", len(cert.delta_eigen_evidence), n_evidence)):
+        if stored != want:
+            return False, [f"{what} mismatch: stored {stored}, expected {want}"]
+    for w, (n, *_, cutoff) in zip(cert.weights, _shapes(N)):
+        if len(w.eig) != cutoff + depth:
+            return False, [f"weight {n}: stored eigenvalues do not cover ell = 1..{cutoff + depth}"]
     try:
         built, grade = _construct(d, depth)
     except (SchemeInfeasible, GradeMismatch) as exc:

@@ -306,13 +306,25 @@ def _empty_every_eig(cert):
         # certify writes no zero coefficient, so a stored one is unbacked
         _d9_with(lambda c: c["weights"][0]["coefficients"].append(
             {"degree": 0, "sign": -1, "value": {"rational": "0", "sqrt2": 0, "pi_half": 0}})),
+        # a huge dimension fails on N or the weight count, each O(1)
+        _d9_with(lambda c: c.update(dimension=10**12)),
+        _d9_with(lambda c: c.update(dimension=10**12, N=scheme.ell_star(10**12))),
     ],
     ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
          "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5",
          "n_99", "n_0", "sign_flipped", "coefficient_grade", "evidence_added_d9",
-         "sum_ok_false_d5", "zero_coefficient_d9"],
+         "sum_ok_false_d5", "zero_coefficient_d9", "dimension_huge", "dimension_and_N_huge"],
 )
-def test_verify_rejects_unbacked_claims(tmp_path, capsys, doc):
+def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
+    # verify's work is bounded by the stored tables: the weight shapes are
+    # listed only for an N that the stored weight count backs
+    shapes = scheme._shapes
+
+    def shapes_spy(N):
+        assert N < 2 or 2 * N == len(doc["weights"]), f"shapes listed for N={N}"
+        return shapes(N)
+
+    monkeypatch.setattr(scheme, "_shapes", shapes_spy)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 1
@@ -338,7 +350,8 @@ def test_verify_skips_rederiving_failed_weights(tmp_path, monkeypatch, doc, top_
     # verify evaluates only the rebuilt weights, and a sign table only once
     # it lists exactly ell = 1..cutoff + tail_check_depth: no kernel above
     # the rebuilt top degree and no harmonic degree beyond the stored range
-    # is computed
+    # is computed; the table outlives a test, so start from an empty one
+    scheme._eigen_table.cache_clear()
     kernel, delta = scheme.EigenTable.kernel, scheme.EigenTable.delta
 
     def kernel_spy(self, two_m, identity):
