@@ -19,6 +19,7 @@ import time
 
 from .backend import rat
 from .errors import GradeMismatch, MalformedCertificate, PrecisionExhausted, SchemeInfeasible
+from .scalars import ExactScalar
 from .scheme import Certificate, EigenTable, compute_a_star, verify_certificate
 
 EXIT_OK = 0
@@ -211,7 +212,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    from .oracle import quad_eigen_enclosure  # loads mpmath, which only this command needs
+    from .oracle import quad_eigen_enclosure  # only this command needs the quadrature oracle
 
     if args.dimension < 3:
         print("error: dimension must be >= 3", file=sys.stderr)
@@ -238,6 +239,7 @@ def cmd_eigen(args) -> int:
 
     rows = []
     violation = False
+    digits = args.precision_bits * 3 // 10 + 2  # the enclosure's precision, plus two digits
     for k in ks:
         try:
             exact = exact_of(k)
@@ -253,7 +255,7 @@ def cmd_eigen(args) -> int:
                 "k": k,
                 "exact": exact.to_json(),
                 "decimal": exact.decimal(30),
-                "enclosure": [str(enclosure.lo), str(enclosure.hi)],
+                "enclosure": [ExactScalar(end).decimal(digits) for end in (enclosure.lo, enclosure.hi)],
                 "contained": contained,
             }
         )

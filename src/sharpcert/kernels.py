@@ -20,7 +20,6 @@ Since |w1+w2|^2 = 2s with s = 1 + t = 1 + w1 . w2, a power alpha^p is
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from .backend import rat
@@ -58,13 +57,9 @@ def directional_sphere_moment(d: int, k: int) -> ExactScalar:
     return sphere_surface(d - 1) * beta_half_int(k + 1, d - 1)
 
 
-DeltaKernel = namedtuple("DeltaKernel", "d constant")
-DeltaKernel.__doc__ = "Closed form of the delta-weight kernel: constant * (1+t)^{1/2} (1-t)^{(d-3)/2}."
-
-
 @lru_cache(maxsize=None)
-def delta_kernel_closed_form(d: int) -> DeltaKernel:
-    """Derive the kernel constant from first principles.
+def delta_kernel_closed_form(d: int) -> ExactScalar:
+    """The constant C_d of the delta-weight kernel C_d (1+t)^{1/2} (1-t)^{(d-3)/2}.
 
     On the support of delta(w1+w2+w3+w4) we have w3+w4 = -(w1+w2), so the
     quartic-form factor reduces to (3/4)|w1+w2|^2; substituting
@@ -76,7 +71,7 @@ def delta_kernel_closed_form(d: int) -> DeltaKernel:
     const = sigma_conv_constant(d) * ExactScalar(rat(3, 4), d - 2, 0)
     if const.sign() <= 0:
         raise ArithmeticError("kernel constant must be positive")
-    return DeltaKernel(d, const)
+    return const
 
 
 class MomentTable:

@@ -9,15 +9,17 @@ tail bound; the polynomial part integrates exactly.
 The interval width shrinks geometrically in the series order, so enclosures
 at 128 bits are routine.
 
-Intervals are mpmath balls (``IntervalScalar``); ``_enclose`` is the one
-conversion of an exact value into one.  Nothing on the certification path
-imports this module.
+Intervals are pairs of exact rationals (``Enclosure``).  The oracle bounds
+sqrt 2 and sqrt pi in its own integer code (``math.isqrt``, and Gauss's
+arctangent formula for pi), so it needs only the standard library and
+shares no code with the decimal renderer in ``scalars``.  ``_enclose`` is
+the one conversion of an exact value into an interval.  Nothing on the
+certification path imports this module.
 """
 
 from __future__ import annotations
 
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
+import math
 
 from .backend import rat
 from .errors import PrecisionExhausted
@@ -115,68 +117,73 @@ def _half_power_piece(bcoeffs, two_gamma, order):
     return center, tail * _abs_integral_bound(bcoeffs)
 
 
-class IntervalScalar:
-    """A closed interval [lo, hi] of mpmath floats; every constructor rounds outward."""
+def _pi_bounds(bits: int) -> tuple:
+    """Rationals lo < pi < hi, from Gauss's pi = 48 atan(1/18) + 32 atan(1/57) - 20 atan(1/239).
 
-    __slots__ = ("ctx", "iv", "precision_bits")
+    The n-th term of 2^bits atan(1/x) is floor(2^bits / ((2n+1) x^(2n+1))),
+    off by less than 1; the sum stops at the first term that floors to 0,
+    after which the alternating tail is below 1.  So n terms are within
+    n + 1 of 2^bits atan(1/x).
+    """
+    total = err = 0
+    for weight, x in (48, 18), (32, 57), (-20, 239):
+        n = 0
+        while term := (1 << bits) // ((2 * n + 1) * x ** (2 * n + 1)):
+            total += weight * (-term if n % 2 else term)
+            n += 1
+        err += abs(weight) * (n + 1)
+    return rat(total - err, 1 << bits), rat(total + err, 1 << bits)
 
-    def __init__(self, ctx: MPIntervalContext, iv, precision_bits: int):
-        if iv.delta < 0:
-            raise ValueError("negative radius")
-        self.ctx = ctx
-        self.iv = iv
-        self.precision_bits = precision_bits
 
-    @property
-    def center(self):
-        lo = mpmath.mp.make_mpf(self.iv._mpi_[0])
-        hi = mpmath.mp.make_mpf(self.iv._mpi_[1])
-        with mpmath.workprec(self.precision_bits + 8):
-            return (lo + hi) / 2
+def _radical_bounds(sqrt2: int, pi_half: int, bits: int) -> tuple:
+    """Rationals lo <= (sqrt 2)^sqrt2 (sqrt pi)^pi_half <= hi, hi/lo - 1 about 2^-bits.
 
-    @property
-    def lo(self):
-        return self.iv.a
+    The square 2^sqrt2 pi^pi_half lies between two rationals n/m from the
+    pi bounds, and sqrt(n/m) = sqrt(n m)/m is rounded down at the lower end
+    and up at the upper one by ``math.isqrt``.
+    """
+    lo, hi = sorted(p**pi_half * 2**sqrt2 for p in _pi_bounds(bits + abs(pi_half).bit_length() + 16))
+    a = math.isqrt(lo.numerator * lo.denominator << 2 * bits)
+    n = hi.numerator * hi.denominator << 2 * bits
+    b = math.isqrt(n)
+    b += b * b < n
+    return rat(a, lo.denominator << bits), rat(b, hi.denominator << bits)
 
-    @property
-    def hi(self):
-        return self.iv.b
+
+class Enclosure:
+    """The closed interval [lo, hi] between two rationals.
+
+    ``bits`` is the precision of the radical bounds it was built from; an
+    exact value is checked against it through the same bounds.
+    """
+
+    __slots__ = ("lo", "hi", "bits")
+
+    def __init__(self, lo, hi, bits: int):
+        self.lo, self.hi, self.bits = lo, hi, bits
 
     def contains(self, other) -> bool:
-        """Containment of an ExactScalar, IntervalScalar, or float.
+        """Containment of an ExactScalar, an Enclosure, or a real number.
 
-        An ExactScalar is refuted only when its own enclosure is disjoint
-        from this one: when this interval is itself just a rounding of an
-        exact value, a second rounding at the same precision need not fit
-        inside it.
+        An ExactScalar is refuted only when its own enclosure, built from
+        the same radical bounds, is disjoint from this one: neither interval
+        rounds the irrational factors exactly, so two enclosures of the same
+        value need not nest.
         """
         if isinstance(other, ExactScalar):
-            other = _enclose(other, self.precision_bits + 16)
-            return other.iv.a <= self.iv.b and self.iv.a <= other.iv.b
-        if isinstance(other, IntervalScalar):
-            return self.iv.a <= other.iv.a and other.iv.b <= self.iv.b
-        return self.iv.a <= other <= self.iv.b
-
-    def __repr__(self):
-        return f"IntervalScalar([{self.iv.a}, {self.iv.b}])"
+            own = _enclose(other, self.bits)
+            return own.lo <= self.hi and self.lo <= own.hi
+        if isinstance(other, Enclosure):
+            return self.lo <= other.lo and other.hi <= self.hi
+        return self.lo <= other <= self.hi
 
 
-def _enclose(x: ExactScalar, precision_bits: int) -> IntervalScalar:
-    """A floating interval provably containing the exact value x."""
-    if precision_bits < 32:
-        raise ValueError("precision_bits must be >= 32")
-    ctx = MPIntervalContext()
-    ctx.prec = precision_bits
-    v = ctx.mpf(x.coeff.numerator) / ctx.mpf(x.coeff.denominator)
-    if x.sqrt2:
-        v = v * ctx.sqrt(ctx.mpf(2))
-    if x.pi_half:
-        p = ctx.sqrt(ctx.pi) ** abs(x.pi_half)
-        v = v * p if x.pi_half > 0 else v / p
-    return IntervalScalar(ctx, v, precision_bits)
+def _enclose(x: ExactScalar, bits: int) -> Enclosure:
+    """The rational interval x.coeff times the bounds of x's radical factor."""
+    return Enclosure(*sorted(x.coeff * r for r in _radical_bounds(x.sqrt2, x.pi_half, bits)), bits)
 
 
-def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128) -> IntervalScalar:
+def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128) -> Enclosure:
     """Rigorous interval around the degree-k eigenvalue of a zonal kernel.
 
     ``kernel_desc`` is either the string ``"delta"`` (the singular-measure
@@ -194,7 +201,7 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
     if isinstance(kernel_desc, str):
         if kernel_desc != "delta":
             raise ValueError(f"unknown kernel descriptor {kernel_desc!r}")
-        const = delta_kernel_closed_form(d).constant
+        const = delta_kernel_closed_form(d)
         q = [c * const.coeff for c in ck]
         unit = ExactScalar(1, const.sqrt2, const.pi_half)
         two_alpha = 2 * (d - 3)  # (1-t) exponent, doubled
@@ -233,11 +240,11 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
             )
         order *= 2
 
-    # each piece is (center +- radius) 2^{two_g/2} pref, with 16 guard bits
-    pieces = []
+    # each piece is (center +- radius) 2^{two_g/2} pref, radicals bounded with 16 guard bits
+    bits, lo, hi = precision_bits + 16, rat(0), rat(0)
     for (center, radius), two_g in ((c_r, r_r), two_beta), ((c_l, r_l), two_alpha):
         factor = ExactScalar(1, two_g) * pref
-        c = _enclose(factor * center, precision_bits + 16)
-        r = _enclose(factor * radius, precision_bits + 16)
-        pieces.append(c.iv + r.iv * c.ctx.mpf([-1, 1]))
-    return IntervalScalar(c.ctx, pieces[0] + pieces[1], precision_bits)
+        ends = [factor.coeff * (center + e) * r for e in (-radius, radius)
+                for r in _radical_bounds(factor.sqrt2, factor.pi_half, bits)]
+        lo, hi = lo + min(ends), hi + max(ends)
+    return Enclosure(lo, hi, bits)

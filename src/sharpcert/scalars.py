@@ -249,11 +249,6 @@ def _sqrt_digits(a: int, b: int, digits: int) -> tuple[int, int]:
     return e, m
 
 
-def pi_power_half(k: int) -> ExactScalar:
-    """(sqrt pi)^k as an exact scalar."""
-    return ExactScalar(1, 0, k)
-
-
 def gamma_half_int(two_a: int) -> ExactScalar:
     """Exact Gamma(two_a / 2) for a positive integer two_a.
 
@@ -281,5 +276,5 @@ def sphere_surface(d: int) -> ExactScalar:
     """Surface measure |S^{d-1}| = 2 pi^{d/2} / Gamma(d/2), exact."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return ExactScalar(2) * pi_power_half(d) / gamma_half_int(d)
+    return ExactScalar(2, 0, d) / gamma_half_int(d)
 

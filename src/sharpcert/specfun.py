@@ -111,7 +111,7 @@ def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
 @lru_cache(maxsize=None)
 def _delta_constant(d: int) -> ExactScalar:
     """K_d = C_d |S^{d-2}| 2^{3(d-2)/2} B(d-2, d/2), the k-free factor of lambda_delta."""
-    return (delta_kernel_closed_form(d).constant * sphere_surface(d - 1)
+    return (delta_kernel_closed_form(d) * sphere_surface(d - 1)
             * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d))
 
 

@@ -488,6 +488,28 @@ def test_eigen_decimal_independent_of_precision(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, bits",
+    [
+        (["--kernel", "delta", "-d", "9", "--k", "0,2,4"], 128),
+        (["--kernel", "magical", "-d", "7", "--m", "2", "--k", "0,1,2", "--precision-bits", "64"], 64),
+        (["--kernel", "nonmagical", "-d", "8", "--m", "2", "--k", "0,2", "--precision-bits", "200"], 200),
+    ],
+    ids=["delta", "magical64", "nonmagical200"],
+)
+def test_eigen_enclosure_strings_bracket_exact_decimal(tmp_path, argv, bits):
+    # each endpoint is a plain decimal at bits * 3 // 10 + 2 digits; correct
+    # rounding is monotone, so the pair brackets the exact value's rendering
+    out = tmp_path / "eig.json"
+    assert run(["eigen", *argv, "--out", str(out)]) == 0
+    digits = bits * 3 // 10 + 2
+    for row in json.loads(out.read_text())["values"]:
+        lo, hi = row["enclosure"]
+        assert not lo.startswith("[") and not hi.startswith("[")
+        exact = ExactScalar.from_json(row["exact"]).decimal(digits)
+        assert Fraction(lo) <= Fraction(exact) <= Fraction(hi)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["certify", "-d", "3", "--seed", "1"],
@@ -559,8 +581,8 @@ def test_console_script_entry_point():
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):
-    # certify and verify run on the standard library alone: mpmath serves
-    # only the quadrature oracle behind `eigen`, numpy only the tests, and
+    # the package runs on the standard library alone, `eigen`'s quadrature
+    # oracle included: mpmath and numpy serve only the tests, and
     # concurrent.futures only `scan`'s workers; dataclasses (which loads
     # inspect) serves nothing.  d = 8 also renders the paper baseline.
     src = str(Path(sharpcert.__file__).resolve().parents[1])
@@ -571,6 +593,7 @@ def test_cli_import_does_not_load_numpy(tmp_path):
         "from sharpcert.cli import main\n"
         f"assert main(['certify', '-d', '8', '--out', {cert!r}]) == 0\n"
         f"assert main(['verify', {cert!r}]) == 0\n"
+        "assert main(['eigen', '--kernel', 'delta', '-d', '9', '--k', '2']) == 0\n"
         "print(sorted({'mpmath', 'numpy', 'concurrent.futures', 'dataclasses', 'inspect'}\n"
         "             & set(sys.modules)))\n"
     )

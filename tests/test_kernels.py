@@ -57,11 +57,10 @@ def test_moments_share_one_grade(d):
 
 
 def test_delta_kernel_constant():
-    k3 = delta_kernel_closed_form(3)
-    assert k3.constant == ExactScalar(rat(3, 2), 1, 2)  # (3 pi / 2) sqrt 2
-    assert delta_kernel_closed_form(4).constant.sqrt2 == 0
+    assert delta_kernel_closed_form(3) == ExactScalar(rat(3, 2), 1, 2)  # (3 pi / 2) sqrt 2
+    assert delta_kernel_closed_form(4).sqrt2 == 0
     for d in range(3, 20):
-        assert delta_kernel_closed_form(d).constant.sign() == 1
+        assert delta_kernel_closed_form(d).sign() == 1
 
 
 def test_magical_m0_identity():

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from montecarlo import _unit_rows, mc_check_moment, mc_double_sphere_moment
 
 from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
-from sharpcert.oracle import _enclose, quad_eigen_enclosure
+from sharpcert.oracle import _enclose, _pi_bounds, quad_eigen_enclosure
 from sharpcert.polys import ExactPoly
-from sharpcert.scalars import ExactScalar
+from sharpcert.scalars import ExactScalar, _pi_fixed
 from sharpcert.scheme import EigenTable
 
 PI = ExactScalar(1, 0, 2)
@@ -27,9 +29,19 @@ def test_interval_third():
 
 def test_interval_pi():
     iv = _enclose(PI, 128)
-    assert abs(float(iv.center) - math.pi) < 1e-15
+    assert abs(float((iv.lo + iv.hi) / 2) - math.pi) < 1e-15
     assert PI.decimal(15) == "3.14159265358979"
     assert iv.hi - iv.lo < 2.0**-119
+
+
+@pytest.mark.parametrize("bits", [32, 64, 200, 1000])
+def test_pi_bounds_overlap_machin(bits):
+    # Gauss's formula here, Machin's in the decimal renderer: two independent
+    # enclosures of pi must meet, and each is a few units of 2^-bits wide
+    lo, hi = _pi_bounds(bits)
+    p, err = _pi_fixed(bits)
+    assert lo < hi and (hi - lo) * 2**bits < 2**16
+    assert lo * 2**bits < p + err and p - err < hi * 2**bits
 
 
 def test_interval_zero():
@@ -67,24 +79,54 @@ def test_magical_m1_k2_d5_positive_and_tight():
     assert iv.hi - iv.lo < 2e-30
 
 
-def test_enclosures_contain_exact_grid():
+def _grid():
+    """(kernel, k, d, exact eigenvalue) for a grid of kernels and degrees."""
     for d in (3, 6):
         table = EigenTable(d)
         mt = MomentTable(d)
         for k in (0, 2, 4):
-            assert quad_eigen_enclosure("delta", k, d).contains(table.delta(k))
+            yield "delta", k, d, table.delta(k)
         for m in (0, 2):
             mag = magical_kernel_poly(mt, m)
             non = nonmagical_kernel_poly(mt, m)
             for k in (0, 2, 6):
-                assert quad_eigen_enclosure(mag, k, d).contains(table.mag(2 * m, k))
-                assert quad_eigen_enclosure(non, k, d).contains(table.nonmag(2 * m, k))
+                yield mag, k, d, table.mag(2 * m, k)
+                yield non, k, d, table.nonmag(2 * m, k)
     # delta eigenvalues of both parities of d, including the even-d case where
     # both quadrature pieces are exact and the enclosure is a rounding interval
     for d in (5, 8, 11):
         table = EigenTable(d)
         for k in (0, 2, 4, 8):
-            assert quad_eigen_enclosure("delta", k, d).contains(table.delta(k))
+            yield "delta", k, d, table.delta(k)
+
+
+def test_enclosures_contain_exact_grid():
+    for kernel, k, d, exact in _grid():
+        assert quad_eigen_enclosure(kernel, k, d).contains(exact)
+
+
+def _mpmath_enclosure(x: ExactScalar, prec: int = 160) -> tuple:
+    """Exact rational ends of mpmath's own interval around x (public ``mpmath.iv``)."""
+    iv = mpmath.iv
+    saved, iv.prec = iv.prec, prec
+    try:
+        v = iv.mpf(x.coeff.numerator) / x.coeff.denominator
+        v = v * iv.sqrt(2) ** x.sqrt2 * iv.sqrt(iv.pi) ** x.pi_half
+    finally:
+        iv.prec = saved
+    with mpmath.workprec(prec):
+        ends = [mpmath.mpf(v.a), mpmath.mpf(v.b)]
+    # e 2^-e.exp is e's signed integer mantissa
+    return tuple(int(mpmath.ldexp(e, -e.exp)) * Fraction(2) ** e.exp for e in ends)
+
+
+def test_enclosures_overlap_mpmath_grid():
+    # an enclosure of the exact value by mpmath's interval arithmetic, which
+    # shares no code with the oracle, must meet the rational one
+    for kernel, k, d, exact in _grid():
+        ref_lo, ref_hi = _mpmath_enclosure(exact)
+        for iv in quad_eigen_enclosure(kernel, k, d), _enclose(exact, 144):
+            assert ref_lo <= iv.hi and iv.lo <= ref_hi
 
 
 @pytest.mark.parametrize("precision_bits", [128, 256])

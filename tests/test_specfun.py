@@ -93,10 +93,10 @@ def test_funk_hecke_hand_examples():
 
 def test_delta_eigen_hand_examples():
     # d = 3: the integrand at k = 0 is (1+t)^{1/2}, with integral (4/3) sqrt2
-    c3 = delta_kernel_closed_form(3).constant * sphere_surface(2)
+    c3 = delta_kernel_closed_form(3) * sphere_surface(2)
     assert eigen_delta_weight(0, 3) == c3 * ExactScalar(rat(4, 3), 1, 0)
     # d = 4: the integrand is (1 - t^2) C_k(t) / C_k(1), with C_2 = 4t^2 - 1, C_2(1) = 3
-    c4 = delta_kernel_closed_form(4).constant * sphere_surface(3)
+    c4 = delta_kernel_closed_form(4) * sphere_surface(3)
     assert eigen_delta_weight(0, 4) == c4 * ExactScalar(rat(4, 3))
     assert eigen_delta_weight(2, 4) == c4 * ExactScalar(rat(-4, 45))
 
@@ -184,7 +184,7 @@ def test_flip_identity():
     # odd Gegenbauer coefficients; for even k they vanish and both agree
     for d in list(range(3, 14)) + [24, 33]:
         basis = gegenbauer_basis(d)
-        const = delta_kernel_closed_form(d).constant
+        const = delta_kernel_closed_form(d)
         moments = _t_power_moments(d, 41)
         for k in range(0, 41, 2):
             flipped = ZERO
@@ -214,7 +214,7 @@ def _rodrigues_delta(k, d):
     den = 1
     for i in range(k):
         den *= d - 1 + 2 * i
-    return delta_kernel_closed_form(d).constant * scale * sphere_surface(d - 1) / den
+    return delta_kernel_closed_form(d) * scale * sphere_surface(d - 1) / den
 
 
 def test_delta_eigen_matches_rodrigues_sum():
