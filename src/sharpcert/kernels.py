@@ -16,6 +16,8 @@ gamma = 2 x . y, the quartic factor (alpha + beta - gamma/2)/4 splits as
 (3/8)(alpha + beta) - |x+y|^2/8, so the magical kernel is three such sums.
 Since |w1+w2|^2 = 2s with s = 1 + t = 1 + w1 . w2, a power alpha^p is
 2^p s^p, so the polynomial kernels come out as ExactPolys in s directly.
+The kernels serve only ``eigen``'s quadrature oracle: certify and verify
+sum each eigenvalue from the moments (``specfun.funk_hecke_eigen``).
 """
 
 from __future__ import annotations
@@ -113,21 +115,16 @@ class MomentTable:
 
 
 def _mean_power(table: MomentTable, m: int, shift: int = 0) -> list:
-    """alpha-coefficients of int |x+y|^{2m} |y|^{2 shift} d(sigma*sigma)(y), as rationals times ``table.grade``.
+    """s-coefficients of int |x+y|^{2m} |y|^{2 shift} d(sigma*sigma)(y), as rationals times ``table.grade``.
 
-    Entry n is C(m,n) prod_{i<n} (d+2(m-n)+2i)/(d+2i) C(d, m-n+shift, 0);
-    the rational weight steps from n to n+1 by one factor.
+    Entry n is 2^n C(m,n) prod_{i<n} (d+2(m-n)+2i)/(d+2i) C(d, m-n+shift, 0),
+    from alpha^n = 2^n s^n; the rational weight steps from n to n+1 by one factor.
     """
     d, w, coeffs = table.d, rat(1), []
     for n in range(m + 1):
         coeffs.append(table.get(m - n + shift, 0).coeff * w)
-        w *= rat((m - n) * (d + 2 * (m - n - 1)), (n + 1) * (d + 2 * n))
+        w *= rat(2 * (m - n) * (d + 2 * (m - n - 1)), (n + 1) * (d + 2 * n))
     return coeffs
-
-
-def _kernel_in_s(table: MomentTable, a_coeffs: list) -> ExactPoly:
-    """Rewrite sum c_p alpha^p with alpha = |w1+w2|^2 = 2s as an ExactPoly in s."""
-    return ExactPoly([c * 2**p for p, c in enumerate(a_coeffs)], table.grade)
 
 
 def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
@@ -135,16 +132,15 @@ def magical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
 
     The factor is (3/8)(alpha + |w3+w4|^2) - |sum w|^2/8, so the kernel is
     (3/8)(alpha N_m + N_m') - N_{m+1}/8, where N_m integrates |sum w|^{2m}
-    over w3, w4 and N_m' integrates it times |w3+w4|^2.  The leading
-    coefficient is exactly 2^{m-1} |S^{d-1}|^2.
+    over w3, w4 and N_m' integrates it times |w3+w4|^2; alpha = 2s.  The
+    leading coefficient is exactly 2^{m-1} |S^{d-1}|^2.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     n_m, n_next = _mean_power(table, m), _mean_power(table, m + 1)
     weighted = _mean_power(table, m, shift=1)
-    zero = rat(0)
-    poly = _kernel_in_s(table, [(a + b) * rat(3, 8) - c * rat(1, 8)
-                                for a, b, c in zip([zero, *n_m], [*weighted, zero], n_next)])
+    poly = ExactPoly([(2 * a + b) * rat(3, 8) - c * rat(1, 8)
+                      for a, b, c in zip([0, *n_m], [*weighted, 0], n_next)], table.grade)
     assert poly.degree() == m + 1
     return poly
 
@@ -153,6 +149,6 @@ def nonmagical_kernel_poly(table: MomentTable, m: int) -> ExactPoly:
     """The degree-m kernel of |sum w|^{2m} alone (no quartic-form factor)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    poly = _kernel_in_s(table, _mean_power(table, m))
+    poly = ExactPoly(_mean_power(table, m), table.grade)
     assert poly.degree() == m
     return poly

@@ -19,7 +19,6 @@ import math
 from collections import namedtuple
 
 from .backend import rat, rat_str
-from .errors import GradeMismatch
 from .scalars import Grade
 
 RAT_GRADE: Grade = (0, 0)
@@ -46,23 +45,6 @@ class ExactPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("ExactPoly is immutable")
-
-    @classmethod
-    def from_scalars(cls, scalars) -> "ExactPoly":
-        """Build from ExactScalar coefficients, which must share one grade."""
-        grade = RAT_GRADE
-        for s in scalars:
-            if not s.is_zero():
-                grade = s.grade
-                break
-        coeffs = []
-        for s in scalars:
-            if not s.is_zero() and s.grade != grade:
-                raise GradeMismatch(
-                    f"coefficient grade {s.grade} != polynomial grade {grade}"
-                )
-            coeffs.append(s.coeff)
-        return cls(coeffs, grade)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial

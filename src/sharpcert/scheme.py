@@ -52,19 +52,14 @@ class EigenTable:
         self.d = d
         self.moments = MomentTable(d)
         self.lambda_delta: dict[int, ExactScalar] = {}
-        self.kernels: dict[tuple[str, int], ExactPoly] = {}  # (identity, m)
         self.lambda_poly: dict[tuple[str, int, int], ExactScalar] = {}  # (identity, two_m, k)
 
     def kernel(self, two_m: int, identity: str) -> ExactPoly:
-        """The polynomial kernel of exponent ``two_m`` for ``identity``, cached."""
+        """The kernel of exponent ``two_m`` for ``identity``, built afresh (eigenvalues need none)."""
         if two_m < 0 or two_m % 2 == 1:
             raise ValueError("kernel exponent must be even and >= 0")
-        key = (identity, two_m // 2)
-        poly = self.kernels.get(key)
-        if poly is None:
-            builder = magical_kernel_poly if identity == MAGICAL else nonmagical_kernel_poly
-            poly = self.kernels.setdefault(key, builder(self.moments, two_m // 2))
-        return poly
+        builder = magical_kernel_poly if identity == MAGICAL else nonmagical_kernel_poly
+        return builder(self.moments, two_m // 2)
 
     def delta(self, k: int) -> ExactScalar:
         v = self.lambda_delta.get(k)
@@ -85,7 +80,9 @@ class EigenTable:
         key = (identity, two_m, k)
         v = self.lambda_poly.get(key)
         if v is None:
-            v = funk_hecke_eigen(self.kernel(two_m, identity), k, self.d)
+            if two_m < 0 or two_m % 2 == 1:
+                raise ValueError("kernel exponent must be even and >= 0")
+            v = funk_hecke_eigen(self.moments, two_m // 2, k, identity == MAGICAL)
             v = self.lambda_poly.setdefault(key, v)
         return v
 

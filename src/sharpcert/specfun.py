@@ -9,14 +9,22 @@ Rodrigues' formula (Szego, Orthogonal Polynomials, (4.7.12); DLMF 18.5.5)
 writes C_k(t) (1-t^2)^{(d-3)/2} / C_k(1) as a k-th derivative of
 (1-t^2)^{k+(d-3)/2} divided by (-2)^k ((d-1)/2)_k = (-1)^k prod_{i<k} (d-1+2i).
 Integrating by parts k times moves the derivatives onto K, and every
-remaining integral is one Beta value.  A polynomial kernel is an ExactPoly
-in s = 1 + t, sum_p b_p s^p, and then
+remaining integral is one Beta value.  A polynomial kernel sum_p b_p s^p
+in s = 1 + t then has, with F computed once per (d, k),
 
-    lambda(k) = |S^{d-2}| / prod_{i<k} (d-1+2i)
-                * sum_{p >= k} b_p p!/(p-k)! 2^{p+k+d-2} B(p+(d-1)/2, k+(d-1)/2),
+    lambda(k) = F(d, k) sum_{p >= k} b_p tau_p,   tau_k = 4^k k!,
+    tau_{p+1}/tau_p = (p+1)(2p+d-1) / ((p+1-k)(p+k+d-1)),
+    F(d, k) = 2^{d-2} B(k+(d-1)/2, k+(d-1)/2) |S^{d-2}| / prod_{i<k} (d-1+2i),
 
-which vanishes for k above the kernel degree.  Consecutive terms differ by
-rational factors, so each eigenvalue takes one Beta value.
+which vanishes for k above the kernel degree.  No kernel is built: with
+N_m's coefficients (``kernels``) and C(d, J+1, 0)/C(d, J, 0) = 2(2J+d-1)/(J+d-1),
+
+    t_{p+1}/t_p = (m-p)(2(m-p-1)+d)(m-p+d-2)(2p+d-1) / ((2p+d)(2(m-p)+d-3)(p+1-k)(p+k+d-1))
+
+for t_p = b_p tau_p, summed from the top in integers, S = 1 + (a/b) S' =
+num/den, times one rational start term t_k.  The magical kernel
+(3/8)(alpha N_m + N_m') - N_{m+1}/8 takes three such sums: alpha moves each
+index of N_m up by one, and N_m' reads C(d, m-p+1, 0).
 
 The delta-weight kernel C_d (1+t)^{1/2} (1-t)^{(d-3)/2} instead takes
 C_k(t)/C_k(1) = 2F1(-k, k+d-2; (d-1)/2; (1-t)/2) (DLMF 18.5(iii)): against
@@ -41,8 +49,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .backend import rat
-from .kernels import delta_kernel_closed_form
-from .polys import ExactPoly
+from .kernels import MomentTable, delta_kernel_closed_form
 from .scalars import ZERO, ExactScalar, beta_half_int, sphere_surface
 
 
@@ -88,24 +95,42 @@ def gegenbauer_basis(d: int) -> GegenbauerBasis:
     return GegenbauerBasis(d)
 
 
-def funk_hecke_eigen(kernel: ExactPoly, k: int, d: int) -> ExactScalar:
-    """Exact eigenvalue of a polynomial zonal kernel in s on degree-k harmonics.
+@lru_cache(maxsize=None)
+def _k_factor(d: int, k: int) -> ExactScalar:
+    """F(d, k), shared by both polynomial kernels and every m."""
+    return (beta_half_int(2 * k + d - 1, 2 * k + d - 1) * 2 ** (d - 2)
+            * sphere_surface(d - 1) / prod(range(d - 1, d + 2 * k - 1, 2)))
 
-    Orthogonality makes this exactly zero whenever k exceeds the kernel's
-    degree.
+
+def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0):
+    """sum_{p >= k} 2^p w_n C(d, m-n+e, 0) tau_p, n = p - shift, w_n the weight of alpha^n in N_m.
+
+    ``shift`` = 1 gives alpha N_m, ``e`` = 1 gives N_m'; at k - shift = m + 1, w_{m+1} = 0 zeroes it.
     """
-    if k < 0 or d < 3:
-        raise ValueError("need k >= 0 and d >= 3")
-    if kernel.is_zero() or k > kernel.degree():
+    d, lo = moments.d, max(k - shift, 0)
+    num = den = 1
+    for n in range(m - 1, lo - 1, -1):
+        p, j = n + shift, m - n + e
+        a = (m - n) * (d + 2 * (m - n - 1)) * (j + d - 2) * (p + 1) * (2 * p + d - 1)
+        b = (n + 1) * (d + 2 * n) * (2 * j + d - 3) * (p + 1 - k) * (p + k + d - 1)
+        num, den = b * den + a * num, b * den
+    for i in range(lo):  # times the start term 2^{lo+shift} w_lo tau_k (tau_{lo+shift} = tau_k)
+        num, den = num * 2 * (m - i) * (d + 2 * (m - i - 1)), den * (i + 1) * (d + 2 * i)
+    return rat(num * 2**shift * 4**k * factorial(k), den) * moments.get(m - lo + e, 0).coeff
+
+
+def funk_hecke_eigen(moments: MomentTable, m: int, k: int, magical: bool) -> ExactScalar:
+    """Exact eigenvalue on degree-k harmonics of the magical kernel or N_m, exponent 2m."""
+    if m < 0 or k < 0:
+        raise ValueError("need m >= 0 and k >= 0")
+    if k > m + magical:
         return ZERO
-    # term = p!/(p-k)! 2^{p+k} B(p+(d-1)/2, k+(d-1)/2) / B(k+(d-1)/2, k+(d-1)/2), from p = k
-    total, term = rat(0), rat(4**k * factorial(k))
-    for p in range(k, len(kernel.coeffs)):
-        total += kernel.coeffs[p] * term
-        term *= rat((p + 1) * (2 * p + d - 1), (p + 1 - k) * (p + k + d - 1))
-    beta = beta_half_int(2 * k + d - 1, 2 * k + d - 1) * 2 ** (d - 2)
-    rodrigues = sphere_surface(d - 1) / prod(range(d - 1, d + 2 * k - 1, 2))
-    return ExactScalar(total, *kernel.grade) * beta * rodrigues
+    if magical:  # (3/8)(alpha N_m + N_m') - N_{m+1}/8
+        total = ((_alpha_sum(moments, k, m, shift=1) + _alpha_sum(moments, k, m, e=1)) * rat(3, 8)
+                 - _alpha_sum(moments, k, m + 1) * rat(1, 8))
+    else:
+        total = _alpha_sum(moments, k, m)
+    return ExactScalar(total, *moments.grade) * _k_factor(moments.d, k)
 
 
 @lru_cache(maxsize=None)

@@ -11,11 +11,12 @@ import time
 from pathlib import Path
 
 from montecarlo import mc_check_moment
+from test_kernels import from_scalars
 
 from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from sharpcert.oracle import quad_eigen_enclosure
-from sharpcert.polys import ExactPoly, nonneg_on
+from sharpcert.polys import nonneg_on
 from sharpcert.scalars import ExactScalar, sphere_surface
 from sharpcert.scheme import (
     Certificate,
@@ -171,7 +172,7 @@ def test_criterion_09_closed_form_anchors():
         s2 = sphere_surface(d) * sphere_surface(d)
         mt = MomentTable(d)
         k0 = magical_kernel_poly(mt, 0)
-        ok = ok and k0 == ExactPoly.from_scalars([s2 * rat(1, 2), s2 * rat(1, 2)])  # in s = 1+t
+        ok = ok and k0 == from_scalars([s2 * rat(1, 2), s2 * rat(1, 2)])  # in s = 1+t
         for m in range(9):
             poly = magical_kernel_poly(mt, m)
             lead = ExactScalar(poly.coeffs[-1], *poly.grade)

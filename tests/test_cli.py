@@ -102,6 +102,23 @@ def test_certify_computes_each_eigenvalue_once(tmp_path, monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_certify_and_verify_build_no_kernel(tmp_path, monkeypatch):
+    # polynomial-kernel eigenvalues are integer sums over the moments; only
+    # eigen's oracle builds a kernel polynomial
+    scheme._eigen_table.cache_clear()
+
+    def no_kernel(*args):
+        raise AssertionError("kernel polynomial built")
+
+    for name in ("magical_kernel_poly", "nonmagical_kernel_poly"):
+        monkeypatch.setattr(scheme, name, no_kernel)
+    monkeypatch.setattr(scheme.EigenTable, "kernel", no_kernel)
+    out = tmp_path / "c.json"
+    assert run(["certify", "-d", "12", "--out", str(out)]) == 0
+    scheme._eigen_table.cache_clear()
+    assert run(["verify", str(out)]) == 0
+
+
 def _bump_eig(obj):
     value = obj["weights"][0]["eig"][0]["value"]
     value["rational"] = str(Fraction(value["rational"]) + 1)
@@ -348,21 +365,21 @@ def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
 )
 def test_verify_skips_rederiving_failed_weights(tmp_path, monkeypatch, doc, top_degree, top_ell):
     # verify evaluates only the rebuilt weights, and a sign table only once
-    # it lists exactly ell = 1..cutoff + tail_check_depth: no kernel above
-    # the rebuilt top degree and no harmonic degree beyond the stored range
-    # is computed; the table outlives a test, so start from an empty one
+    # it lists exactly ell = 1..cutoff + tail_check_depth: no kernel exponent
+    # above the rebuilt top degree and no harmonic degree beyond the stored
+    # range is computed; the table outlives a test, so start from an empty one
     scheme._eigen_table.cache_clear()
-    kernel, delta = scheme.EigenTable.kernel, scheme.EigenTable.delta
+    poly_eigen, delta = scheme.funk_hecke_eigen, scheme.EigenTable.delta
 
-    def kernel_spy(self, two_m, identity):
-        assert two_m <= top_degree, f"kernel exponent {two_m} computed"
-        return kernel(self, two_m, identity)
+    def poly_spy(moments, m, k, magical):
+        assert 2 * m <= top_degree, f"kernel exponent {2 * m} computed"
+        return poly_eigen(moments, m, k, magical)
 
     def delta_spy(self, k):
         assert k <= 2 * top_ell, f"delta eigenvalue at k={k} computed"
         return delta(self, k)
 
-    monkeypatch.setattr(scheme.EigenTable, "kernel", kernel_spy)
+    monkeypatch.setattr(scheme, "funk_hecke_eigen", poly_spy)
     monkeypatch.setattr(scheme.EigenTable, "delta", delta_spy)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

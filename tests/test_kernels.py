@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 
 from sharpcert.backend import rat
+from sharpcert.errors import GradeMismatch
 from sharpcert.kernels import (
     MomentTable,
     delta_kernel_closed_form,
@@ -12,8 +13,16 @@ from sharpcert.kernels import (
     radial_moment,
     sigma_conv_constant,
 )
-from sharpcert.polys import ExactPoly
+from sharpcert.polys import RAT_GRADE, ExactPoly
 from sharpcert.scalars import ExactScalar, sphere_surface
+
+
+def from_scalars(scalars) -> ExactPoly:
+    """An ExactPoly from ExactScalar coefficients, which must share one grade."""
+    grades = {s.grade for s in scalars if not s.is_zero()}
+    if len(grades) > 1:
+        raise GradeMismatch(f"coefficient grades {sorted(grades)} differ")
+    return ExactPoly([s.coeff for s in scalars], grades.pop() if grades else RAT_GRADE)
 
 
 def test_sigma_conv_constant():
@@ -67,7 +76,7 @@ def test_magical_m0_identity():
     for d in range(3, 17):
         s2 = sphere_surface(d) * sphere_surface(d)
         # m = 0: |S^{d-1}|^2 (1 + s)/2 in s = 1+t
-        expect = ExactPoly.from_scalars([s2 * rat(1, 2), s2 * rat(1, 2)])
+        expect = from_scalars([s2 * rat(1, 2), s2 * rat(1, 2)])
         assert magical_kernel_poly(MomentTable(d), 0) == expect
 
 
@@ -90,17 +99,17 @@ def test_nonmagical_degree_and_examples():
             poly = nonmagical_kernel_poly(table, m)
             assert poly.degree() == m
             assert ExactScalar(poly.coeffs[-1], *poly.grade).sign() == 1
-    assert nonmagical_kernel_poly(MomentTable(3), 0) == ExactPoly.from_scalars(
+    assert nonmagical_kernel_poly(MomentTable(3), 0) == from_scalars(
         [sphere_surface(3) * sphere_surface(3)]
     )
     # m=1, d=3: C(3,1,0) + 2|S^2|^2 s, with s = 1+t
     s2 = sphere_surface(3) * sphere_surface(3)
-    expect = ExactPoly.from_scalars([ExactScalar(32, 0, 4), s2 * 2])
+    expect = from_scalars([ExactScalar(32, 0, 4), s2 * 2])
     assert nonmagical_kernel_poly(MomentTable(3), 1) == expect
     # m=2: E |x + rho omega|^4 = alpha^2 + rho^4 + (2 + 4/d) alpha rho^2, alpha = 2s
     for d in (3, 4, 9, 24):
         table = MomentTable(d)
-        expect = ExactPoly.from_scalars(
+        expect = from_scalars(
             [table.get(2, 0), table.get(1, 0) * (2 * (2 + rat(4, d))), table.get(0, 0) * 4]
         )
         assert nonmagical_kernel_poly(table, 2) == expect
@@ -135,7 +144,7 @@ def _trinomial_kernel(table, m, magical):
                 add(i + k // 2, table.get(j + 1, k) * w)
             else:
                 add(i + (k + 1) // 2, table.get(j, k + 1) * (-w))
-    return ExactPoly.from_scalars([acc.get(p, ExactScalar(0)) * 2**p for p in range(max(acc) + 1)])
+    return from_scalars([acc.get(p, ExactScalar(0)) * 2**p for p in range(max(acc) + 1)])
 
 
 @pytest.mark.parametrize("d", [*range(3, 14), 24, 33, 48])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import from_scalars
 
 from sharpcert.backend import rat
 from sharpcert.errors import GradeMismatch
@@ -46,7 +47,7 @@ def test_derivative():
 
 def test_from_scalars_mixed_grades_rejected():
     with pytest.raises(GradeMismatch):
-        ExactPoly.from_scalars([ExactScalar(1, 0, 1), ExactScalar(1, 0, 2)])
+        from_scalars([ExactScalar(1, 0, 1), ExactScalar(1, 0, 2)])
 
 
 def test_degree_bookkeeping():

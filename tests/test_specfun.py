@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from sharpcert.kernels import (
 )
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
-from sharpcert.scheme import ell_star
+from sharpcert.scheme import MAGICAL, NONMAGICAL, EigenTable, ell_star
 from sharpcert.specfun import eigen_delta_weight, funk_hecke_eigen, gegenbauer_basis
 
 ZERO = ExactScalar(0)
@@ -78,17 +78,33 @@ def test_orthogonality_exact():
                 assert _inner(d, basis.poly(j), basis.poly(k)).is_zero()
 
 
+def _rodrigues_eigen(kernel, k, d):
+    # the kernel path: the eigenvalue of a built kernel sum_p b_p s^p is
+    # |S^{d-2}| / prod_{i<k} (d-1+2i) * sum_{p >= k} b_p p!/(p-k)! 2^{p+k+d-2}
+    # B(p+(d-1)/2, k+(d-1)/2), zero past the kernel degree
+    if kernel.is_zero() or k > kernel.degree():
+        return ZERO
+    # term = p!/(p-k)! 2^{p+k} B(p+(d-1)/2, k+(d-1)/2) / B(k+(d-1)/2, k+(d-1)/2), from p = k
+    total, term = rat(0), rat(4**k * factorial(k))
+    for p in range(k, len(kernel.coeffs)):
+        total += kernel.coeffs[p] * term
+        term *= rat((p + 1) * (2 * p + d - 1), (p + 1 - k) * (p + k + d - 1))
+    beta = beta_half_int(2 * k + d - 1, 2 * k + d - 1) * 2 ** (d - 2)
+    rodrigues = sphere_surface(d - 1) / prod(range(d - 1, d + 2 * k - 1, 2))
+    return ExactScalar(total, *kernel.grade) * beta * rodrigues
+
+
 def test_funk_hecke_hand_examples():
     # at k = 0 the eigenvalue of t^n is |S^{d-2}| times the symmetric moment
     two_pi = sphere_surface(2)
     t_squared = ExactPoly([1, -2, 1])  # (s - 1)^2
-    assert funk_hecke_eigen(T, 0, 4).is_zero()
-    assert funk_hecke_eigen(ExactPoly([1]), 0, 3) == two_pi * ExactScalar(2)
-    assert funk_hecke_eigen(t_squared, 0, 3) == two_pi * ExactScalar(rat(2, 3))
+    assert _rodrigues_eigen(T, 0, 4).is_zero()
+    assert _rodrigues_eigen(ExactPoly([1]), 0, 3) == two_pi * ExactScalar(2)
+    assert _rodrigues_eigen(t_squared, 0, 3) == two_pi * ExactScalar(rat(2, 3))
     # d = 3, k = 2: C_2 / C_2(1) = (3t^2 - 1)/2, so t^2 gives 2 pi * 4/15
-    assert funk_hecke_eigen(t_squared, 2, 3) == two_pi * ExactScalar(rat(4, 15))
+    assert _rodrigues_eigen(t_squared, 2, 3) == two_pi * ExactScalar(rat(4, 15))
     # d = 3, k = 1: C_1 / C_1(1) = t, so s = 1 + t gives 2 pi * 2/3
-    assert funk_hecke_eigen(ExactPoly([0, 1]), 1, 3) == two_pi * ExactScalar(rat(2, 3))
+    assert _rodrigues_eigen(ExactPoly([0, 1]), 1, 3) == two_pi * ExactScalar(rat(2, 3))
 
 
 def test_delta_eigen_hand_examples():
@@ -123,23 +139,50 @@ def test_rodrigues_sums_match_independent_references():
         for m in range(9):
             for kernel in (magical_kernel_poly(table, m), nonmagical_kernel_poly(table, m)):
                 for k in range(m + 4):
-                    assert funk_hecke_eigen(kernel, k, d) == _gegenbauer_moment_eigen(kernel, k, d)
+                    assert _rodrigues_eigen(kernel, k, d) == _gegenbauer_moment_eigen(kernel, k, d)
     # the directional sphere moment is |S^{d-2}| times the same symmetric moment
     for d in range(3, 31):
         for a in range(61):
             assert directional_sphere_moment(d, a) == sphere_surface(d - 1) * _sym_moment(d, a)
 
 
+def test_horner_sums_match_kernel_reference():
+    # each integer sum against the kernel it stands for, built and then
+    # integrated by the Rodrigues reference, past the kernel degree too
+    for d in (3, 4, 7, 9, 12, 20, 24, 25, 33):
+        table = MomentTable(d)
+        for m in range(12):
+            for magical, build in ((True, magical_kernel_poly), (False, nonmagical_kernel_poly)):
+                kernel = build(table, m)
+                for k in range(m + 4):
+                    got = funk_hecke_eigen(table, m, k, magical)
+                    assert got == _rodrigues_eigen(kernel, k, d), (d, m, k, magical)
+                    assert got.is_zero() == (k > kernel.degree()), (d, m, k, magical)
+
+
+def test_eigen_table_serves_the_horner_sums():
+    table = EigenTable(9)
+    for identity, magical in ((MAGICAL, True), (NONMAGICAL, False)):
+        for two_m in (0, 4, 10):
+            for k in (0, 3, 6):
+                want = funk_hecke_eigen(table.moments, two_m // 2, k, magical)
+                assert table.get(identity, two_m, k) == want
+    with pytest.raises(ValueError):
+        table.nonmag(3, 0)
+    with pytest.raises(ValueError):
+        funk_hecke_eigen(table.moments, -1, 0, False)
+
+
 def test_funk_hecke_constant_kernel():
     const = ExactPoly([rat(5, 3)])
     for d in (3, 4, 8):
         for k in (1, 2, 5):
-            assert funk_hecke_eigen(const, k, d).is_zero()
-        assert funk_hecke_eigen(const, 0, d) == sphere_surface(d) * ExactScalar(rat(5, 3))
+            assert _rodrigues_eigen(const, k, d).is_zero()
+        assert _rodrigues_eigen(const, 0, d) == sphere_surface(d) * ExactScalar(rat(5, 3))
 
 
 def test_funk_hecke_low_degree_kernel():
-    assert funk_hecke_eigen(T, 2, 3).is_zero()
+    assert _rodrigues_eigen(T, 2, 3).is_zero()
 
 
 @given(
@@ -150,7 +193,7 @@ def test_funk_hecke_low_degree_kernel():
 def test_orthogonality_kills_high_k(cs, d):
     kernel = ExactPoly([rat(c) for c in cs])
     k = kernel.degree() + 1 + (len(cs) % 3)
-    assert funk_hecke_eigen(kernel, k, d).is_zero()
+    assert _rodrigues_eigen(kernel, k, d).is_zero()
 
 
 def test_delta_eigen_signs():
