@@ -102,17 +102,15 @@ EigCheck = namedtuple("EigCheck", "ell value nonpositive")
 class WeightSpec:
     """One Fourier-side weight of the decomposition.
 
-    ``coeffs`` maps even degree (the exponent of |xi|) to the nonnegative
-    coefficient magnitude; the sign it enters with is +1 at the top degree
-    of weights n >= 2 and -1 everywhere else (weight 1 leads with the
-    delta).  ``c0`` is the constant term, grade-stripped rational; all
-    coefficient magnitudes share one grade.  ``stored_signs`` holds the sign
-    stored with each coefficient, for a weight read from JSON.
+    ``coeffs`` maps even degree (the exponent of |xi|) to the signed
+    coefficient: positive exactly at the top degree of weights n >= 2,
+    negative everywhere else (weight 1 leads with the delta).  ``c0`` is the
+    constant term, grade-stripped rational; all coefficients share one grade.
     """
 
     def __init__(self, n: int, identity: str, has_delta: bool, top_degree: int,
                  coeffs: dict[int, ExactScalar], c0, adm_margin=rat(0),
-                 eig: list[EigCheck] | None = None, stored_signs: dict[int, int] | None = None):
+                 eig: list[EigCheck] | None = None):
         self.n = n
         self.identity = identity
         self.has_delta = has_delta
@@ -121,19 +119,13 @@ class WeightSpec:
         self.c0 = c0
         self.adm_margin = adm_margin
         self.eig = [] if eig is None else eig
-        self.stored_signs = stored_signs
-
-    def sign_at(self, degree: int) -> int:
-        if self.n >= 2 and degree == self.top_degree:
-            return 1
-        return -1
 
     def polynomial_part(self, include_constant: bool = True) -> list:
         """The weight's rational coefficients in u = |xi|^2, grade stripped (delta excluded)."""
         deg = max((q // 2 for q in self.coeffs), default=0)
         out = [rat(0)] * (deg + 1)
         for q, c in self.coeffs.items():
-            out[q // 2] += self.sign_at(q) * c.coeff
+            out[q // 2] += c.coeff
         if include_constant:
             out[0] += rat(self.c0)
         return out
@@ -143,7 +135,7 @@ def weight_eigen(w: WeightSpec, table: EigenTable, ell: int) -> ExactScalar:
     """Exact eigenvalue Lambda_n(2 ell) of the weight's certification kernel.
 
     The constant term contributes nothing for ell >= 1 (its kernel has too
-    low a degree), so only the delta and the signed power coefficients enter.
+    low a degree), so only the delta and the power coefficients enter.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -151,10 +143,8 @@ def weight_eigen(w: WeightSpec, table: EigenTable, ell: int) -> ExactScalar:
     total = table.delta(k) if w.has_delta else ZERO
     for q, c in w.coeffs.items():
         nu = table.get(w.identity, q, k)
-        if nu.is_zero():
-            continue
-        term = nu * c
-        total = total + (term if w.sign_at(q) == 1 else -term)
+        if not nu.is_zero():
+            total = total + nu * c
     return total
 
 
@@ -200,12 +190,12 @@ def build_weights(d: int, tail_depth: int = 25):
     grade = _coefficient_grade(table, N)
 
     weights: list[WeightSpec] = []
-    transfers: dict[int, ExactScalar] = {}  # degree -> sum of negative-signed coefficients so far
+    transfers: dict[int, ExactScalar] = {}  # degree -> sum of the coefficients so far
 
     for n, identity, top, cutoff in _shapes(N):
         coeffs: dict[int, ExactScalar] = {}
         if n >= 2:
-            dictated = transfers.get(top, ZERO)
+            dictated = -transfers.get(top, ZERO)
             if not dictated.is_zero():
                 coeffs[top] = dictated
         w = WeightSpec(
@@ -225,7 +215,7 @@ def build_weights(d: int, tail_depth: int = 25):
                 )
             ratio = weight_eigen(w, table, ell) / denom
             if ratio.sign() > 0:
-                coeffs[q_star] = ratio  # clipped ratio {.}_+
+                coeffs[q_star] = -ratio  # clipped ratio {.}_+, entering negatively
         _check_grades(w, grade)
         for ell in range(1, cutoff + tail_depth + 1):
             v = weight_eigen(w, table, ell)
@@ -239,8 +229,7 @@ def build_weights(d: int, tail_depth: int = 25):
                 )
             w.eig.append(EigCheck(ell, v, True))
         for q, c in coeffs.items():
-            if w.sign_at(q) == -1:
-                transfers[q] = transfers.get(q, ZERO) + c
+            transfers[q] = transfers.get(q, ZERO) + c
         weights.append(w)
     return weights, table, grade
 
@@ -258,8 +247,8 @@ def _coefficient_grade(table: EigenTable, N: int) -> tuple:
 
 def _check_grades(w: WeightSpec, grade: tuple) -> None:
     for q, c in w.coeffs.items():
-        if c.sign() < 0:
-            raise SchemeInfeasible(f"weight {w.n}: negative coefficient at degree {q}")
+        if c.sign() != (1 if w.n >= 2 and q == w.top_degree else -1):
+            raise SchemeInfeasible(f"weight {w.n}: coefficient at degree {q} has the wrong sign")
         if c.grade != grade:
             raise GradeMismatch(
                 f"weight {w.n}: coefficient at degree {q} has grade {c.grade}, expected {grade}"
@@ -270,7 +259,7 @@ def check_sum_condition(weights: list[WeightSpec]) -> bool:
     """Sum of the signed weights must be exactly one delta plus a constant.
 
     Distinct grades are linearly independent over the rationals, so the
-    signed coefficients at each degree must cancel grade by grade.
+    coefficients at each degree must cancel grade by grade.
     """
     if sum(1 for w in weights if w.has_delta) != 1:
         return False
@@ -278,7 +267,7 @@ def check_sum_condition(weights: list[WeightSpec]) -> bool:
     for w in weights:
         for q, c in w.coeffs.items():
             if q >= 1:
-                acc[q, c.grade] = acc.get((q, c.grade), 0) + w.sign_at(q) * c.coeff
+                acc[q, c.grade] = acc.get((q, c.grade), 0) + c.coeff
     return not any(acc.values())
 
 
@@ -325,10 +314,10 @@ class Certificate:
                     "coefficients": [
                         {
                             "degree": q,
-                            "sign": w.sign_at(q),
-                            "value": w.coeffs[q].to_json(),
+                            "sign": -1 if c.sign() < 0 else 1,
+                            "value": (-c if c.sign() < 0 else c).to_json(),
                         }
-                        for q in sorted(w.coeffs, reverse=True)
+                        for q, c in sorted(w.coeffs.items(), reverse=True)
                     ],
                     "c0": rat_str(w.c0),
                     "adm_margin": rat_str(w.adm_margin),
@@ -366,13 +355,17 @@ class Certificate:
                 raise MalformedCertificate(f"unsupported version {obj.get('version')!r}")
             weights = []
             for wd in _json(obj["weights"], list):
-                coeffs, signs = {}, {}
+                coeffs = {}
                 for cd in _json(wd["coefficients"], list):
-                    degree = _json(cd["degree"], int)
-                    if degree < 0 or degree % 2 == 1:
-                        raise MalformedCertificate(f"coefficient degree {degree} must be even and >= 0")
-                    signs[degree] = _json(cd["sign"], int)
-                    coeffs[degree] = ExactScalar.from_json(cd["value"])
+                    degree, sign = _json(cd["degree"], int), _json(cd["sign"], int)
+                    value = ExactScalar.from_json(cd["value"])
+                    if degree < 0 or degree % 2 == 1 or degree in coeffs:
+                        raise MalformedCertificate(
+                            f"coefficient degree {degree} must be even, >= 0 and listed once")
+                    if sign not in (1, -1) or value.sign() < 0:
+                        raise MalformedCertificate(
+                            f"coefficient at degree {degree}: sign must be 1 or -1 and value >= 0")
+                    coeffs[degree] = value if sign == 1 else -value
                 weights.append(WeightSpec(
                     n=_json(wd["n"], int),
                     identity=_json(wd["identity"], str),
@@ -382,7 +375,6 @@ class Certificate:
                     c0=rat_parse(wd["c0"]),
                     adm_margin=rat_parse(wd["adm_margin"]),
                     eig=[_eig_check_from_json(e) for e in _json(wd["eig"], list)],
-                    stored_signs=signs,
                 ))
             tail_check_depth = _json(obj["tail_check_depth"], int)
             if tail_check_depth < 0:
@@ -441,7 +433,8 @@ def _construct(d: int, tail_depth: int) -> tuple[Certificate, tuple]:
     tables (constant terms 0), once the sum condition holds; for d <= 6 it
     is the delta eigenvalue evidence.  A rebuilt sign-table entry that is
     positive raises SchemeInfeasible.  The constant terms, a* and its
-    decimals are left to :func:`compute_a_star`.
+    decimals are left free: :func:`compute_a_star` computes them, and
+    :func:`verify_certificate` takes them from the certificate.
     """
     N = ell_star(d)
     if tail_depth < 0:
@@ -496,15 +489,32 @@ def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certifica
     return cert
 
 
-def _first_mismatch(stored: list[EigCheck], rebuilt: list[EigCheck]) -> int | None:
-    """The ell of the first rebuilt sign-table entry its stored one does not equal."""
-    return next((r.ell for s, r in zip(stored, rebuilt) if s != r), None)
+# how a failure names a field whose attribute name is not plain
+_FIELD_NAMES = {"coeffs": "coefficients", "eig": "eigenvalue sign table",
+                "delta_eigen_evidence": "delta eigenvalue evidence",
+                "a_star": "a_star (the sum of the constant terms)",
+                "a_star_decimal": "a_star decimal", "paper_baseline_decimal": "d = 8 baseline decimal"}
 
 
-def _signed_coeffs(w: WeightSpec) -> dict:
-    """degree -> (sign, magnitude) of a weight's coefficients, with the stored signs if loaded."""
-    signs = w.stored_signs or {}
-    return {q: (signs.get(q, w.sign_at(q)), c) for q, c in w.coeffs.items()}
+def _mismatches(tag: str, stored, rebuilt) -> list[str]:
+    """One failure per attribute of ``stored`` that does not equal ``rebuilt``'s, weights one by one."""
+    failures = []
+    for field, want in vars(rebuilt).items():
+        have = getattr(stored, field)
+        if field == "weights":  # as many as rebuilt: verify compares the counts first
+            for w, rw in zip(have, want):
+                failures += _mismatches(f"weight {rw.n}: ", w, rw)
+        elif have != want:
+            where = ""
+            if field == "coeffs":
+                bad = sorted(q for q in have.keys() | want.keys() if have.get(q) != want.get(q))
+                where = f" at degrees {bad}"
+            elif isinstance(want, list):
+                i = next((i for i, (h, r) in enumerate(zip(have, want)) if h != r),
+                         min(len(have), len(want)))
+                where = f" at entry {i + 1}"
+            failures.append(f"{tag}{_FIELD_NAMES.get(field, field)} mismatch{where}")
+    return failures
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
@@ -515,13 +525,15 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     the stored ``tail_check_depth`` (cutoff + depth entries in each weight's
     ``eig``; N + depth in ``delta_eigen_evidence`` for d <= 6, none past
     that), so neither d nor the depth costs more work than the stored
-    tables.  Then certify's construction runs again, and each weight's
-    shape, signed coefficients and ``eig`` list, and the evidence list,
-    must equal the rebuilt ones.  Last come the fields the construction
-    leaves free: admissibility of each rebuilt weight with one Sturm check
-    at the stored constant term less the stored margin (constants larger
-    than minimal are accepted), the sum condition, the ``sum_condition_ok``
-    flag, a* as the sum of the constant terms, and its decimal renderings.
+    tables.  Then certify's construction runs again.  Each rebuilt weight
+    must be admissible, by one Sturm check at the stored constant term less
+    the stored margin (constants larger than minimal are accepted).  The
+    fields the construction leaves free are then filled in from the
+    certificate: each weight's ``c0`` and ``adm_margin``, a* as the sum of
+    those constant terms with its decimal renderings, and ``generator``.
+    Last, every field of the certificate and of each weight must equal the
+    rebuilt one; ``generator`` (and a file's timestamp, which is not loaded)
+    is the only field left unchecked.
     """
     d, depth = cert.dimension, cert.tail_check_depth
     if d < 3:
@@ -541,21 +553,8 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
         return False, [f"reconstruction failed: {exc}"]
 
     failures: list[str] = []
-    ell = _first_mismatch(cert.delta_eigen_evidence, built.delta_eigen_evidence)
-    if ell is not None:
-        failures.append(f"delta eigenvalue evidence mismatch at ell={ell}")
     for w, rw in zip(cert.weights, built.weights):
         tag = f"weight {rw.n}"
-        shape = (rw.n, rw.identity, rw.has_delta, rw.top_degree)
-        if (w.n, w.identity, w.has_delta, w.top_degree) != shape:
-            failures.append(f"{tag}: shape mismatch (n, identity, has_delta or top_degree)")
-        have, want = _signed_coeffs(w), _signed_coeffs(rw)
-        if have != want:
-            bad = sorted(q for q in have.keys() | want.keys() if have.get(q) != want.get(q))
-            failures.append(f"{tag}: coefficient or sign mismatch at degrees {bad}")
-        ell = _first_mismatch(w.eig, rw.eig)
-        if ell is not None:
-            failures.append(f"{tag}: eigenvalue or sign flag mismatch at ell={ell}")
         # admissibility of the rebuilt weight at the stored constant, one
         # Sturm check: with a margin >= 0, poly - margin >= 0 implies Adm.  A
         # negative margin is a certified minimum rounded below zero; it is
@@ -570,16 +569,11 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
             failures.append(f"{tag}: admissibility (Adm) fails at stored c0 less the stored margin")
         elif w.adm_margin < 0 and w.adm_margin != adm.lower_bound:
             failures.append(f"{tag}: negative admissibility margin is not the certified lower bound")
-
-    if N >= 2 and not check_sum_condition(cert.weights):
-        failures.append("sum condition violated")
-    if cert.sum_condition_ok is not True:
-        failures.append("sum_condition_ok flag not set")
-    a_star = ExactScalar(sum((w.c0 for w in cert.weights), rat(0)), *grade)
-    if cert.a_star != a_star:
-        failures.append("a_star does not equal the sum of the constant terms")
+        rw.c0, rw.adm_margin = w.c0, w.adm_margin
+    built.a_star = ExactScalar(sum((w.c0 for w in cert.weights), rat(0)), *grade)
     # rendered from the re-derived a*, whose grade the construction bounds,
     # never from the stored one: rendering costs time that grows with |pi_half|
-    if (cert.a_star_decimal, cert.paper_baseline_decimal) != _decimals(d, a_star):
-        failures.append("decimal strings are not the renderings of a_star and the d = 8 baseline")
+    built.a_star_decimal, built.paper_baseline_decimal = _decimals(d, built.a_star)
+    built.generator = cert.generator
+    failures += _mismatches("", cert, built)
     return (not failures), failures

@@ -196,6 +196,13 @@ def _bool_c0_and_int_rational(cert):
     cert["a_star"]["rational_times_grade"]["rational"] = 0
 
 
+def _repeat_first_degree(cert):
+    # a second entry for weight 1's one degree, listed before the true one
+    coeffs = cert["weights"][0]["coefficients"]
+    coeffs.insert(0, copy.deepcopy(coeffs[0]))
+    coeffs[0]["value"]["rational"] = "999"
+
+
 def _every_nonpositive(cert, value):
     for w in cert["weights"]:
         for e in w["eig"]:
@@ -240,6 +247,10 @@ def _every_nonpositive(cert, value):
         _d9_with(lambda c: c["a_star"]["rational_times_grade"].update(sqrt2=40000000)),
         _d9_with(lambda c: c["weights"][0]["eig"][0]["value"].update(sqrt2=-1)),
         _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(sign="garbage")),
+        _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(sign=5)),
+        _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(sign=0)),
+        _d9_with(lambda c: c["weights"][0]["coefficients"][0]["value"].update(rational="-3")),
+        _d9_with(_repeat_first_degree),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
@@ -249,7 +260,8 @@ def _every_nonpositive(cert, value):
          "identity_int", "a_star_decimal_float", "baseline_decimal_float", "weights_object",
          "eig_object", "notes_string", "c0_exponent", "c0_huge_exponent",
          "adm_margin_spaces", "rational_decimal", "c0_underscore",
-         "sqrt2_huge", "sqrt2_negative", "sign_string"],
+         "sqrt2_huge", "sqrt2_negative", "sign_string", "sign_5", "sign_0",
+         "value_negative", "degree_repeated"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -326,11 +338,14 @@ def _empty_every_eig(cert):
         # a huge dimension fails on N or the weight count, each O(1)
         _d9_with(lambda c: c.update(dimension=10**12)),
         _d9_with(lambda c: c.update(dimension=10**12, N=scheme.ell_star(10**12))),
+        _d9_with(lambda c: c["notes"].__setitem__(0, "every eigenvalue sign is proved")),
+        _d9_with(lambda c: c.pop("notes")),
     ],
     ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
          "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5",
          "n_99", "n_0", "sign_flipped", "coefficient_grade", "evidence_added_d9",
-         "sum_ok_false_d5", "zero_coefficient_d9", "dimension_huge", "dimension_and_N_huge"],
+         "sum_ok_false_d5", "zero_coefficient_d9", "dimension_huge", "dimension_and_N_huge",
+         "notes_edited", "notes_removed"],
 )
 def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
     # verify's work is bounded by the stored tables: the weight shapes are
@@ -346,6 +361,20 @@ def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 1
     assert capsys.readouterr().err.startswith("certificate INVALID")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _d9_with(lambda c: c.update(generator={"name": "other", "version": "9"})),
+        _d9_with(lambda c: c.update(timestamp="2000-01-01T00:00:00Z")),
+    ],
+    ids=["generator_edited", "timestamp_added"],
+)
+def test_verify_ignores_generator_and_timestamp(tmp_path, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 0
 
 
 @pytest.mark.parametrize(

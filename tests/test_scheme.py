@@ -87,12 +87,19 @@ def test_d8_shape():
 
 
 def test_leading_transfer():
-    for d in (9, 12):
+    # each weight n >= 2 leads with minus the earlier weights' sum at its top
+    # degree; weight 1 has no coefficient at its own top degree, and each one
+    # it has (degree 2 at d = 9, 12; degree 6 at d = 17, 24) is carried to
+    # the weight that leads at that degree
+    for d in (9, 12, 17, 24):
         weights, _, _ = build_weights(d, tail_depth=0)
-        h1, h2 = weights[0], weights[1]
-        top = h1.top_degree
-        assert h2.top_degree == top
-        assert h2.coeffs.get(top, ExactScalar(0)) == h1.coeffs.get(top, ExactScalar(0))
+        for i, w in enumerate(weights[1:], start=1):
+            earlier = sum((v.coeffs.get(w.top_degree, ExactScalar(0)) for v in weights[:i]), ExactScalar(0))
+            assert w.coeffs.get(w.top_degree, ExactScalar(0)) == -earlier
+        leading_at = {w.top_degree: w for w in weights[1:]}
+        assert weights[0].coeffs
+        for q, c in weights[0].coeffs.items():
+            assert c.sign() < 0 and leading_at[q].coeffs[q].sign() > 0
 
 
 def test_sum_condition_polynomial_identity():
