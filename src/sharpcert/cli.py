@@ -286,38 +286,37 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="sharpcert",
-        description="Exact certification of the sharp-constant threshold for "
-        "degenerate-Gaussian extension inequalities on spheres.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _out_option(sp):
+    sp.add_argument("--out", type=_out_path, help="output file (default stdout)")
 
-    def out_option(sp):
-        sp.add_argument("--out", type=_out_path, help="output file (default stdout)")
 
-    def scheme_options(sp):
-        sp.add_argument("--tol", type=_parse_tol, default=rat(1, 10**6),
-                        help="rational tolerance for the constant-term shift (default 1/1000000)")
-        sp.add_argument("--tail-depth", type=_int_at_least(0, "tail-depth"), default=25,
-                        help="extra eigenvalue signs checked past each cutoff (default 25, min 0)")
-        out_option(sp)
+def _scheme_options(sp):
+    sp.add_argument("--tol", type=_parse_tol, default=rat(1, 10**6),
+                    help="rational tolerance for the constant-term shift (default 1/1000000)")
+    sp.add_argument("--tail-depth", type=_int_at_least(0, "tail-depth"), default=25,
+                    help="extra eigenvalue signs checked past each cutoff (default 25, min 0)")
+    _out_option(sp)
 
+
+def _add_certify(sub):
     sp = sub.add_parser("certify", help="run the full scheme for one dimension")
     sp.add_argument("-d", "--dimension", type=int, required=True)
-    scheme_options(sp)
+    _scheme_options(sp)
     sp.set_defaults(func=cmd_certify)
 
+
+def _add_scan(sub):
     sp = sub.add_parser("scan", help="certify a range of dimensions (parallel)")
     sp.add_argument("--d-min", type=int, required=True)
     sp.add_argument("--d-max", type=int, required=True)
     sp.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=None,
                     help="worker processes (default: one per core, min 1)")
-    scheme_options(sp)
+    _scheme_options(sp)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.set_defaults(func=cmd_scan)
 
+
+def _add_eigen(sub):
     sp = sub.add_parser("eigen", help="exact eigenvalues with quadrature enclosures")
     sp.add_argument("-d", "--dimension", type=int, required=True)
     sp.add_argument("--kernel", choices=("delta", "magical", "nonmagical"), required=True)
@@ -327,17 +326,47 @@ def build_parser() -> argparse.ArgumentParser:
                     default=DEFAULT_PRECISION,
                     help="working precision of the quadrature enclosures (default 128, min 64); "
                     "decimals are always correctly rounded to 30 digits")
-    out_option(sp)
+    _out_option(sp)
     sp.set_defaults(func=cmd_eigen)
 
+
+def _add_verify(sub):
     sp = sub.add_parser("verify", help="re-verify a certificate JSON file")
     sp.add_argument("certificate", help="path to the certificate")
     sp.set_defaults(func=cmd_verify)
+
+
+_SUBCOMMANDS = {"certify": _add_certify, "scan": _add_scan, "eigen": _add_eigen,
+               "verify": _add_verify}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, only that subcommand's parser under it.
+
+    The top-level usage still lists every subcommand, so usage, help and
+    error texts for a command line that starts with ``command`` are those
+    of the full parser.
+    """
+    p = argparse.ArgumentParser(
+        prog="sharpcert",
+        description="Exact certification of the sharp-constant threshold for "
+        "degenerate-Gaussian extension inequalities on spheres.",
+    )
+    if command is None:
+        sub = p.add_subparsers(dest="command", required=True)
+    else:  # the metavar the full parser derives from its choices
+        sub = p.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    for name in _SUBCOMMANDS if command is None else (command,):
+        _SUBCOMMANDS[name](sub)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command line naming a subcommand needs only that subcommand's parser
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except GradeMismatch as exc:

@@ -82,9 +82,11 @@ class MomentTable:
         C(d, J, K) = int int |w3+w4|^{2J} (e . (w3+w4))^K dsigma dsigma   (unit e),
 
     products of the sphere-convolution constant, a directional sphere moment
-    and a radial moment, all exact half-integer Beta data.  Every nonzero
-    C(d, J, K) has the grade of C(d, 0, 0) = |S^{d-1}|^2 (``grade``), so
-    kernels sum their rational parts.
+    and a radial moment, all exact half-integer Beta data.  Only C(d, 0, K)
+    takes Beta values: the radial moment of exponent a + 2 is that of a times
+    4(a+1)/(a+d), so C(d, J, K) = C(d, J-1, K) 4(a+1)/(a+d) with
+    a = 2J+K+d-4.  Every nonzero C(d, J, K) has the grade of C(d, 0, 0) =
+    |S^{d-1}|^2 (``grade``), so kernels sum their rational parts.
     """
 
     def __init__(self, d: int):
@@ -92,7 +94,7 @@ class MomentTable:
             raise ValueError("d must be >= 3")
         self.d = d
         self.grade = (sphere_surface(d) * sphere_surface(d)).grade
-        self.entries: dict[tuple[int, int], ExactScalar] = {}
+        self.rows: dict[int, list[ExactScalar]] = {}  # K -> [C(d, 0, K), C(d, 1, K), ...]
 
     def get(self, j: int, k: int) -> ExactScalar:
         """C(d, J, K); exactly zero for odd K, strictly positive for even K."""
@@ -100,18 +102,17 @@ class MomentTable:
             raise ValueError("need J, K >= 0")
         if k % 2 == 1:
             return ZERO
-        key = (j, k)
-        got = self.entries.get(key)
-        if got is None:
-            val = (
-                sigma_conv_constant(self.d)
-                * directional_sphere_moment(self.d, k)
-                * radial_moment(self.d, 2 * j + k + self.d - 2)
-            )
-            if val.grade != self.grade:
-                raise GradeMismatch(f"C({self.d}, {j}, {k}) has grade {val.grade}, not {self.grade}")
-            got = self.entries.setdefault(key, val)
-        return got
+        d, row = self.d, self.rows.get(k)
+        if row is None:
+            first = (sigma_conv_constant(d) * directional_sphere_moment(d, k)
+                     * radial_moment(d, k + d - 2))
+            if first.grade != self.grade:
+                raise GradeMismatch(f"C({d}, 0, {k}) has grade {first.grade}, not {self.grade}")
+            row = self.rows[k] = [first]
+        while len(row) <= j:
+            a = 2 * len(row) + k + d - 4
+            row.append(row[-1] * rat(4 * (a + 1), a + d))
+        return row[j]
 
 
 def _mean_power(table: MomentTable, m: int, shift: int = 0) -> list:

@@ -46,6 +46,8 @@ class EigenTable:
 
     Values are computed on demand and cached; structural zeros (harmonic
     degree above the kernel degree) fall out of exact orthogonality.
+    ``ladders`` keeps :func:`build_weights`' (weights, grade) per tail depth
+    for :func:`_construct`.
     """
 
     def __init__(self, d: int):
@@ -53,6 +55,7 @@ class EigenTable:
         self.moments = MomentTable(d)
         self.lambda_delta: dict[int, ExactScalar] = {}
         self.lambda_poly: dict[tuple[str, int, int], ExactScalar] = {}  # (identity, two_m, k)
+        self.ladders: dict[int, tuple[list[WeightSpec], tuple]] = {}
 
     def kernel(self, two_m: int, identity: str) -> ExactPoly:
         """The kernel of exponent ``two_m`` for ``identity``, built afresh (eigenvalues need none)."""
@@ -89,7 +92,7 @@ class EigenTable:
 
 @lru_cache(maxsize=1)
 def _eigen_table(d: int) -> EigenTable:
-    """The eigenvalue table of d, shared by certify and its self-check.
+    """The eigenvalue table of d, shared by certify and its self-check, ladders included.
 
     Only the latest d is kept, so a scan does not hold every table alive.
     """
@@ -178,8 +181,13 @@ def build_weights(d: int, tail_depth: int = 25):
     degree down within each weight); every eigenvalue condition is checked
     exactly, including ``tail_depth`` values beyond each weight's
     structural cutoff, and each weight's ``eig`` table lists ell =
-    1..cutoff + tail_depth.  Constant terms are left at 0: the eigenvalues
-    do not depend on them, and :func:`compute_a_star` sets them.
+    1..cutoff + tail_depth.  An entry up to the cutoff is evaluated once:
+    the ladder's sum at ell plus the clipped term it adds there.  Past the
+    cutoff no coefficient's kernel (of degree at most 2 cutoff + 1, since
+    :func:`_check_grades` bounds each degree by ``top_degree``) reaches
+    harmonic degree 2 ell, so weight 1 lists lambda_delta(2 ell) and the
+    others list zero.  Constant terms are left at 0: the eigenvalues do not
+    depend on them, and :func:`compute_a_star` sets them.
     """
     N = ell_star(d)
     if N < 2:
@@ -213,21 +221,20 @@ def build_weights(d: int, tail_depth: int = 25):
                 raise SchemeInfeasible(
                     f"d={d} n={n}: eigenvalue at degree {q_star}, k={2*ell} not positive"
                 )
-            ratio = weight_eigen(w, table, ell) / denom
-            if ratio.sign() > 0:
-                coeffs[q_star] = -ratio  # clipped ratio {.}_+, entering negatively
-        _check_grades(w, grade)
-        for ell in range(1, cutoff + tail_depth + 1):
             v = weight_eigen(w, table, ell)
             if v.sign() > 0:
-                raise SchemeInfeasible(
-                    f"d={d} n={n}: eigenvalue condition fails at ell={ell}"
-                )
-            if ell > cutoff and n != 1 and not v.is_zero():
-                raise SchemeInfeasible(
-                    f"d={d} n={n}: expected structural zero at ell={ell}"
-                )
+                coeffs[q_star] = -(v / denom)  # clipped ratio {.}_+, entering negatively
+                v = v + coeffs[q_star] * denom
             w.eig.append(EigCheck(ell, v, True))
+        w.eig.reverse()
+        _check_grades(w, grade)
+        for ell in range(cutoff + 1, cutoff + tail_depth + 1):
+            w.eig.append(EigCheck(ell, table.delta(2 * ell) if w.has_delta else ZERO, True))
+        for e in w.eig:
+            if e.value.sign() > 0:
+                raise SchemeInfeasible(
+                    f"d={d} n={n}: eigenvalue condition fails at ell={e.ell}"
+                )
         for q, c in coeffs.items():
             transfers[q] = transfers.get(q, ZERO) + c
         weights.append(w)
@@ -247,6 +254,9 @@ def _coefficient_grade(table: EigenTable, N: int) -> tuple:
 
 def _check_grades(w: WeightSpec, grade: tuple) -> None:
     for q, c in w.coeffs.items():
+        if q > w.top_degree:
+            raise SchemeInfeasible(
+                f"weight {w.n}: coefficient at degree {q} is above the top degree {w.top_degree}")
         if c.sign() != (1 if w.n >= 2 and q == w.top_degree else -1):
             raise SchemeInfeasible(f"weight {w.n}: coefficient at degree {q} has the wrong sign")
         if c.grade != grade:
@@ -450,12 +460,18 @@ def _construct(d: int, tail_depth: int) -> tuple[Certificate, tuple]:
         paper_baseline_decimal=None,
         notes=[PRIOR_NOTE, TAIL_NOTE] if N < 2 else [TAIL_NOTE],
     )
+    table = _eigen_table(d)
     if N >= 2:
-        cert.weights, _, grade = build_weights(d, tail_depth)
+        if tail_depth not in table.ladders:
+            weights, _, grade = build_weights(d, tail_depth)
+            table.ladders[tail_depth] = weights, grade
+        weights, grade = table.ladders[tail_depth]
+        # fresh weights: compute_a_star and verify_certificate set their constant terms
+        cert.weights = [WeightSpec(w.n, w.identity, w.has_delta, w.top_degree, dict(w.coeffs),
+                                   w.c0, w.adm_margin, list(w.eig)) for w in weights]
         if not check_sum_condition(cert.weights):
             raise SchemeInfeasible(f"d={d}: sum condition violated")
         return cert, grade
-    table = _eigen_table(d)
     for ell in range(1, N + tail_depth + 1):
         v = table.delta(2 * ell)
         if v.sign() > 0:

@@ -16,7 +16,9 @@ in s = 1 + t then has, with F computed once per (d, k),
     tau_{p+1}/tau_p = (p+1)(2p+d-1) / ((p+1-k)(p+k+d-1)),
     F(d, k) = 2^{d-2} B(k+(d-1)/2, k+(d-1)/2) |S^{d-2}| / prod_{i<k} (d-1+2i),
 
-which vanishes for k above the kernel degree.  No kernel is built: with
+which vanishes for k above the kernel degree.  The Beta values telescope,
+F(d, k+1) = F(d, k) / (4(2k+d)), so F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d)
+takes one Beta value per d.  No kernel is built: with
 N_m's coefficients (``kernels``) and C(d, J+1, 0)/C(d, J, 0) = 2(2J+d-1)/(J+d-1),
 
     t_{p+1}/t_p = (m-p)(2(m-p-1)+d)(m-p+d-2)(2p+d-1) / ((2p+d)(2(m-p)+d-3)(p+1-k)(p+k+d-1))
@@ -33,6 +35,20 @@ C_k(t)/C_k(1) = 2F1(-k, k+d-2; (d-1)/2; (1-t)/2) (DLMF 18.5(iii)): against
     lambda_delta(k) = K_d 3F2(-k, k+d-2, d-2; (d-1)/2, (3d-4)/2; 1),
     K_d = C_d |S^{d-2}| 2^{3(d-2)/2} B(d-2, d/2).
 
+That 3F2 is the Hahn polynomial Q_k(x; alpha, beta, N) with alpha = beta =
+(d-3)/2, N = -(3d-4)/2 and x = -(d-2), so F_k = 3F2(...; 1) obeys the
+three-term recurrence in the degree (Koekoek-Lesky-Swarttouw (9.5.3); DLMF
+18.22(i)), scaled to integer coefficients:
+
+    a_n F_{n+1} = b_n F_n + c_n F_{n-1},    F_0 = 1,
+    a_n = (n+d-2)(2n+3d-4),  c_n = n(2n-d),  b_n = a_n - c_n - 4(d-2)(2n+d-2).
+
+It runs on the integers G_n = F_n prod_{i<n} a_i, G_{n+1} = b_n G_n +
+c_n a_{n-1} G_{n-1}, so every lambda_delta(k) with k <= K costs O(K)
+integer steps in all, and one rational G_k / prod_{i<k} a_i per even k.
+Dividing out the common gcd at each even n (``_HahnRun``) keeps the
+integers as small as the reduced values, so the cost grows linearly in K.
+
 All values are exact.
 
 The Gegenbauer polynomials, normalized by C_0 = 1, C_1 = 2 nu t and
@@ -46,7 +62,7 @@ quadrature oracle, which integrates the defining integral directly.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from .backend import rat
 from .kernels import MomentTable, delta_kernel_closed_form
@@ -97,9 +113,10 @@ def gegenbauer_basis(d: int) -> GegenbauerBasis:
 
 @lru_cache(maxsize=None)
 def _k_factor(d: int, k: int) -> ExactScalar:
-    """F(d, k), shared by both polynomial kernels and every m."""
-    return (beta_half_int(2 * k + d - 1, 2 * k + d - 1) * 2 ** (d - 2)
-            * sphere_surface(d - 1) / prod(range(d - 1, d + 2 * k - 1, 2)))
+    """F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d), shared by both polynomial kernels and every m."""
+    if k:
+        return _k_factor(d, 0) / (4**k * prod(range(d, d + 2 * k, 2)))
+    return beta_half_int(d - 1, d - 1) * 2 ** (d - 2) * sphere_surface(d - 1)
 
 
 def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0):
@@ -140,16 +157,45 @@ def _delta_constant(d: int) -> ExactScalar:
             * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d))
 
 
+class _HahnRun:
+    """F_0, F_2, ... of one d from the recurrence, extended on demand.
+
+    The state is n, G_{n-1}, G_n and P_n = prod_{i<n} a_i.  At every even n,
+    where F_n = G_n / P_n is reduced anyway, its three integers are divided
+    by their gcd: the recurrence is linear in (G_{n-1}, G_n), so only their
+    ratios to P_n matter, and the integers stay about as small as the
+    reduced values.
+    """
+
+    def __init__(self, d: int):
+        self.d, self.n, self.g_prev, self.g, self.p = d, 0, 0, 1, 1
+        self.even = [rat(1)]  # F_0, F_2, ..., F_n
+
+    def at(self, k: int):
+        d = self.d
+        while len(self.even) <= k // 2:
+            for n in (self.n, self.n + 1):
+                a = (n + d - 2) * (2 * n + 3 * d - 4)
+                c = n * (2 * n - d)  # c_0 = 0: G_{-1} drops out
+                b = a - c - 4 * (d - 2) * (2 * n + d - 2)
+                self.g_prev, self.g = (
+                    self.g, b * self.g + c * (n + d - 3) * (2 * n + 3 * d - 6) * self.g_prev)
+                self.p *= a
+            self.n += 2
+            h = gcd(self.g_prev, self.g, self.p)
+            self.g_prev, self.g, self.p = self.g_prev // h, self.g // h, self.p // h
+            self.even.append(rat(self.g, self.p))
+        return self.even[k // 2]
+
+
+# only the latest d is kept, as for the scheme's eigenvalue table
+_hahn_run = lru_cache(maxsize=1)(_HahnRun)
+
+
 def eigen_delta_weight(k: int, d: int) -> ExactScalar:
     """Exact eigenvalue lambda_1(k) of the delta-weight kernel, even k."""
     if k < 0 or k % 2 == 1:
         raise ValueError("k must be even and >= 0")
     if d < 3:
         raise ValueError("d must be >= 3")
-    # the 3F2 from the inside out: S_j = 1 + (a/b) S_{j+1} = num/den, with S_k = 1
-    num = den = 1
-    for j in range(k - 1, -1, -1):
-        a = 4 * (j - k) * (k + d - 2 + j) * (d - 2 + j)
-        b = (d - 1 + 2 * j) * (3 * d - 4 + 2 * j) * (j + 1)
-        num, den = b * den + a * num, b * den
-    return _delta_constant(d) * rat(num, den)
+    return _delta_constant(d) * _hahn_run(d).at(k)

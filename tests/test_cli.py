@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import csv
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import sharpcert
 from sharpcert import scheme
+from sharpcert import cli
 from sharpcert.cli import _dumps, main
 from sharpcert.scalars import ExactScalar
 from sharpcert.scheme import compute_a_star
@@ -115,6 +118,30 @@ def test_certify_and_verify_build_no_kernel(tmp_path, monkeypatch):
     monkeypatch.setattr(scheme.EigenTable, "kernel", no_kernel)
     out = tmp_path / "c.json"
     assert run(["certify", "-d", "12", "--out", str(out)]) == 0
+    scheme._eigen_table.cache_clear()
+    assert run(["verify", str(out)]) == 0
+
+
+def test_certify_builds_the_ladder_once(tmp_path, monkeypatch):
+    # the self-check reuses the weights certify built
+    scheme._eigen_table.cache_clear()
+    calls = []
+    build = scheme.build_weights
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(scheme, "build_weights", spy)
+    assert run(["certify", "-d", "12", "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == [(12, 25)]
+
+
+def test_deep_tail_certify_and_verify(tmp_path):
+    # every lambda_delta(2 ell) up to ell = 401 is derived, then re-derived
+    out = tmp_path / "c5.json"
+    assert run(["certify", "-d", "5", "--tail-depth", "400", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["delta_eigen_evidence"]) == 401
     scheme._eigen_table.cache_clear()
     assert run(["verify", str(out)]) == 0
 
@@ -609,6 +636,50 @@ def test_invalid_value_exits_2(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]
+
+
+def _outcome(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_parser_main(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "-d", "2"],
+        ["scan", "--d-min", "5", "--d-max", "4"],
+        ["eigen", "--kernel", "delta", "-d", "5", "--k", "2"],
+        ["verify", "c.json", "extra"],
+        ["certify", "-d", "9", "--tail-depth", "-3"],
+        ["scan", "--help"],
+    ],
+    ids=["certify", "scan", "eigen", "verify_unrecognized", "certify_invalid", "scan_help"],
+)
+def test_one_parser_per_command_matches_full_parser(argv):
+    # main builds only the named subcommand's parser; exit code, output and
+    # error text (the top-level usage of an unrecognized argument included)
+    # are those of the parser with all four
+    assert _outcome(main, argv) == _outcome(_full_parser_main, argv)
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "{certify,scan,eigen,verify}" in text
+    for name in ("certify", "scan", "eigen", "verify"):
+        assert f"\n    {name} " in text, name
 
 
 def test_console_script_entry_point():

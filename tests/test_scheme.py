@@ -5,11 +5,13 @@ import pytest
 
 from sharpcert import scheme
 from sharpcert.backend import rat
-from sharpcert.errors import MalformedCertificate
+from sharpcert.errors import MalformedCertificate, SchemeInfeasible
 from sharpcert.polys import nonneg_on
 from sharpcert.scalars import ExactScalar
 from sharpcert.scheme import (
+    NONMAGICAL,
     Certificate,
+    EigCheck,
     EigenTable,
     WeightSpec,
     build_weights,
@@ -100,6 +102,51 @@ def test_leading_transfer():
         assert weights[0].coeffs
         for q, c in weights[0].coeffs.items():
             assert c.sign() < 0 and leading_at[q].coeffs[q].sign() > 0
+
+
+def test_coefficient_above_top_degree_rejected(monkeypatch):
+    # the zeros listed past each cutoff rest on this degree bound
+    grade = build_weights(9, tail_depth=0)[2]
+    w = WeightSpec(2, NONMAGICAL, False, 10, {12: ExactScalar(-1, *grade)}, rat(0))
+    with pytest.raises(SchemeInfeasible, match="above the top degree"):
+        scheme._check_grades(w, grade)
+    # a ladder whose knob lands above a weight's top degree stops there
+    knob = scheme._knob_degree
+    monkeypatch.setattr(scheme, "_knob_degree", lambda identity, ell: knob(identity, ell) + 4)
+    with pytest.raises(SchemeInfeasible, match="above the top degree"):
+        build_weights(9, tail_depth=0)
+
+
+def test_ladder_entries_past_cutoff():
+    # weight 1 lists lambda_delta(2 ell), every other weight zero, and each
+    # entry equals a full evaluation of the weight's eigenvalue
+    weights, table, _ = build_weights(12, tail_depth=4)
+    for w in weights:
+        for e in w.eig:
+            assert e.value == weight_eigen(w, table, e.ell), (w.n, e.ell)
+        cutoff = len(w.eig) - 4
+        tail = [e.value for e in w.eig[cutoff:]]
+        assert tail == ([table.delta(2 * ell) for ell in range(cutoff + 1, cutoff + 5)]
+                        if w.has_delta else [ExactScalar(0)] * 4)
+
+
+@pytest.mark.parametrize("edit", ["coefficient", "eig"])
+def test_verify_rejects_in_memory_edit_of_certify_result(edit):
+    # certify's ladder is kept for its self-check; the weights it hands out
+    # must own their containers, or this edit would reach the kept ladder:
+    # the rebuild would carry it, and so would every later certificate of d
+    cert = compute_a_star(9)
+    w = next(w for w in cert.weights if w.coeffs)
+    if edit == "coefficient":
+        q = max(w.coeffs)
+        w.coeffs[q] = w.coeffs[q] * 2
+    else:
+        w.eig[0] = EigCheck(1, ExactScalar(-1), True)
+    ok, failures = verify_certificate(cert)
+    assert not ok
+    assert any("mismatch" in f for f in failures), failures
+    ok, failures = verify_certificate(compute_a_star(9))
+    assert ok, failures
 
 
 def test_sum_condition_polynomial_identity():

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpcert.backend import rat
+from sharpcert import specfun
 from sharpcert.kernels import (
     MomentTable,
     delta_kernel_closed_form,
     directional_sphere_moment,
     magical_kernel_poly,
     nonmagical_kernel_poly,
+    radial_moment,
+    sigma_conv_constant,
 )
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
@@ -265,6 +268,49 @@ def test_delta_eigen_matches_rodrigues_sum():
     for d in range(3, 49):
         for k in range(0, 2 * (ell_star(d) + 25) + 1, 2):
             assert eigen_delta_weight(k, d) == _rodrigues_delta(k, d), (d, k)
+
+
+def _delta_3f2_sum(k, d):
+    # 3F2(-k, k+d-2, d-2; (d-1)/2, (3d-4)/2; 1) as its O(k)-term sum, from the
+    # inside out: S_j = 1 + (a/b) S_{j+1} = num/den, with S_k = 1
+    num = den = 1
+    for j in range(k - 1, -1, -1):
+        a = 4 * (j - k) * (k + d - 2 + j) * (d - 2 + j)
+        b = (d - 1 + 2 * j) * (3 * d - 4 + 2 * j) * (j + 1)
+        num, den = b * den + a * num, b * den
+    return rat(num, den)
+
+
+def test_delta_recurrence_matches_3f2_sum():
+    # the Hahn recurrence against the hypergeometric sum it replaces, past
+    # every tail depth certify uses by default; lambda_delta(0) = K_d
+    for d in range(3, 61):
+        for k in range(0, 2 * (ell_star(d) + 60) + 1, 2):
+            assert eigen_delta_weight(k, d) == eigen_delta_weight(0, d) * _delta_3f2_sum(k, d), (d, k)
+    # values asked for out of order, and across a change of d, are the same
+    for d, k in ((9, 40), (9, 2), (3, 8), (9, 0), (9, 40)):
+        assert eigen_delta_weight(k, d) == eigen_delta_weight(0, d) * _delta_3f2_sum(k, d), (d, k)
+
+
+def test_k_factor_matches_beta_form():
+    # F(d, k) = 2^{d-2} B(k+(d-1)/2, k+(d-1)/2) |S^{d-2}| / prod_{i<k} (d-1+2i)
+    for d in range(3, 49):
+        for k in range(61):
+            want = (beta_half_int(2 * k + d - 1, 2 * k + d - 1) * 2 ** (d - 2)
+                    * sphere_surface(d - 1) / prod(range(d - 1, d + 2 * k - 1, 2)))
+            assert specfun._k_factor(d, k) == want, (d, k)
+
+
+def test_moments_match_beta_form():
+    # C(d, J, K) as the product of its three Beta-valued factors; the table
+    # is asked from the top down, so one request fills the rows below it
+    for d in range(3, 49):
+        table = MomentTable(d)
+        for K in (0, 2, 4):
+            for J in range(30, -1, -1):
+                want = (sigma_conv_constant(d) * directional_sphere_moment(d, K)
+                        * radial_moment(d, 2 * J + K + d - 2))
+                assert table.get(J, K) == want, (d, J, K)
 
 
 def test_delta_eigen_grade_coherence():
