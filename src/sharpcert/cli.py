@@ -20,7 +20,8 @@ import time
 from .backend import rat
 from .errors import GradeMismatch, MalformedCertificate, PrecisionExhausted, SchemeInfeasible
 from .scalars import ExactScalar
-from .scheme import Certificate, EigenTable, compute_a_star, verify_certificate
+from .scheme import (Certificate, EigenTable, compute_a_star, reject_repeated_keys,
+                     verify_certificate)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -67,62 +68,6 @@ def _grade_str(grade) -> str:
     return f"sqrt2^{grade[0]}*pi^({grade[1]}/2)"
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_LITERALS = {True: "true", False: "false", None: "null"}
-
-
-def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, for dicts with str keys, lists, str, int, bool and None.
-
-    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
-    this writer emits the same text with the same C string escaper and joins
-    it once.  Any other type (a float, a tuple, a non-str key) raises
-    TypeError rather than being given a rendering of its own.
-    """
-    parts = []
-    append = parts.append
-
-    def write(o, pad: str) -> None:  # pad: newline plus this level's indent
-        t = type(o)
-        if t is str:
-            append(_encode_str(o))
-        elif t is int:
-            append(int.__repr__(o))
-        elif t is dict:
-            if not o:
-                append("{}")
-                return
-            inner = pad + "  "
-            sep = "{" + inner
-            for key, value in o.items():
-                if type(key) is not str:
-                    raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-                append(sep)
-                append(_encode_str(key))
-                append(": ")
-                write(value, inner)
-                sep = "," + inner
-            append(pad + "}")
-        elif t is list:
-            if not o:
-                append("[]")
-                return
-            inner = pad + "  "
-            sep = "[" + inner
-            for value in o:
-                append(sep)
-                write(value, inner)
-                sep = "," + inner
-            append(pad + "]")
-        elif t is bool or o is None:
-            append(_LITERALS[o])
-        else:
-            raise TypeError(f"cannot write {t.__name__} as JSON")
-
-    write(obj, "\n")
-    return "".join(parts)
-
-
 def _write_out(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
@@ -143,12 +88,13 @@ def cmd_certify(args) -> int:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = _dumps({**cert.to_json(), "timestamp": timestamp})
+    text = cert.to_text(timestamp)
     _write_out(text, args.out)
-    # self-check the certificate as written; it reuses the eigenvalue table
-    # that compute_a_star built
+    # self-check the certificate as written; it reuses the eigenvalue table,
+    # ladder and admissibility checks that compute_a_star ran
     try:
-        ok, failures = verify_certificate(Certificate.from_json(json.loads(text)))
+        data = json.loads(text, object_pairs_hook=reject_repeated_keys)
+        ok, failures = verify_certificate(Certificate.from_json(data))
     except MalformedCertificate as exc:
         ok, failures = False, [f"written certificate does not load: {exc}"]
     n_eig = sum(len(w.eig) for w in cert.weights)
@@ -201,7 +147,7 @@ def cmd_scan(args) -> int:
     rows.sort(key=lambda r: r["d"])
     fields = ["d", "N", "a_star_decimal", "grade", "status", "wall_ms"]
     if args.format == "json":
-        _write_out(_dumps(rows), args.out)
+        _write_out(json.dumps(rows, indent=2), args.out)
     else:
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=fields)
@@ -259,8 +205,8 @@ def cmd_eigen(args) -> int:
                 "contained": contained,
             }
         )
-    _write_out(_dumps({"dimension": d, "kernel": args.kernel, "m": args.m, "values": rows}),
-               args.out)
+    _write_out(json.dumps({"dimension": d, "kernel": args.kernel, "m": args.m, "values": rows},
+                          indent=2), args.out)
     for r in rows:
         flag = "" if r["contained"] else "  ENCLOSURE VIOLATION"
         print(f"k={r['k']:>3}  {r['decimal']}{flag}", file=sys.stderr)
@@ -270,7 +216,7 @@ def cmd_eigen(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.certificate, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=reject_repeated_keys)
         cert = Certificate.from_json(data)
     except (OSError, ValueError, RecursionError, MalformedCertificate) as exc:
         # ValueError covers bad JSON, bad UTF-8 and integers past int()'s digit limit

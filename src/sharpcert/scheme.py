@@ -18,13 +18,14 @@ rather than falling back to floating point.
 
 from __future__ import annotations
 
-from collections import namedtuple
+import json
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .backend import rat, rat_parse, rat_str
 from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
 from .kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
-from .polys import ExactPoly, minimal_shift, nonneg_on
+from .polys import ExactPoly, NonnegCertificate, minimal_shift, nonneg_on
 from .scalars import ZERO, ExactScalar
 from .specfun import eigen_delta_weight, funk_hecke_eigen
 
@@ -47,7 +48,9 @@ class EigenTable:
     Values are computed on demand and cached; structural zeros (harmonic
     degree above the kernel degree) fall out of exact orthogonality.
     ``ladders`` keeps :func:`build_weights`' (weights, grade) per tail depth
-    for :func:`_construct`.
+    for :func:`_construct`; ``admissible`` keeps :func:`compute_a_star`'s
+    nonnegativity check of each ladder weight at its constant term, keyed
+    (tail depth, weight n, c0), for :func:`verify_certificate`.
     """
 
     def __init__(self, d: int):
@@ -56,6 +59,7 @@ class EigenTable:
         self.lambda_delta: dict[int, ExactScalar] = {}
         self.lambda_poly: dict[tuple[str, int, int], ExactScalar] = {}  # (identity, two_m, k)
         self.ladders: dict[int, tuple[list[WeightSpec], tuple]] = {}
+        self.admissible: dict[tuple, NonnegCertificate] = {}
 
     def kernel(self, two_m: int, identity: str) -> ExactPoly:
         """The kernel of exponent ``two_m`` for ``identity``, built afresh (eigenvalues need none)."""
@@ -92,9 +96,10 @@ class EigenTable:
 
 @lru_cache(maxsize=1)
 def _eigen_table(d: int) -> EigenTable:
-    """The eigenvalue table of d, shared by certify and its self-check, ladders included.
+    """The eigenvalue table of d, shared by certify and its self-check.
 
-    Only the latest d is kept, so a scan does not hold every table alive.
+    Its ladders and admissibility checks are shared with it.  Only the latest
+    d is kept, so a scan does not hold every table alive.
     """
     return EigenTable(d)
 
@@ -310,6 +315,7 @@ class Certificate:
         self.generator = dict(GENERATOR) if generator is None else generator
 
     def to_json(self) -> dict:
+        """The certificate as a dict, keys in file order; :meth:`to_text` writes its text."""
         return {
             "version": 1,
             "dimension": self.dimension,
@@ -355,6 +361,47 @@ class Certificate:
             "generator": dict(self.generator),
             "notes": list(self.notes),
         }
+
+    def to_text(self, timestamp: str | None = None) -> str:
+        """The certificate file: ``json.dumps(obj, indent=2)`` of :meth:`to_json`'s dict.
+
+        With a ``timestamp``, ``obj`` is that dict plus ``"timestamp"`` as its
+        last key.  ``json.dumps`` runs its pure-Python encoder whenever
+        ``indent`` is set; here each coefficient and sign-table entry is one
+        f-string, the zero value's text (most sign-table entries) is built
+        once, and only the free-form ``generator`` and ``notes`` go through
+        ``json.dumps``, indented one level deeper.
+        """
+        enc = _encode_str
+        weights = []
+        for w in self.weights:
+            coeffs = [
+                f'        {{\n          "degree": {q},\n          "sign": {-1 if c.sign() < 0 else 1},'
+                f'\n          "value": {_value_text(-c if c.sign() < 0 else c, "            ")}\n        }}'
+                for q, c in sorted(w.coeffs.items(), reverse=True)
+            ]
+            weights.append(
+                f'    {{\n      "n": {w.n},\n      "identity": {enc(w.identity)},'
+                f'\n      "has_delta": {_LITERALS[w.has_delta]},\n      "top_degree": {w.top_degree},'
+                f'\n      "coefficients": {_list_text(coeffs, "      ")},'
+                f'\n      "c0": "{rat_str(w.c0)}",\n      "adm_margin": "{rat_str(w.adm_margin)}",'
+                f'\n      "eig": {_table_text(w.eig, "        ")}\n    }}')
+        baseline = self.paper_baseline_decimal
+        generator, notes = (json.dumps(x, indent=2).replace("\n", "\n  ")
+                            for x in (self.generator, self.notes))
+        text = (
+            f'{{\n  "version": 1,\n  "dimension": {self.dimension},\n  "N": {self.N},'
+            f'\n  "tail_check_depth": {self.tail_check_depth},'
+            f'\n  "weights": {_list_text(weights, "  ")},'
+            f'\n  "sum_condition_ok": {_LITERALS[self.sum_condition_ok]},'
+            f'\n  "a_star": {{\n    "rational_times_grade": {_value_text(self.a_star, "      ")},'
+            f'\n    "decimal": {enc(self.a_star_decimal)}\n  }},'
+            f'\n  "paper_baseline_decimal": {"null" if baseline is None else enc(baseline)},'
+            f'\n  "delta_eigen_evidence": {_table_text(self.delta_eigen_evidence, "    ")},'
+            f'\n  "generator": {generator},\n  "notes": {notes}')
+        if timestamp is not None:
+            text += f',\n  "timestamp": {enc(timestamp)}'
+        return text + "\n}"
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
@@ -413,6 +460,34 @@ class Certificate:
             raise MalformedCertificate(message) from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false"}
+
+
+def _value_text(v: ExactScalar, pad: str) -> str:
+    """An exact value's ``json.dumps(indent=2)`` text; ``pad`` is its keys' indent."""
+    return (f'{{\n{pad}"rational": "{rat_str(v.coeff)}",\n{pad}"sqrt2": {v.sqrt2},'
+            f'\n{pad}"pi_half": {v.pi_half}\n{pad[2:]}}}')
+
+
+def _list_text(items: list[str], pad: str) -> str:
+    """A JSON array of written items; ``pad`` is the indent of the line holding its key."""
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _table_text(entries: list[EigCheck], pad: str) -> str:
+    """A sign table (``eig`` or ``delta_eigen_evidence``); ``pad`` is its entries' indent."""
+    head = f'{pad}{{\n{pad}  "ell": '
+    mid = f',\n{pad}  "value": '
+    tails = {b: f',\n{pad}  "nonpositive": {_LITERALS[b]}\n{pad}}}' for b in (True, False)}
+    vpad = pad + "    "
+    zero = mid + _value_text(ZERO, vpad)
+    return _list_text(
+        [f"{head}{e.ell}{zero}{tails[e.nonpositive]}" if not e.value.coeff
+         else f"{head}{e.ell}{mid}{_value_text(e.value, vpad)}{tails[e.nonpositive]}"
+         for e in entries], pad[2:])
+
+
 _JSON_KINDS = {int: "an integer", bool: "true or false", str: "a string",
                list: "an array", dict: "an object"}
 
@@ -425,10 +500,28 @@ def _json(v, kind):
 
 
 def _eig_check_from_json(e) -> EigCheck:
-    ell = _json(e["ell"], int)
+    ell = e["ell"]
+    if type(ell) is not int:
+        raise MalformedCertificate(f"expected an integer, got {ell!r:.60}")
     if ell < 1:
         raise MalformedCertificate(f"eigenvalue index ell={ell} must be >= 1")
-    return EigCheck(ell, ExactScalar.from_json(e["value"]), _json(e["nonpositive"], bool))
+    value, nonpositive = ExactScalar.from_json(e["value"]), e["nonpositive"]
+    if type(nonpositive) is not bool:
+        raise MalformedCertificate(f"expected true or false, got {nonpositive!r:.60}")
+    return EigCheck(ell, value, nonpositive)
+
+
+def reject_repeated_keys(pairs: list) -> dict:
+    """A ``json.load`` ``object_pairs_hook``: the object, or MalformedCertificate on a repeated key.
+
+    Plain ``json.load`` keeps a repeated key's last value without a word, so
+    a file could carry two readings of one claim.
+    """
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise MalformedCertificate(f"repeated key {key!r}")
+    return obj
 
 
 def _decimals(d: int, a_star: ExactScalar) -> tuple[str, str | None]:
@@ -492,12 +585,14 @@ def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certifica
     if rat(tol) <= 0:
         raise ValueError("tol must be positive")
     cert, grade = _construct(d, tail_depth)
+    admissible = _eigen_table(d).admissible
     total = rat(0)
     for w in cert.weights:
         w.c0 = minimal_shift(w.polynomial_part(include_constant=False), 0, 16, tol)
         adm = nonneg_on(w.polynomial_part(include_constant=True), 0, 16)
         if not adm.holds:
             raise SchemeInfeasible(f"d={d} n={w.n}: admissibility failed after shift")
+        admissible[tail_depth, w.n, w.c0] = adm
         w.adm_margin = adm.lower_bound
         total += w.c0
     cert.a_star = ExactScalar(total, *grade)
@@ -543,7 +638,9 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     that), so neither d nor the depth costs more work than the stored
     tables.  Then certify's construction runs again.  Each rebuilt weight
     must be admissible, by one Sturm check at the stored constant term less
-    the stored margin (constants larger than minimal are accepted).  The
+    the stored margin (constants larger than minimal are accepted); when
+    :func:`compute_a_star` in this process checked that weight at that
+    constant, its result is the one used.  The
     fields the construction leaves free are then filled in from the
     certificate: each weight's ``c0`` and ``adm_margin``, a* as the sum of
     those constant terms with its decimal renderings, and ``generator``.
@@ -569,18 +666,23 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
         return False, [f"reconstruction failed: {exc}"]
 
     failures: list[str] = []
+    admissible = _eigen_table(d).admissible
     for w, rw in zip(cert.weights, built.weights):
         tag = f"weight {rw.n}"
         # admissibility of the rebuilt weight at the stored constant, one
         # Sturm check: with a margin >= 0, poly - margin >= 0 implies Adm.  A
         # negative margin is a certified minimum rounded below zero; it is
         # checked on poly itself and must be the lower bound that check
-        # certifies.
+        # certifies.  Certify's own check of the same weight at that
+        # constant is the same Sturm check, so it is reused.
         if w.c0 < 0:
             failures.append(f"{tag}: negative constant term")
-        poly = rw.polynomial_part(include_constant=False)
-        poly[0] += w.c0 - max(w.adm_margin, 0)
-        adm = nonneg_on(poly, 0, 16)
+        c = w.c0 - max(w.adm_margin, 0)
+        adm = admissible.get((depth, rw.n, c))
+        if adm is None:
+            poly = rw.polynomial_part(include_constant=False)
+            poly[0] += c
+            adm = nonneg_on(poly, 0, 16)
         if not adm.holds:
             failures.append(f"{tag}: admissibility (Adm) fails at stored c0 less the stored margin")
         elif w.adm_margin < 0 and w.adm_margin != adm.lower_bound:

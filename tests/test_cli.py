@@ -10,13 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import sharpcert
 from sharpcert import scheme
 from sharpcert import cli
-from sharpcert.cli import _dumps, main
+from sharpcert.cli import main
 from sharpcert.scalars import ExactScalar
 from sharpcert.scheme import compute_a_star
 
@@ -63,27 +61,6 @@ def test_certify_json_layout(tmp_path, d):
     assert run(["certify", "-d", str(d), "--out", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2)
-
-
-_json_char = st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\U0001f600')
-_json_text = st.text(_json_char, max_size=6)
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | _json_text,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@given(_json_values)
-def test_dumps_matches_stdlib_indent_2(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: 2}, ExactScalar(3, 1, 2), {"a": [0, 1.5]}],
-                         ids=["float", "tuple", "int_key", "exact_scalar", "nested_float"])
-def test_dumps_rejects_other_types(obj):
-    with pytest.raises(TypeError):
-        _dumps(obj)
 
 
 def test_certify_computes_each_eigenvalue_once(tmp_path, monkeypatch):
@@ -137,6 +114,27 @@ def test_certify_builds_the_ladder_once(tmp_path, monkeypatch):
     assert calls == [(12, 25)]
 
 
+def test_certify_self_check_runs_no_sturm_check_of_its_own(tmp_path, monkeypatch):
+    # the self-check reuses certify's admissibility check of each weight at
+    # its constant term; a verify process runs one per weight
+    scheme._eigen_table.cache_clear()
+    calls = []
+    nonneg_on = scheme.nonneg_on
+
+    def spy(*args):
+        calls.append(args)
+        return nonneg_on(*args)
+
+    monkeypatch.setattr(scheme, "nonneg_on", spy)
+    out = tmp_path / "c.json"
+    assert run(["certify", "-d", "17", "--out", str(out)]) == 0
+    n_weights = len(json.loads(out.read_text())["weights"])
+    assert len(calls) == n_weights  # compute_a_star's own checks
+    scheme._eigen_table.cache_clear()
+    assert run(["verify", str(out)]) == 0
+    assert len(calls) == 2 * n_weights
+
+
 def test_deep_tail_certify_and_verify(tmp_path):
     # every lambda_delta(2 ell) up to ell = 401 is derived, then re-derived
     out = tmp_path / "c5.json"
@@ -157,14 +155,14 @@ def _bump_eig(obj):
     ids=["eig_value", "c0_malformed"],
 )
 def test_certify_self_checks_the_written_json(tmp_path, monkeypatch, capsys, edit):
-    to_json = scheme.Certificate.to_json
+    to_text = scheme.Certificate.to_text
 
-    def to_json_edited(self):
-        obj = to_json(self)
+    def to_text_edited(self, timestamp=None):
+        obj = json.loads(to_text(self, timestamp))
         edit(obj)
-        return obj
+        return json.dumps(obj, indent=2)
 
-    monkeypatch.setattr(scheme.Certificate, "to_json", to_json_edited)
+    monkeypatch.setattr(scheme.Certificate, "to_text", to_text_edited)
     out = tmp_path / "c.json"
     assert run(["certify", "-d", "9", "--out", str(out)]) == 1
     assert "re-verification FAIL" in capsys.readouterr().err
@@ -295,6 +293,33 @@ def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("malformed certificate:")
+
+
+def _insert_before(text, anchor, marker, line):
+    """``text`` with ``line`` inserted before the first ``marker`` after ``anchor``."""
+    i = text.index(marker, text.index(anchor))
+    return text[:i] + line + text[i:]
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        # a second rational before weight 1's true leading coefficient: a
+        # reader keeping the last copy would verify the file
+        (lambda t: _insert_before(t, '"coefficients": [', '"rational"', '"rational": "999", '),
+         "rational"),
+        (lambda t: _insert_before(t, "{", '"N"', '"N": 3, '), "N"),
+        (lambda t: _insert_before(t, '"weights": [', '"c0"', '"c0": "1", '), "c0"),
+    ],
+    ids=["coefficient_rational", "top_level", "in_weight"],
+)
+def test_verify_rejects_repeated_keys(tmp_path, capsys, edit, key):
+    path = tmp_path / "c9.json"
+    assert run(["certify", "-d", "9", "--out", str(path)]) == 0
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"malformed certificate: repeated key {key!r}\n"
 
 
 @pytest.mark.parametrize(

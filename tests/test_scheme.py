@@ -209,6 +209,38 @@ def test_certificate_json_round_trip():
     assert back.a_star == cert.a_star
 
 
+def _assert_written_as_json_dumps(cert):
+    for timestamp in (None, "2026-10-19T12:00:00Z"):
+        obj = cert.to_json() if timestamp is None else {**cert.to_json(), "timestamp": timestamp}
+        assert cert.to_text(timestamp) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("d", range(3, 49))
+def test_to_text_is_json_dumps_indent_2(d):
+    _assert_written_as_json_dumps(compute_a_star(d))
+
+
+@pytest.mark.parametrize("d, depth", [(5, 0), (5, 60), (9, 0), (9, 60)])
+def test_to_text_at_other_tail_depths(d, depth):
+    _assert_written_as_json_dumps(compute_a_star(d, tail_depth=depth))
+
+
+def test_to_text_with_empty_coefficient_lists():
+    cert = compute_a_star(7)
+    assert any(not w.coeffs for w in cert.weights)
+    _assert_written_as_json_dumps(cert)
+
+
+def test_to_text_of_free_form_fields():
+    obj = compute_a_star(9).to_json()
+    odd = 'quote " backslash \\ tab \t nul \x00 del \x7f \u00e9\u2028\U0001f600'
+    obj["generator"] = {"name": odd, "nested": {"list": [1, None, True, odd], "empty": {}},
+                        odd: []}
+    obj["notes"] = [odd, "", "\n"]
+    obj["weights"][0]["identity"] = obj["a_star"]["decimal"] = odd
+    _assert_written_as_json_dumps(Certificate.from_json(obj))
+
+
 def test_tamper_detection():
     cert = compute_a_star(9)
     base = cert.to_json()
@@ -333,6 +365,8 @@ def test_verify_does_no_shift_work(monkeypatch, d):
 
     for name in calls:
         monkeypatch.setattr(scheme, name, spy(name, getattr(scheme, name)))
+    # as in a verify process: certify's admissibility checks are not at hand
+    scheme._eigen_table.cache_clear()
     ok, failures = verify_certificate(cert)
     assert ok, failures
     assert calls == {"minimal_shift": 0, "nonneg_on": len(cert.weights)}
