@@ -1,5 +1,12 @@
 """Command-line driver: certify, scan, eigen, verify.
 
+Every subcommand's flags are declared once, in ``COMMANDS``.  A plain
+command line (the subcommand, then exact flag spellings with their values
+and positionals, each value accepted) is read straight from that table;
+help, ``--flag=value``, abbreviations and every error go to the argparse
+parser ``build_parser`` builds from the same table, so their texts and exit
+codes are argparse's.  argparse is imported only then.
+
 Exit codes are part of the contract: 0 all checks pass, 1 a check failed,
 2 invalid input or malformed file, 3 internal grade mismatch.  Decimal
 output is presentation-only; certificates always carry the exact
@@ -8,14 +15,12 @@ serialization alongside.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
-import locale  # noqa: F401  argparse's gettext imports it in every command; load it at start-up
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .backend import rat
 from .errors import GradeMismatch, MalformedCertificate, PrecisionExhausted, SchemeInfeasible
@@ -31,13 +36,20 @@ EXIT_GRADE_MISMATCH = 3
 DEFAULT_PRECISION = 128
 
 
+def _type_error(message: str):
+    """argparse's error for a rejected value; argparse is imported only here."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _parse_tol(text: str):
     try:
         tol = rat(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        raise _type_error(f"not a rational: {text!r}") from exc
     if tol <= 0:
-        raise argparse.ArgumentTypeError("tol must be positive")
+        raise _type_error("tol must be positive")
     return tol
 
 
@@ -48,9 +60,9 @@ def _int_at_least(lo: int, name: str):
         try:
             value = int(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+            raise _type_error(f"not an integer: {text!r}") from exc
         if value < lo:
-            raise argparse.ArgumentTypeError(f"{name} must be >= {lo}")
+            raise _type_error(f"{name} must be >= {lo}")
         return value
 
     return parse
@@ -60,7 +72,7 @@ def _out_path(text: str) -> str:
     """An argparse type: a file path that can be written, checked before any work."""
     parent = os.path.dirname(os.path.abspath(text))
     if os.path.isdir(text) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-        raise argparse.ArgumentTypeError(f"cannot write {text!r}")
+        raise _type_error(f"cannot write {text!r}")
     return text
 
 
@@ -149,6 +161,8 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         _write_out(json.dumps(rows, indent=2), args.out)
     else:
+        import csv  # only a CSV scan needs it
+
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=fields)
         w.writeheader()
@@ -232,87 +246,116 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _out_option(sp):
-    sp.add_argument("--out", type=_out_path, help="output file (default stdout)")
+# Every subcommand's arguments, declared once: main reads a plain command
+# line straight from here, and build_parser builds argparse from the same
+# entries for everything else.  name -> (help, handler, arguments); an
+# argument is (spellings, dest, type, default, choices, required, help), and
+# one with no spellings is a positional.
+_TOL = (("--tol",), "tol", _parse_tol, rat(1, 10**6), None, False,
+        "rational tolerance for the constant-term shift (default 1/1000000)")
+_TAIL_DEPTH = (("--tail-depth",), "tail_depth", _int_at_least(0, "tail-depth"), 25, None, False,
+               "extra eigenvalue signs checked past each cutoff (default 25, min 0)")
+_OUT = (("--out",), "out", _out_path, None, None, False, "output file (default stdout)")
+_DIMENSION = (("-d", "--dimension"), "dimension", int, None, None, True, None)
+
+COMMANDS = {
+    "certify": ("run the full scheme for one dimension", cmd_certify,
+                (_DIMENSION, _TOL, _TAIL_DEPTH, _OUT)),
+    "scan": ("certify a range of dimensions (parallel)", cmd_scan, (
+        (("--d-min",), "d_min", int, None, None, True, None),
+        (("--d-max",), "d_max", int, None, None, True, None),
+        (("--jobs",), "jobs", _int_at_least(1, "jobs"), None, None, False,
+         "worker processes (default: one per core, min 1)"),
+        _TOL, _TAIL_DEPTH, _OUT,
+        (("--format",), "format", None, "csv", ("json", "csv"), False, None),
+    )),
+    "eigen": ("exact eigenvalues with quadrature enclosures", cmd_eigen, (
+        _DIMENSION,
+        (("--kernel",), "kernel", None, None, ("delta", "magical", "nonmagical"), True, None),
+        (("--m",), "m", int, None, None, False, "half-degree of a polynomial kernel"),
+        (("--k",), "k", None, None, None, True, "comma-separated harmonic degrees"),
+        (("--precision-bits",), "precision_bits", _int_at_least(64, "precision-bits"),
+         DEFAULT_PRECISION, None, False,
+         "working precision of the quadrature enclosures (default 128, min 64); "
+         "decimals are always correctly rounded to 30 digits"),
+        _OUT,
+    )),
+    "verify": ("re-verify a certificate JSON file", cmd_verify,
+               (((), "certificate", None, None, None, True, "path to the certificate"),)),
+}
 
 
-def _scheme_options(sp):
-    sp.add_argument("--tol", type=_parse_tol, default=rat(1, 10**6),
-                    help="rational tolerance for the constant-term shift (default 1/1000000)")
-    sp.add_argument("--tail-depth", type=_int_at_least(0, "tail-depth"), default=25,
-                    help="extra eigenvalue signs checked past each cutoff (default 25, min 0)")
-    _out_option(sp)
+def build_parser():
+    """The argparse parser for every subcommand, built from COMMANDS."""
+    import argparse  # only help, unusual spellings and errors need a parser
 
-
-def _add_certify(sub):
-    sp = sub.add_parser("certify", help="run the full scheme for one dimension")
-    sp.add_argument("-d", "--dimension", type=int, required=True)
-    _scheme_options(sp)
-    sp.set_defaults(func=cmd_certify)
-
-
-def _add_scan(sub):
-    sp = sub.add_parser("scan", help="certify a range of dimensions (parallel)")
-    sp.add_argument("--d-min", type=int, required=True)
-    sp.add_argument("--d-max", type=int, required=True)
-    sp.add_argument("--jobs", type=_int_at_least(1, "jobs"), default=None,
-                    help="worker processes (default: one per core, min 1)")
-    _scheme_options(sp)
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
-    sp.set_defaults(func=cmd_scan)
-
-
-def _add_eigen(sub):
-    sp = sub.add_parser("eigen", help="exact eigenvalues with quadrature enclosures")
-    sp.add_argument("-d", "--dimension", type=int, required=True)
-    sp.add_argument("--kernel", choices=("delta", "magical", "nonmagical"), required=True)
-    sp.add_argument("--m", type=int, default=None, help="half-degree of a polynomial kernel")
-    sp.add_argument("--k", required=True, help="comma-separated harmonic degrees")
-    sp.add_argument("--precision-bits", type=_int_at_least(64, "precision-bits"),
-                    default=DEFAULT_PRECISION,
-                    help="working precision of the quadrature enclosures (default 128, min 64); "
-                    "decimals are always correctly rounded to 30 digits")
-    _out_option(sp)
-    sp.set_defaults(func=cmd_eigen)
-
-
-def _add_verify(sub):
-    sp = sub.add_parser("verify", help="re-verify a certificate JSON file")
-    sp.add_argument("certificate", help="path to the certificate")
-    sp.set_defaults(func=cmd_verify)
-
-
-_SUBCOMMANDS = {"certify": _add_certify, "scan": _add_scan, "eigen": _add_eigen,
-               "verify": _add_verify}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``command``, only that subcommand's parser under it.
-
-    The top-level usage still lists every subcommand, so usage, help and
-    error texts for a command line that starts with ``command`` are those
-    of the full parser.
-    """
     p = argparse.ArgumentParser(
         prog="sharpcert",
         description="Exact certification of the sharp-constant threshold for "
         "degenerate-Gaussian extension inequalities on spheres.",
     )
-    if command is None:
-        sub = p.add_subparsers(dest="command", required=True)
-    else:  # the metavar the full parser derives from its choices
-        sub = p.add_subparsers(dest="command", required=True,
-                               metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-    for name in _SUBCOMMANDS if command is None else (command,):
-        _SUBCOMMANDS[name](sub)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_, func, arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for spellings, dest, type_, default, choices, required, arg_help in arguments:
+            if spellings:
+                sp.add_argument(*spellings, dest=dest, type=type_, default=default,
+                                choices=choices, required=required, help=arg_help)
+            else:
+                sp.add_argument(dest, help=arg_help)
+        sp.set_defaults(func=func)
     return p
+
+
+def _read_plain(argv):
+    """The namespace argparse would return for a plain command line, else None.
+
+    Plain means: a known subcommand first, then positionals and exact flag
+    spellings each followed by a value that does not start with "-"; no flag
+    twice; the right number of positionals; every required flag present;
+    every value accepted by its type and choices.  Everything else (help,
+    "--flag=value", abbreviations, "-d9", "--", values starting with "-",
+    every error) is left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    flags = {spelling: arg[1] for arg in arguments for spelling in arg[0]}
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        dest, text = flags.get(token), next(tokens, "-")
+        if dest is None or dest in given or text.startswith("-"):
+            return None
+        given[dest] = text
+    slots = [arg[1] for arg in arguments if not arg[0]]
+    if len(positionals) != len(slots):
+        return None
+    given.update(zip(slots, positionals))
+    args = {"command": argv[0], "func": func}
+    for _, dest, type_, default, choices, required, _ in arguments:
+        text = given.get(dest)
+        if text is None:
+            if required:
+                return None
+            args[dest] = default
+            continue
+        try:
+            value = text if type_ is None else type_(text)
+        except Exception:  # argparse calls the type again and reports (or raises) it
+            return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command line naming a subcommand needs only that subcommand's parser
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GradeMismatch as exc:

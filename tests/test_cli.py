@@ -6,10 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sharpcert
 from sharpcert import scheme
@@ -276,6 +279,8 @@ def _every_nonpositive(cert, value):
         _d9_with(lambda c: c["weights"][0]["coefficients"][0].update(sign=0)),
         _d9_with(lambda c: c["weights"][0]["coefficients"][0]["value"].update(rational="-3")),
         _d9_with(_repeat_first_degree),
+        _d9_with(lambda c: c["weights"][0]["eig"][0]["value"].update(sqrt2=False)),
+        _d9_with(lambda c: c["weights"][0]["eig"][0]["value"].update(pi_half=0.0)),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
@@ -286,7 +291,7 @@ def _every_nonpositive(cert, value):
          "eig_object", "notes_string", "c0_exponent", "c0_huge_exponent",
          "adm_margin_spaces", "rational_decimal", "c0_underscore",
          "sqrt2_huge", "sqrt2_negative", "sign_string", "sign_5", "sign_0",
-         "value_negative", "degree_repeated"],
+         "value_negative", "degree_repeated", "zero_eig_sqrt2_bool", "zero_eig_pi_half_float"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -687,14 +692,132 @@ def _full_parser_main(argv):
         ["verify", "c.json", "extra"],
         ["certify", "-d", "9", "--tail-depth", "-3"],
         ["scan", "--help"],
+        [],
+        ["--help"],
+        ["bogus"],
+        ["certify"],
+        ["verify"],
+        ["certify", "-h"],
+        ["verify", "--help"],
+        ["eigen", "--help"],
+        ["certify", "--dimension=2"],
+        ["certify", "-d2", "--tail", "3"],
+        ["certify", "--dim", "2", "--tol=1/2"],
+        ["certify", "-d", "-3"],
+        ["certify", "-d", "2", "-d", "3"],
+        ["certify", "-d", "2", "--", "x"],
+        ["certify", "-d", " 2"],
+        ["certify", "-d", "\u0662"],
+        ["certify", "-d", ""],
+        ["certify", "-d", "3", "--tol", "0"],
+        ["scan", "--d-min=5", "--d-m", "4"],
+        ["scan", "--d-min", "5", "--d-max", "4", "--d-max", "3"],
+        ["scan", "--d-min", "5", "--d-max", "4", "--format", "xml"],
+        ["eigen", "-d", "3", "--kernel", "gauss", "--k", "2"],
+        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--precision-bits", "10"],
+        ["verify", "--", "-c.json"],
+        ["verify", "-c.json"],
     ],
-    ids=["certify", "scan", "eigen", "verify_unrecognized", "certify_invalid", "scan_help"],
+    ids=["certify", "scan", "eigen", "verify_unrecognized", "certify_invalid", "scan_help",
+         "empty", "help", "unknown_command", "certify_bare", "verify_bare", "certify_h",
+         "verify_help", "eigen_help", "equals_form", "attached_and_abbreviated", "abbreviation",
+         "negative_value", "repeated_flag", "double_dash", "space_before_digit",
+         "unicode_digit", "empty_value", "tol_zero", "ambiguous_abbreviation",
+         "repeated_value", "bad_format", "bad_kernel", "precision_too_low",
+         "verify_double_dash", "verify_dash_path"],
 )
 def test_one_parser_per_command_matches_full_parser(argv):
-    # main builds only the named subcommand's parser; exit code, output and
-    # error text (the top-level usage of an unrecognized argument included)
-    # are those of the parser with all four
+    # main reads plain command lines itself and hands the rest to argparse;
+    # either way its exit code, output and error text are those of the full
+    # parser's
     assert _outcome(main, argv) == _outcome(_full_parser_main, argv)
+
+
+# one entry per required argument: its spellings; () is verify's positional
+_REQUIRED = {
+    "certify": (("-d", "--dimension"),),
+    "scan": (("--d-min",), ("--d-max",)),
+    "eigen": (("-d", "--dimension"), ("--kernel",), ("--k",)),
+    "verify": ((),),
+}
+_OPTIONAL = {
+    "certify": ("--tol", "--tail-depth", "--out"),
+    "scan": ("--jobs", "--tol", "--tail-depth", "--out", "--format"),
+    "eigen": ("--m", "--precision-bits", "--out"),
+    "verify": (),
+}
+_MOSTLY = st.sampled_from((True, True, True, False))
+_WRITABLE = str(Path(tempfile.gettempdir()) / "sharpcert-unwritten.json")
+_INTS = ("3", "9", "0", "64", " 7", "\u0663", "\u096d")
+# values each flag accepts, mostly
+_GOOD = {"-d": _INTS, "--dimension": _INTS, "--d-min": _INTS, "--d-max": _INTS, "--jobs": _INTS,
+         "--m": _INTS, "--tail-depth": _INTS,
+         "--precision-bits": ("64", "128", " 99", "\u0669\u0669"),
+         "--tol": ("1/2", "3", " 1/7"), "--out": ("c.json", "-c.json", _WRITABLE),
+         "--format": ("json", "csv"), "--kernel": ("delta", "magical", "nonmagical"),
+         "--k": ("0,2", "x", "-x")}
+_VALUES = ("3", "1", "10", "-3", "-1/2", "1/2", "1/0", "x", "", " 7", "\u0663", "json", "xml",
+           "delta", "gauss", "c.json", "-c.json", _WRITABLE, "/nonexistent/x.json")
+_ODD = ("-h", "--help", "--", "-", "-d9", "--dimension=9", "--tail", "--tol=1/3", "--out=o.json",
+        "--d-m", "--form", "--kernel=delta", "--precision", "--bogus", "-x", "--format", "--k",
+        "--m", "--jobs", "--out", "-d")
+
+
+@st.composite
+def _part(draw, spellings):
+    """A flag among ``spellings`` and a value, usually one it accepts; or a lone positional."""
+    if not spellings:
+        return (draw(st.sampled_from(_VALUES)),)
+    flag = draw(st.sampled_from(spellings))
+    return flag, draw(st.sampled_from(_GOOD[flag] if draw(_MOSTLY) else _VALUES))
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand and its arguments in any order, usually plain, with odd tokens mixed in."""
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    parts = [draw(_part(s)) for s in _REQUIRED[command] if draw(_MOSTLY)]
+    if _OPTIONAL[command]:
+        parts += draw(st.lists(_part(_OPTIONAL[command]), max_size=3, unique_by=lambda p: p[0]))
+    if parts and not draw(_MOSTLY):  # a flag again, or a positional
+        parts.append(draw(_part(draw(st.sampled_from(parts))[:-1])))
+    if not draw(st.integers(0, 2)):
+        parts += draw(st.lists(_part(()) | st.sampled_from(_ODD).map(lambda t: (t,)),
+                               min_size=1, max_size=2))
+    parts = draw(st.permutations(parts))
+    return [command, *(t for part in parts for t in part)]
+
+
+@given(_command_lines())
+@example(["certify", "-d", "3", "--out", "-c.json"])  # argparse: expected one argument
+@example(["eigen", "-d", "3", "--kernel", "delta", "--k"])
+@example(["certify", "-d", "x", "--dimension", "3"])  # argparse converts both
+@example(["certify", "-d", "3", "--tail-depth", "-3"])
+@settings(max_examples=400, deadline=None)
+def test_plain_reader_matches_argparse(argv):
+    args = cli._read_plain(argv)
+    if args is None:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            expected = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"read {argv} that argparse rejects: {err.getvalue()}")
+    assert vars(args) == vars(expected)
+
+
+def test_plain_command_lines_build_no_parser(tmp_path, monkeypatch):
+    def no_parser():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    out = tmp_path / "c8.json"
+    assert main(["certify", "-d", "8", "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    assert main(["certify", "--dimension", "5", "--tol", "1/1000", "--tail-depth", "3",
+                 "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
 
 
 def test_help_lists_every_subcommand(capsys):
@@ -726,7 +849,9 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     # the package runs on the standard library alone, `eigen`'s quadrature
     # oracle included: mpmath and numpy serve only the tests, and
     # concurrent.futures only `scan`'s workers; dataclasses (which loads
-    # inspect) serves nothing.  d = 8 also renders the paper baseline.
+    # inspect) serves nothing; argparse (with gettext and locale) serves only
+    # help and errors, and csv only `scan`.  d = 8 also renders the paper
+    # baseline.
     src = str(Path(sharpcert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     cert = str(tmp_path / "c8.json")
@@ -736,8 +861,8 @@ def test_cli_import_does_not_load_numpy(tmp_path):
         f"assert main(['certify', '-d', '8', '--out', {cert!r}]) == 0\n"
         f"assert main(['verify', {cert!r}]) == 0\n"
         "assert main(['eigen', '--kernel', 'delta', '-d', '9', '--k', '2']) == 0\n"
-        "print(sorted({'mpmath', 'numpy', 'concurrent.futures', 'dataclasses', 'inspect'}\n"
-        "             & set(sys.modules)))\n"
+        "print(sorted({'mpmath', 'numpy', 'concurrent.futures', 'dataclasses', 'inspect',\n"
+        "              'argparse', 'gettext', 'locale', 'csv'} & set(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -747,3 +872,27 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_benchmark_hooks_find_what_they_wrap(tmp_path):
+    # perfbench/layers.py wraps package functions by name (cli.main,
+    # cli.compute_a_star, cli.rat, ...): a rename must fail here
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(sharpcert.__file__).resolve().parents[1])
+    cert = str(tmp_path / "c8.json")
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {src!r}]\n"
+        "import layers\n"
+        "from sharpcert import cli\n"
+        "tracer = layers.Tracer()\n"
+        "layers.install(tracer)\n"
+        f"assert cli.main(['certify', '-d', '8', '--out', {cert!r}]) == 0\n"
+        f"assert cli.main(['verify', {cert!r}]) == 0\n"
+        "print(sorted(tracer.summary()['calls']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    calls = proc.stdout.strip().splitlines()[-1]
+    for span in ("cli", "scheme.compute", "scheme.verify", "scheme.json", "polys.nonneg"):
+        assert repr(span) in calls, span
