@@ -25,8 +25,7 @@ from types import SimpleNamespace
 from .backend import rat
 from .errors import GradeMismatch, MalformedCertificate, PrecisionExhausted, SchemeInfeasible
 from .scalars import ExactScalar
-from .scheme import (Certificate, EigenTable, compute_a_star, reject_repeated_keys,
-                     verify_certificate)
+from .scheme import Certificate, EigenTable, compute_a_star, verify_certificate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,9 +68,12 @@ def _int_at_least(lo: int, name: str):
 
 
 def _out_path(text: str) -> str:
-    """An argparse type: a file path that can be written, checked before any work."""
+    """An argparse type: a file path that can be written, checked before any work.
+
+    An empty path names no file (``abspath("")`` is the working directory).
+    """
     parent = os.path.dirname(os.path.abspath(text))
-    if os.path.isdir(text) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+    if not text or os.path.isdir(text) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
         raise _type_error(f"cannot write {text!r}")
     return text
 
@@ -105,8 +107,7 @@ def cmd_certify(args) -> int:
     # self-check the certificate as written; it reuses the eigenvalue table,
     # ladder and admissibility checks that compute_a_star ran
     try:
-        data = json.loads(text, object_pairs_hook=reject_repeated_keys)
-        ok, failures = verify_certificate(Certificate.from_json(data))
+        ok, failures = verify_certificate(Certificate.from_text(text))
     except MalformedCertificate as exc:
         ok, failures = False, [f"written certificate does not load: {exc}"]
     n_eig = sum(len(w.eig) for w in cert.weights)
@@ -230,8 +231,7 @@ def cmd_eigen(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.certificate, encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=reject_repeated_keys)
-        cert = Certificate.from_json(data)
+            cert = Certificate.from_text(fh.read())
     except (OSError, ValueError, RecursionError, MalformedCertificate) as exc:
         # ValueError covers bad JSON, bad UTF-8 and integers past int()'s digit limit
         print(f"malformed certificate: {exc}", file=sys.stderr)

@@ -56,15 +56,13 @@ class ExactScalar:
         return (self.sqrt2, self.pi_half)
 
     def is_zero(self) -> bool:
-        return self.coeff == 0
+        return not self.coeff.numerator
 
     def sign(self) -> int:
-        # radical units are positive, so the sign is the coefficient's
-        if self.coeff > 0:
-            return 1
-        if self.coeff < 0:
-            return -1
-        return 0
+        # radical units are positive and denominators too, so the sign is
+        # the numerator's: one int comparison, not two of rationals
+        n = self.coeff.numerator
+        return (n > 0) - (n < 0)
 
     # -- field operations --------------------------------------------------
 
@@ -188,13 +186,17 @@ class ExactScalar:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ExactScalar":
+    def from_json(cls, obj: dict, sign: int = 1) -> "ExactScalar":
+        """The value :meth:`to_json` wrote as ``obj``, times ``sign`` (1 or -1)."""
+        if obj is ZERO:  # the certificate reader's canonical zero, read and checked already
+            return ZERO
         rational, sqrt2, pi_half = obj["rational"], obj["sqrt2"], obj["pi_half"]
         if type(sqrt2) is not int or sqrt2 not in (0, 1) or type(pi_half) is not int:
             raise ValueError(f"sqrt2 must be 0 or 1 and pi_half an integer, got {sqrt2!r}, {pi_half!r}")
         if rational == "0":  # structural zeros, most entries of a certificate
             return ZERO
-        return cls(rat_parse(rational), sqrt2, pi_half)
+        coeff = rat_parse(rational)
+        return cls(coeff if sign == 1 else -coeff, sqrt2, pi_half)
 
 
 ZERO = ExactScalar(0)

@@ -187,12 +187,16 @@ def build_weights(d: int, tail_depth: int = 25):
     exactly, including ``tail_depth`` values beyond each weight's
     structural cutoff, and each weight's ``eig`` table lists ell =
     1..cutoff + tail_depth.  An entry up to the cutoff is evaluated once:
-    the ladder's sum at ell plus the clipped term it adds there.  Past the
-    cutoff no coefficient's kernel (of degree at most 2 cutoff + 1, since
-    :func:`_check_grades` bounds each degree by ``top_degree``) reaches
-    harmonic degree 2 ell, so weight 1 lists lambda_delta(2 ell) and the
-    others list zero.  Constant terms are left at 0: the eigenvalues do not
-    depend on them, and :func:`compute_a_star` sets them.
+    the ladder's sum at ell plus the clipped term it adds there, so it is
+    nonpositive by construction.  Past the cutoff no coefficient's kernel
+    (of degree at most 2 cutoff + 1, since :func:`_check_grades` bounds each
+    degree by ``top_degree``) reaches harmonic degree 2 ell, so weight 1
+    lists lambda_delta(2 ell), each checked, and the others list zero.
+    Every zero entry is one of a single list made per call, one
+    ``EigCheck(ell, ZERO, True)`` per ell: all weights share those objects,
+    and weights n >= 2 take their tail as a slice of it.  Constant terms
+    are left at 0: the eigenvalues do not depend on them, and
+    :func:`compute_a_star` sets them.
     """
     N = ell_star(d)
     if N < 2:
@@ -204,8 +208,11 @@ def build_weights(d: int, tail_depth: int = 25):
 
     weights: list[WeightSpec] = []
     transfers: dict[int, ExactScalar] = {}  # degree -> sum of the coefficients so far
+    shapes = _shapes(N)
+    # one zero entry per ell, shared by every weight's table (weight 1 reaches ell = N + depth)
+    zeros = [EigCheck(ell, ZERO, True) for ell in range(1, shapes[0][3] + tail_depth + 1)]
 
-    for n, identity, top, cutoff in _shapes(N):
+    for n, identity, top, cutoff in shapes:
         coeffs: dict[int, ExactScalar] = {}
         if n >= 2:
             dictated = -transfers.get(top, ZERO)
@@ -230,16 +237,17 @@ def build_weights(d: int, tail_depth: int = 25):
             if v.sign() > 0:
                 coeffs[q_star] = -(v / denom)  # clipped ratio {.}_+, entering negatively
                 v = v + coeffs[q_star] * denom
-            w.eig.append(EigCheck(ell, v, True))
+            w.eig.append(zeros[ell - 1] if v.is_zero() else EigCheck(ell, v, True))
         w.eig.reverse()
         _check_grades(w, grade)
-        for ell in range(cutoff + 1, cutoff + tail_depth + 1):
-            w.eig.append(EigCheck(ell, table.delta(2 * ell) if w.has_delta else ZERO, True))
-        for e in w.eig:
-            if e.value.sign() > 0:
-                raise SchemeInfeasible(
-                    f"d={d} n={n}: eigenvalue condition fails at ell={e.ell}"
-                )
+        if w.has_delta:
+            for ell in range(cutoff + 1, cutoff + tail_depth + 1):
+                v = table.delta(2 * ell)
+                if v.sign() > 0:
+                    raise SchemeInfeasible(f"d={d} n={n}: eigenvalue condition fails at ell={ell}")
+                w.eig.append(zeros[ell - 1] if v.is_zero() else EigCheck(ell, v, True))
+        else:
+            w.eig += zeros[cutoff:cutoff + tail_depth]
         for q, c in coeffs.items():
             transfers[q] = transfers.get(q, ZERO) + c
         weights.append(w)
@@ -404,7 +412,23 @@ class Certificate:
         return text + "\n}"
 
     @classmethod
+    def from_text(cls, text: str) -> "Certificate":
+        """The certificate in a file's text; ``verify`` and certify's self-check read with it.
+
+        ``json.loads`` with a fresh :func:`_object_reader` hook, then
+        :meth:`from_json`.  Raises MalformedCertificate, or ValueError for
+        text that is not JSON.
+        """
+        return cls.from_json(json.loads(text, object_pairs_hook=_object_reader()))
+
+    @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        """The certificate in a parsed file; a sign-table ``EigCheck`` and ``ZERO`` are taken as read.
+
+        ``generator`` is not checked past its being an object: a zero value
+        or entry inside it stays the ZERO or EigCheck :meth:`from_text` read.
+        """
+        obj = _as_read(obj)  # a file that is one zero value or entry: an object of the wrong shape
         if not isinstance(obj, dict):
             raise MalformedCertificate(f"expected a JSON object, got {type(obj).__name__}")
         try:
@@ -415,14 +439,14 @@ class Certificate:
                 coeffs = {}
                 for cd in _json(wd["coefficients"], list):
                     degree, sign = _json(cd["degree"], int), _json(cd["sign"], int)
-                    value = ExactScalar.from_json(cd["value"])
+                    value = ExactScalar.from_json(cd["value"], sign)  # the signed coefficient
                     if degree < 0 or degree % 2 == 1 or degree in coeffs:
                         raise MalformedCertificate(
                             f"coefficient degree {degree} must be even, >= 0 and listed once")
-                    if sign not in (1, -1) or value.sign() < 0:
+                    if sign not in (1, -1) or value.sign() == -sign:
                         raise MalformedCertificate(
                             f"coefficient at degree {degree}: sign must be 1 or -1 and value >= 0")
-                    coeffs[degree] = value if sign == 1 else -value
+                    coeffs[degree] = value
                 weights.append(WeightSpec(
                     n=_json(wd["n"], int),
                     identity=_json(wd["identity"], str),
@@ -431,7 +455,7 @@ class Certificate:
                     coeffs=coeffs,
                     c0=rat_parse(wd["c0"]),
                     adm_margin=rat_parse(wd["adm_margin"]),
-                    eig=[_eig_check_from_json(e) for e in _json(wd["eig"], list)],
+                    eig=_sign_table(_json(wd["eig"], list)),
                 ))
             tail_check_depth = _json(obj["tail_check_depth"], int)
             if tail_check_depth < 0:
@@ -450,8 +474,8 @@ class Certificate:
                 a_star_decimal=_json(obj["a_star"]["decimal"], str),
                 paper_baseline_decimal=baseline,
                 notes=[_json(s, str) for s in _json(obj.get("notes", []), list)],
-                delta_eigen_evidence=[_eig_check_from_json(e) for e in evidence],
-                generator=dict(_json(obj.get("generator", GENERATOR), dict)),
+                delta_eigen_evidence=_sign_table(evidence),
+                generator=dict(_json(_as_read(obj.get("generator", GENERATOR)), dict)),
             )
         except MalformedCertificate:
             raise
@@ -483,7 +507,7 @@ def _table_text(entries: list[EigCheck], pad: str) -> str:
     vpad = pad + "    "
     zero = mid + _value_text(ZERO, vpad)
     return _list_text(
-        [f"{head}{e.ell}{zero}{tails[e.nonpositive]}" if not e.value.coeff
+        [f"{head}{e.ell}{zero}{tails[e.nonpositive]}" if e.value is ZERO
          else f"{head}{e.ell}{mid}{_value_text(e.value, vpad)}{tails[e.nonpositive]}"
          for e in entries], pad[2:])
 
@@ -499,6 +523,11 @@ def _json(v, kind):
     return v
 
 
+def _sign_table(entries: list) -> list[EigCheck]:
+    """A stored ``eig`` or ``delta_eigen_evidence`` array; its zero entries come read and checked."""
+    return [e if type(e) is EigCheck else _eig_check_from_json(e) for e in entries]
+
+
 def _eig_check_from_json(e) -> EigCheck:
     ell = e["ell"]
     if type(ell) is not int:
@@ -511,17 +540,57 @@ def _eig_check_from_json(e) -> EigCheck:
     return EigCheck(ell, value, nonpositive)
 
 
-def reject_repeated_keys(pairs: list) -> dict:
-    """A ``json.load`` ``object_pairs_hook``: the object, or MalformedCertificate on a repeated key.
+_ZERO_PAIRS = [("rational", "0"), ("sqrt2", 0), ("pi_half", 0)]
+_new_tuple = tuple.__new__  # EigCheck's own __new__ is Python code
 
-    Plain ``json.load`` keeps a repeated key's last value without a word, so
-    a file could carry two readings of one claim.
+
+def _object_reader():
+    """A fresh ``object_pairs_hook`` for one :meth:`Certificate.from_text` read.
+
+    Most of a certificate is zero sign-table entries.  The zero value
+    ``{"rational": "0", "sqrt2": 0, "pi_half": 0}`` reads as the shared
+    ``ZERO``, and an entry ``{"ell": n, "value": <that zero>, "nonpositive":
+    b}`` with an integer n >= 1 and b true or false as an ``EigCheck``, one
+    per (n, b) in this read, which :meth:`Certificate.from_json` takes as it
+    is.  Both are recognised in exactly that key order and type-exactly:
+    Python has ``False == 0``, ``0.0 == 0`` and ``True == 1``, so
+    ``"sqrt2": false``, ``"ell": 1.0`` or ``"nonpositive": 1`` are left to
+    the checks every other object meets.  Every other object is a dict, and
+    a key repeated within it raises MalformedCertificate: plain
+    ``json.load`` keeps a repeated key's last value without a word, so a
+    file could carry two readings of one claim.
     """
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise MalformedCertificate(f"repeated key {key!r}")
-    return obj
+    entries: dict[bool, dict[int, EigCheck]] = {True: {}, False: {}}  # b -> n -> entry
+
+    def read_object(pairs: list):
+        if len(pairs) == 3:
+            (k0, v0), (k1, v1), (k2, v2) = pairs
+            if v1 is ZERO:
+                if (k0 == "ell" and k1 == "value" and k2 == "nonpositive"
+                        and type(v0) is int and v0 >= 1 and type(v2) is bool):
+                    shared = entries[v2]
+                    e = shared.get(v0)
+                    if e is None:
+                        e = shared[v0] = _new_tuple(EigCheck, (v0, ZERO, v2))
+                    return e
+            elif pairs == _ZERO_PAIRS and type(v1) is int and type(v2) is int:
+                return ZERO
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise MalformedCertificate(f"repeated key {key!r}")
+        return obj
+
+    return read_object
+
+
+def _as_read(v):
+    """``v``, or the JSON object read as it when it is a reader's ZERO or EigCheck."""
+    if v is ZERO:
+        return ZERO.to_json()
+    if type(v) is EigCheck:
+        return {"ell": v.ell, "value": ZERO.to_json(), "nonpositive": v.nonpositive}
+    return v
 
 
 def _decimals(d: int, a_star: ExactScalar) -> tuple[str, str | None]:

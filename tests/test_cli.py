@@ -231,6 +231,13 @@ def _repeat_first_degree(cert):
     coeffs[0]["value"]["rational"] = "999"
 
 
+def _d9_zero_entry(cert):
+    """Weight 2's last sign-table entry, a tail zero."""
+    entry = cert["weights"][1]["eig"][-1]
+    assert entry["value"] == {"rational": "0", "sqrt2": 0, "pi_half": 0}
+    return entry
+
+
 def _every_nonpositive(cert, value):
     for w in cert["weights"]:
         for e in w["eig"]:
@@ -281,6 +288,18 @@ def _every_nonpositive(cert, value):
         _d9_with(_repeat_first_degree),
         _d9_with(lambda c: c["weights"][0]["eig"][0]["value"].update(sqrt2=False)),
         _d9_with(lambda c: c["weights"][0]["eig"][0]["value"].update(pi_half=0.0)),
+        # a zero entry and a zero value meet every check when a field's type is
+        # off, though Python has 1 == True, 0 == False and 1 == 1.0
+        _d9_with(lambda c: _d9_zero_entry(c).update(nonpositive=1)),
+        _d9_with(lambda c: _d9_zero_entry(c).update(nonpositive=None)),
+        _d9_with(lambda c: _d9_zero_entry(c).update(ell=True)),
+        _d9_with(lambda c: _d9_zero_entry(c).update(ell=float(_d9_zero_entry(c)["ell"]))),
+        _d9_with(lambda c: _d9_zero_entry(c).update(ell=0)),
+        _d9_with(lambda c: _d9_zero_entry(c)["value"].update(sqrt2=0.0)),
+        _d9_with(lambda c: _d9_zero_entry(c)["value"].update(pi_half=False)),
+        # a file that is one zero value or zero entry is an object, of the wrong shape
+        {"rational": "0", "sqrt2": 0, "pi_half": 0},
+        _d9_zero_entry(D9),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
@@ -291,7 +310,10 @@ def _every_nonpositive(cert, value):
          "eig_object", "notes_string", "c0_exponent", "c0_huge_exponent",
          "adm_margin_spaces", "rational_decimal", "c0_underscore",
          "sqrt2_huge", "sqrt2_negative", "sign_string", "sign_5", "sign_0",
-         "value_negative", "degree_repeated", "zero_eig_sqrt2_bool", "zero_eig_pi_half_float"],
+         "value_negative", "degree_repeated", "zero_eig_sqrt2_bool", "zero_eig_pi_half_float",
+         "zero_entry_nonpositive_int", "zero_entry_nonpositive_null", "zero_entry_ell_bool",
+         "zero_entry_ell_float", "zero_entry_ell_zero", "zero_value_sqrt2_float",
+         "zero_value_pi_half_bool", "zero_value_file", "zero_entry_file"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -397,12 +419,14 @@ def _empty_every_eig(cert):
         _d9_with(lambda c: c.update(dimension=10**12, N=scheme.ell_star(10**12))),
         _d9_with(lambda c: c["notes"].__setitem__(0, "every eigenvalue sign is proved")),
         _d9_with(lambda c: c.pop("notes")),
+        # read as a zero entry, and unbacked: certify writes every entry nonpositive
+        _d9_with(lambda c: _d9_zero_entry(c).update(nonpositive=False)),
     ],
     ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
          "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5",
          "n_99", "n_0", "sign_flipped", "coefficient_grade", "evidence_added_d9",
          "sum_ok_false_d5", "zero_coefficient_d9", "dimension_huge", "dimension_and_N_huge",
-         "notes_edited", "notes_removed"],
+         "notes_edited", "notes_removed", "zero_entry_nonpositive_false"],
 )
 def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
     # verify's work is bounded by the stored tables: the weight shapes are
@@ -425,10 +449,21 @@ def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
     [
         _d9_with(lambda c: c.update(generator={"name": "other", "version": "9"})),
         _d9_with(lambda c: c.update(timestamp="2000-01-01T00:00:00Z")),
+        # shaped like what the reader shares for a zero value and a zero entry
+        _d9_with(lambda c: c.update(generator={"rational": "0", "sqrt2": 0, "pi_half": 0})),
+        _d9_with(lambda c: c.update(generator=copy.deepcopy(_d9_zero_entry(c)))),
     ],
-    ids=["generator_edited", "timestamp_added"],
+    ids=["generator_edited", "timestamp_added", "generator_zero_value", "generator_zero_entry"],
 )
 def test_verify_ignores_generator_and_timestamp(tmp_path, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 0
+
+
+def test_verify_reads_a_zero_value_in_any_key_order(tmp_path):
+    doc = _d9_with(lambda c: _d9_zero_entry(c).update(
+        value={"pi_half": 0, "rational": "0", "sqrt2": 0}))
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 0
@@ -652,10 +687,15 @@ def test_removed_flag_exits_2(argv):
         ["certify", "-d", "7", "--out", "/nonexistent/dir/c.json"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", "/nonexistent/x.json"],
         ["scan", "--d-min", "7", "--d-max", "7", "--out", "/nonexistent/x.csv"],
+        # an empty path names no file; it is not stdout
+        ["certify", "-d", "7", "--out", ""],
+        ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", ""],
+        ["scan", "--d-min", "7", "--d-max", "7", "--out", ""],
     ],
     ids=["jobs_zero", "jobs_negative", "delta_odd_k", "delta_odd_k_in_list",
          "tail_depth_negative_d9", "tail_depth_negative_d5", "scan_tail_depth_negative",
-         "certify_out_unwritable", "eigen_out_unwritable", "scan_out_unwritable"],
+         "certify_out_unwritable", "eigen_out_unwritable", "scan_out_unwritable",
+         "certify_out_empty", "eigen_out_empty", "scan_out_empty"],
 )
 def test_invalid_value_exits_2(capsys, argv):
     try:

@@ -76,6 +76,9 @@ def test_sign():
     assert ExactScalar(rat(-3, 7), 0, 1).sign() == -1
     assert ExactScalar(0).sign() == 0
     assert SQRT2.sign() == 1
+    tiny = ExactScalar(rat(1, 10**40), 1, 3)
+    assert tiny.sign() == 1 and type(tiny.sign()) is int and not tiny.is_zero()
+    assert ExactScalar(0).is_zero()
 
 
 def test_division():
@@ -215,6 +218,13 @@ def test_json_zero_loads_as_shared_zero():
     assert x.grade == (0, 0)
     for text in ("-0", "00", "0/5"):  # other spellings of zero take the ordinary path
         assert ExactScalar.from_json({"rational": text, "sqrt2": 1, "pi_half": 7}) == ZERO
+
+
+def test_json_reads_signed_values_and_passes_the_shared_zero_through():
+    x = ExactScalar(rat(22, 7), 1, -3)
+    assert ExactScalar.from_json(x.to_json(), -1) == -x
+    assert ExactScalar.from_json(x.to_json(), 1) == x
+    assert ExactScalar.from_json(ZERO) is ZERO
 
 
 # the zero shortcut runs only after the grade fields are checked

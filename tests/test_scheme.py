@@ -2,6 +2,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sharpcert import scheme
 from sharpcert.backend import rat
@@ -370,3 +372,121 @@ def test_verify_does_no_shift_work(monkeypatch, d):
     ok, failures = verify_certificate(cert)
     assert ok, failures
     assert calls == {"minimal_shift": 0, "nonneg_on": len(cert.weights)}
+
+
+def test_reading_and_building_share_zero_entries(monkeypatch):
+    # a zero sign-table entry costs no new scalar when read, and one object
+    # per ell is shared by every table, on both sides
+    text = compute_a_star(24).to_text()
+    obj = json.loads(text)
+    values = [cd["value"] for w in obj["weights"] for cd in w["coefficients"]]
+    values += [e["value"] for w in obj["weights"] for e in w["eig"]]
+    values.append(obj["a_star"]["rational_times_grade"])
+    created = 0
+    init = ExactScalar.__init__
+
+    def counting_init(self, *args):
+        nonlocal created
+        created += 1
+        init(self, *args)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counting_init)
+    cert = Certificate.from_text(text)
+    monkeypatch.undo()
+    assert 0 < created <= sum(v["rational"] != "0" for v in values)
+    weights, _, _ = build_weights(24)
+    for tables in ([w.eig for w in cert.weights], [w.eig for w in weights]):
+        zeros = {}
+        for e in (e for eig in tables for e in eig if e.value.is_zero()):
+            zeros.setdefault(e.ell, set()).add(id(e))
+        assert len(zeros) > 500 / len(tables)
+        assert all(len(ids) == 1 for ids in zeros.values())
+
+
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs, in order, repeated keys kept."""
+
+
+def _dump(v) -> str:
+    if isinstance(v, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(x)}" for k, x in v) + "}"
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_dump, v)) + "]"
+    return json.dumps(v)
+
+
+D9_TEXT = compute_a_star(9).to_text()
+# (weight, entry) of every zero entry of the d = 9 sign tables
+_D9_ZEROS = [(i, j) for i, w in enumerate(json.loads(D9_TEXT)["weights"])
+             for j, e in enumerate(w["eig"]) if e["value"]["rational"] == "0"]
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, -1, 0.0, 1.0, True, False, None, "0", "-0", "00", "1", "x"]),
+    st.builds(list), st.builds(_Pairs))
+
+
+def _d9_entry(root, i, j):
+    return dict(dict(root)["weights"][i])["eig"][j]
+
+
+@st.composite
+def _edited_d9_texts(draw):
+    """The d = 9 certificate text with type swaps, reorderings, extra, repeated or
+    dropped keys in some zero entries or their values."""
+    root = json.loads(D9_TEXT, object_pairs_hook=_Pairs)
+    for _ in range(draw(st.integers(1, 3))):
+        entry = _d9_entry(root, *draw(st.sampled_from(_D9_ZEROS)))
+        t = draw(st.sampled_from([entry] + [v for _, v in entry if isinstance(v, _Pairs)]))
+        kind = draw(st.sampled_from(["set", "order", "extra", "repeat", "drop"] if t else ["extra"]))
+        at = draw(st.integers(0, len(t) - 1)) if t else 0
+        if kind == "set":
+            t[at] = (t[at][0], draw(_FIELD_VALUES))
+        elif kind == "order":
+            t[:] = draw(st.permutations(t))
+        elif kind == "drop":
+            del t[at]
+        else:
+            key = draw(st.sampled_from(["x", "ell"])) if kind == "extra" else t[at][0]
+            t.insert(draw(st.integers(0, len(t))), (key, draw(_FIELD_VALUES)))
+    return _dump(root)
+
+
+def _d9_text_with(field, value):
+    """The d = 9 text with one field of weight 2's last (zero) entry or its value set."""
+    root = json.loads(D9_TEXT, object_pairs_hook=_Pairs)
+    entry = _d9_entry(root, 1, -1)
+    for t in (entry, dict(entry)["value"]):
+        t[:] = [(k, value if k == field else v) for k, v in t]
+    return _dump(root)
+
+
+def _plain_reader(text):
+    """A reference reader: json.loads with a dict for every object, then from_json."""
+
+    def plain(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            raise MalformedCertificate("repeated key")
+        return obj
+
+    return Certificate.from_json(json.loads(text, object_pairs_hook=plain))
+
+
+@given(_edited_d9_texts())
+@example(D9_TEXT)
+@example(_d9_text_with("sqrt2", False))
+@example(_d9_text_with("nonpositive", 1))
+@example(_d9_text_with("ell", True))
+@settings(max_examples=200, deadline=None)
+def test_reader_matches_a_plain_reader(text):
+    read = []
+    for reader in (Certificate.from_text, _plain_reader):
+        try:
+            read.append(reader(text))
+        except MalformedCertificate:
+            read.append(None)
+    cert, want = read
+    assert (cert is None) == (want is None)
+    if cert is not None:
+        assert verify_certificate(cert) == verify_certificate(want)
+        for w, rw in zip(cert.weights, want.weights, strict=True):
+            assert vars(w) == vars(rw)
