@@ -20,7 +20,8 @@ def rat(num=0, den=None):
 
 
 def is_rational(x) -> bool:
-    return hasattr(x, "numerator") and hasattr(x, "denominator")
+    """Whether ``x`` is the backend's rational type itself (an int is not)."""
+    return type(x) is Fraction
 
 
 def rat_str(x) -> str:

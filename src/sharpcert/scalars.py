@@ -34,12 +34,15 @@ class ExactScalar:
 
     def __init__(self, coeff, sqrt2: int = 0, pi_half: int = 0):
         if not is_rational(coeff):
+            # an int too: int / int would be a float
+            if isinstance(coeff, float):
+                raise TypeError(f"ExactScalar takes no float, got {coeff!r}")
             coeff = rat(coeff)
         # Canonical form: fold sqrt2 parity, strip grade from zero.
         if sqrt2 not in (0, 1):
             coeff = coeff * (2 ** (sqrt2 // 2)) if sqrt2 >= 0 else coeff / (2 ** ((-sqrt2 + 1) // 2))
             sqrt2 = sqrt2 % 2
-        if coeff == 0:
+        if not coeff.numerator:
             sqrt2 = 0
             pi_half = 0
         object.__setattr__(self, "coeff", coeff)

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from functools import lru_cache
 
 from .backend import rat, rat_parse, rat_str
 from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
 from .kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
-from .polys import ExactPoly, NonnegCertificate, minimal_shift, nonneg_on
+from .polys import ExactPoly, minimal_shift, nonneg_on
 from .scalars import ZERO, ExactScalar
 from .specfun import eigen_delta_weight, funk_hecke_eigen
 
@@ -45,21 +44,17 @@ def ell_star(d: int) -> int:
 class EigenTable:
     """Exact eigenvalues lambda_1(k), lambda_{2m}(k), mu_{2m}(k) for one d.
 
-    Values are computed on demand and cached; structural zeros (harmonic
-    degree above the kernel degree) fall out of exact orthogonality.
-    ``ladders`` keeps :func:`build_weights`' (weights, grade) per tail depth
-    for :func:`_construct`; ``admissible`` keeps :func:`compute_a_star`'s
-    nonnegativity check of each ladder weight at its constant term, keyed
-    (tail depth, weight n, c0), for :func:`verify_certificate`.
+    Polynomial-kernel values are computed on demand and cached; each delta
+    value is computed when asked for, since one run asks for it once.
+    Structural zeros (harmonic degree above the kernel degree) fall out of
+    exact orthogonality.  Every call that needs eigenvalues builds its own
+    table, so nothing carries over from one call to the next.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.moments = MomentTable(d)
-        self.lambda_delta: dict[int, ExactScalar] = {}
         self.lambda_poly: dict[tuple[str, int, int], ExactScalar] = {}  # (identity, two_m, k)
-        self.ladders: dict[int, tuple[list[WeightSpec], tuple]] = {}
-        self.admissible: dict[tuple, NonnegCertificate] = {}
 
     def kernel(self, two_m: int, identity: str) -> ExactPoly:
         """The kernel of exponent ``two_m`` for ``identity``, built afresh (eigenvalues need none)."""
@@ -69,10 +64,7 @@ class EigenTable:
         return builder(self.moments, two_m // 2)
 
     def delta(self, k: int) -> ExactScalar:
-        v = self.lambda_delta.get(k)
-        if v is None:
-            v = self.lambda_delta.setdefault(k, eigen_delta_weight(k, self.d))
-        return v
+        return eigen_delta_weight(k, self.d)
 
     def mag(self, two_m: int, k: int) -> ExactScalar:
         return self._poly_eigen(MAGICAL, two_m, k)
@@ -92,16 +84,6 @@ class EigenTable:
             v = funk_hecke_eigen(self.moments, two_m // 2, k, identity == MAGICAL)
             v = self.lambda_poly.setdefault(key, v)
         return v
-
-
-@lru_cache(maxsize=1)
-def _eigen_table(d: int) -> EigenTable:
-    """The eigenvalue table of d, shared by certify and its self-check.
-
-    Its ladders and admissibility checks are shared with it.  Only the latest
-    d is kept, so a scan does not hold every table alive.
-    """
-    return EigenTable(d)
 
 
 EigCheck = namedtuple("EigCheck", "ell value nonpositive")
@@ -191,7 +173,8 @@ def build_weights(d: int, tail_depth: int = 25):
     nonpositive by construction.  Past the cutoff no coefficient's kernel
     (of degree at most 2 cutoff + 1, since :func:`_check_grades` bounds each
     degree by ``top_degree``) reaches harmonic degree 2 ell, so weight 1
-    lists lambda_delta(2 ell), each checked, and the others list zero.
+    lists the delta eigenvalue at 2 ell, each checked, and the others list
+    zero.
     Every zero entry is one of a single list made per call, one
     ``EigCheck(ell, ZERO, True)`` per ell: all weights share those objects,
     and weights n >= 2 take their tail as a slice of it.  Constant terms
@@ -203,7 +186,7 @@ def build_weights(d: int, tail_depth: int = 25):
         raise ValueError("scheme needs N >= 2 (d >= 7)")
     if tail_depth < 0:
         raise ValueError("tail_depth must be >= 0")
-    table = _eigen_table(d)
+    table = EigenTable(d)
     grade = _coefficient_grade(table, N)
 
     weights: list[WeightSpec] = []
@@ -606,7 +589,8 @@ def _construct(d: int, tail_depth: int) -> tuple[Certificate, tuple]:
     is the delta eigenvalue evidence.  A rebuilt sign-table entry that is
     positive raises SchemeInfeasible.  The constant terms, a* and its
     decimals are left free: :func:`compute_a_star` computes them, and
-    :func:`verify_certificate` takes them from the certificate.
+    :func:`verify_certificate` takes them from the certificate.  The weights
+    are those of a fresh :func:`build_weights` run.
     """
     N = ell_star(d)
     if tail_depth < 0:
@@ -622,18 +606,12 @@ def _construct(d: int, tail_depth: int) -> tuple[Certificate, tuple]:
         paper_baseline_decimal=None,
         notes=[PRIOR_NOTE, TAIL_NOTE] if N < 2 else [TAIL_NOTE],
     )
-    table = _eigen_table(d)
     if N >= 2:
-        if tail_depth not in table.ladders:
-            weights, _, grade = build_weights(d, tail_depth)
-            table.ladders[tail_depth] = weights, grade
-        weights, grade = table.ladders[tail_depth]
-        # fresh weights: compute_a_star and verify_certificate set their constant terms
-        cert.weights = [WeightSpec(w.n, w.identity, w.has_delta, w.top_degree, dict(w.coeffs),
-                                   w.c0, w.adm_margin, list(w.eig)) for w in weights]
+        cert.weights, _, grade = build_weights(d, tail_depth)
         if not check_sum_condition(cert.weights):
             raise SchemeInfeasible(f"d={d}: sum condition violated")
         return cert, grade
+    table = EigenTable(d)
     for ell in range(1, N + tail_depth + 1):
         v = table.delta(2 * ell)
         if v.sign() > 0:
@@ -654,14 +632,12 @@ def compute_a_star(d: int, tol=rat(1, 10**6), tail_depth: int = 25) -> Certifica
     if rat(tol) <= 0:
         raise ValueError("tol must be positive")
     cert, grade = _construct(d, tail_depth)
-    admissible = _eigen_table(d).admissible
     total = rat(0)
     for w in cert.weights:
         w.c0 = minimal_shift(w.polynomial_part(include_constant=False), 0, 16, tol)
         adm = nonneg_on(w.polynomial_part(include_constant=True), 0, 16)
         if not adm.holds:
             raise SchemeInfeasible(f"d={d} n={w.n}: admissibility failed after shift")
-        admissible[tail_depth, w.n, w.c0] = adm
         w.adm_margin = adm.lower_bound
         total += w.c0
     cert.a_star = ExactScalar(total, *grade)
@@ -676,14 +652,22 @@ _FIELD_NAMES = {"coeffs": "coefficients", "eig": "eigenvalue sign table",
                 "a_star_decimal": "a_star decimal", "paper_baseline_decimal": "d = 8 baseline decimal"}
 
 
-def _mismatches(tag: str, stored, rebuilt) -> list[str]:
-    """One failure per attribute of ``stored`` that does not equal ``rebuilt``'s, weights one by one."""
+def mismatches(tag: str, stored, rebuilt) -> list[str]:
+    """One failure per attribute of ``stored`` that does not equal ``rebuilt``'s, weights one by one.
+
+    ``stored`` and ``rebuilt`` are two certificates, or two weights.  A
+    differing weight count is one failure, and no weight is compared then.
+    """
     failures = []
     for field, want in vars(rebuilt).items():
         have = getattr(stored, field)
-        if field == "weights":  # as many as rebuilt: verify compares the counts first
+        if field == "weights":
+            if len(have) != len(want):
+                failures.append(
+                    f"{tag}weight count mismatch: stored {len(have)}, expected {len(want)}")
+                continue
             for w, rw in zip(have, want):
-                failures += _mismatches(f"weight {rw.n}: ", w, rw)
+                failures += mismatches(f"weight {rw.n}: ", w, rw)
         elif have != want:
             where = ""
             if field == "coeffs":
@@ -706,10 +690,8 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     ``eig``; N + depth in ``delta_eigen_evidence`` for d <= 6, none past
     that), so neither d nor the depth costs more work than the stored
     tables.  Then certify's construction runs again.  Each rebuilt weight
-    must be admissible, by one Sturm check at the stored constant term less
-    the stored margin (constants larger than minimal are accepted); when
-    :func:`compute_a_star` in this process checked that weight at that
-    constant, its result is the one used.  The
+    must satisfy Adm, by one Sturm check at the stored constant term less
+    the stored margin (constants larger than minimal are accepted).  The
     fields the construction leaves free are then filled in from the
     certificate: each weight's ``c0`` and ``adm_margin``, a* as the sum of
     those constant terms with its decimal renderings, and ``generator``.
@@ -735,23 +717,18 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
         return False, [f"reconstruction failed: {exc}"]
 
     failures: list[str] = []
-    admissible = _eigen_table(d).admissible
     for w, rw in zip(cert.weights, built.weights):
         tag = f"weight {rw.n}"
         # admissibility of the rebuilt weight at the stored constant, one
         # Sturm check: with a margin >= 0, poly - margin >= 0 implies Adm.  A
         # negative margin is a certified minimum rounded below zero; it is
         # checked on poly itself and must be the lower bound that check
-        # certifies.  Certify's own check of the same weight at that
-        # constant is the same Sturm check, so it is reused.
+        # certifies.
         if w.c0 < 0:
             failures.append(f"{tag}: negative constant term")
-        c = w.c0 - max(w.adm_margin, 0)
-        adm = admissible.get((depth, rw.n, c))
-        if adm is None:
-            poly = rw.polynomial_part(include_constant=False)
-            poly[0] += c
-            adm = nonneg_on(poly, 0, 16)
+        poly = rw.polynomial_part(include_constant=False)
+        poly[0] += w.c0 - max(w.adm_margin, 0)
+        adm = nonneg_on(poly, 0, 16)
         if not adm.holds:
             failures.append(f"{tag}: admissibility (Adm) fails at stored c0 less the stored margin")
         elif w.adm_margin < 0 and w.adm_margin != adm.lower_bound:
@@ -762,5 +739,5 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     # never from the stored one: rendering costs time that grows with |pi_half|
     built.a_star_decimal, built.paper_baseline_decimal = _decimals(d, built.a_star)
     built.generator = cert.generator
-    failures += _mismatches("", cert, built)
+    failures += mismatches("", cert, built)
     return (not failures), failures

@@ -188,7 +188,7 @@ class _HahnRun:
         return self.even[k // 2]
 
 
-# only the latest d is kept, as for the scheme's eigenvalue table
+# one run per process, for the latest d only, so a scan does not hold every run alive
 _hahn_run = lru_cache(maxsize=1)(_HahnRun)
 
 

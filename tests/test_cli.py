@@ -35,9 +35,11 @@ def test_certify_d9(tmp_path):
     assert "timestamp" in cert
 
 
-def test_certify_d5_prior_results(tmp_path):
+def test_certify_d5_prior_results(tmp_path, capsys):
     out = tmp_path / "c5.json"
     assert run(["certify", "-d", "5", "--out", str(out)]) == 0
+    # the summary counts the evidence's signs: ell = 1..N + 25
+    assert "26 eigenvalue signs" in capsys.readouterr().err
     cert = json.loads(out.read_text())
     assert cert["a_star"]["rational_times_grade"]["rational"] == "0"
     assert any("prior results" in n for n in cert["notes"])
@@ -67,9 +69,7 @@ def test_certify_json_layout(tmp_path, d):
 
 
 def test_certify_computes_each_eigenvalue_once(tmp_path, monkeypatch):
-    # the self-check reuses the eigenvalue table that certify built; the
-    # table outlives a test, so start from an empty one
-    scheme._eigen_table.cache_clear()
+    # the self-check reads the written file back and computes no eigenvalue
     calls = []
 
     def spy(fn):
@@ -88,7 +88,6 @@ def test_certify_computes_each_eigenvalue_once(tmp_path, monkeypatch):
 def test_certify_and_verify_build_no_kernel(tmp_path, monkeypatch):
     # polynomial-kernel eigenvalues are integer sums over the moments; only
     # eigen's oracle builds a kernel polynomial
-    scheme._eigen_table.cache_clear()
 
     def no_kernel(*args):
         raise AssertionError("kernel polynomial built")
@@ -98,13 +97,11 @@ def test_certify_and_verify_build_no_kernel(tmp_path, monkeypatch):
     monkeypatch.setattr(scheme.EigenTable, "kernel", no_kernel)
     out = tmp_path / "c.json"
     assert run(["certify", "-d", "12", "--out", str(out)]) == 0
-    scheme._eigen_table.cache_clear()
     assert run(["verify", str(out)]) == 0
 
 
 def test_certify_builds_the_ladder_once(tmp_path, monkeypatch):
-    # the self-check reuses the weights certify built
-    scheme._eigen_table.cache_clear()
+    # the self-check compares the written file with the weights certify built
     calls = []
     build = scheme.build_weights
 
@@ -118,9 +115,8 @@ def test_certify_builds_the_ladder_once(tmp_path, monkeypatch):
 
 
 def test_certify_self_check_runs_no_sturm_check_of_its_own(tmp_path, monkeypatch):
-    # the self-check reuses certify's admissibility check of each weight at
-    # its constant term; a verify process runs one per weight
-    scheme._eigen_table.cache_clear()
+    # the self-check runs no admissibility check of its own; a verify
+    # process runs one per weight
     calls = []
     nonneg_on = scheme.nonneg_on
 
@@ -133,7 +129,6 @@ def test_certify_self_check_runs_no_sturm_check_of_its_own(tmp_path, monkeypatch
     assert run(["certify", "-d", "17", "--out", str(out)]) == 0
     n_weights = len(json.loads(out.read_text())["weights"])
     assert len(calls) == n_weights  # compute_a_star's own checks
-    scheme._eigen_table.cache_clear()
     assert run(["verify", str(out)]) == 0
     assert len(calls) == 2 * n_weights
 
@@ -143,7 +138,6 @@ def test_deep_tail_certify_and_verify(tmp_path):
     out = tmp_path / "c5.json"
     assert run(["certify", "-d", "5", "--tail-depth", "400", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["delta_eigen_evidence"]) == 401
-    scheme._eigen_table.cache_clear()
     assert run(["verify", str(out)]) == 0
 
 
@@ -154,8 +148,17 @@ def _bump_eig(obj):
 
 @pytest.mark.parametrize(
     "edit",
-    [_bump_eig, lambda obj: obj["weights"][0].update(c0="0.5")],
-    ids=["eig_value", "c0_malformed"],
+    [
+        _bump_eig,
+        lambda obj: obj["weights"][0].update(c0="0.5"),
+        lambda obj: obj["weights"][0].update(adm_margin="1/7"),
+        lambda obj: obj["a_star"].update(decimal="1.0"),
+        lambda obj: obj["notes"].__setitem__(0, "edited"),
+        lambda obj: obj["weights"].pop(),
+        lambda obj: obj["weights"][1]["eig"].append(obj["weights"][1]["eig"][-1]),
+    ],
+    ids=["eig_value", "c0_malformed", "adm_margin", "a_star_decimal", "note", "weight_dropped",
+         "eig_appended"],
 )
 def test_certify_self_checks_the_written_json(tmp_path, monkeypatch, capsys, edit):
     to_text = scheme.Certificate.to_text
@@ -168,7 +171,7 @@ def test_certify_self_checks_the_written_json(tmp_path, monkeypatch, capsys, edi
     monkeypatch.setattr(scheme.Certificate, "to_text", to_text_edited)
     out = tmp_path / "c.json"
     assert run(["certify", "-d", "9", "--out", str(out)]) == 1
-    assert "re-verification FAIL" in capsys.readouterr().err
+    assert "read-back FAIL" in capsys.readouterr().err
     assert out.exists()
 
 
@@ -488,8 +491,7 @@ def test_verify_skips_rederiving_failed_weights(tmp_path, monkeypatch, doc, top_
     # verify evaluates only the rebuilt weights, and a sign table only once
     # it lists exactly ell = 1..cutoff + tail_check_depth: no kernel exponent
     # above the rebuilt top degree and no harmonic degree beyond the stored
-    # range is computed; the table outlives a test, so start from an empty one
-    scheme._eigen_table.cache_clear()
+    # range is computed
     poly_eigen, delta = scheme.funk_hecke_eigen, scheme.EigenTable.delta
 
     def poly_spy(moments, m, k, magical):
@@ -691,13 +693,20 @@ def test_removed_flag_exits_2(argv):
         ["certify", "-d", "7", "--out", ""],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", ""],
         ["scan", "--d-min", "7", "--d-max", "7", "--out", ""],
+        # link.json is a symbolic link into a missing directory
+        ["certify", "-d", "7", "--out", "link.json"],
+        ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", "link.json"],
+        ["scan", "--d-min", "7", "--d-max", "7", "--out", "link.json"],
     ],
     ids=["jobs_zero", "jobs_negative", "delta_odd_k", "delta_odd_k_in_list",
          "tail_depth_negative_d9", "tail_depth_negative_d5", "scan_tail_depth_negative",
          "certify_out_unwritable", "eigen_out_unwritable", "scan_out_unwritable",
-         "certify_out_empty", "eigen_out_empty", "scan_out_empty"],
+         "certify_out_empty", "eigen_out_empty", "scan_out_empty",
+         "certify_out_dangling_link", "eigen_out_dangling_link", "scan_out_dangling_link"],
 )
-def test_invalid_value_exits_2(capsys, argv):
+def test_invalid_value_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    os.symlink("/nonexistent/dir/x.json", "link.json")
     try:
         code = run(argv)
     except SystemExit as exc:

@@ -103,6 +103,17 @@ def test_sqrt2_folding_canonical():
     assert z == ExactScalar(rat(1, 2), 1, 0)
 
 
+def test_integer_coefficients_stay_exact():
+    # an int coefficient becomes a rational, so int / int never goes through a float
+    assert (ExactScalar(2) / ExactScalar(3)).coeff == rat(2, 3)
+    # an odd negative power of sqrt2 folds 1 / 4 into the coefficient
+    x = ExactScalar(1, -3)
+    assert x.coeff == rat(1, 4) and x.sqrt2 == 1
+    assert repr(x) == "ExactScalar(1/4*sqrt2)"
+    with pytest.raises(TypeError):
+        ExactScalar(0.5)
+
+
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 grades = st.tuples(st.integers(0, 1), st.integers(-6, 6))
 
