@@ -11,7 +11,8 @@ a unit e, and the Chu-Vandermonde sum 2F1(-n, b; c; 1) = (c-b)_n / (c)_n
     E |x + rho omega|^{2m} = sum_n C(m,n) (d/2+m-n)_n / (d/2)_n alpha^n rho^{2(m-n)},
 
 with (a)_n = a (a+1) ... (a+n-1) the Pochhammer symbol.  The radial powers
-then integrate to the moment constants C(d, J, 0).  With beta = |y|^2 and
+then integrate to the moment constants C(d, J, 0), which one ``MomentTable``
+per call holds; nothing here is kept for the process.  With beta = |y|^2 and
 gamma = 2 x . y, the quartic factor (alpha + beta - gamma/2)/4 splits as
 (3/8)(alpha + beta) - |x+y|^2/8, so the magical kernel is three such sums.
 Since |w1+w2|^2 = 2s with s = 1 + t = 1 + w1 . w2, a power alpha^p is
@@ -22,10 +23,7 @@ sum each eigenvalue from the moments (``specfun.funk_hecke_eigen``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .backend import rat
-from .errors import GradeMismatch
 from .polys import ExactPoly
 from .scalars import ZERO, ExactScalar, beta_half_int, sphere_surface
 
@@ -37,7 +35,6 @@ def radial_moment(d: int, a: int) -> ExactScalar:
     return ExactScalar(2 ** (a + d - 3)) * beta_half_int(a + 1, d - 1)
 
 
-@lru_cache(maxsize=None)
 def sigma_conv_constant(d: int) -> ExactScalar:
     """The constant c_d in (sigma*sigma)(x) = c_d |x|^{-1} (4-|x|^2)_+^{(d-3)/2}.
 
@@ -59,7 +56,6 @@ def directional_sphere_moment(d: int, k: int) -> ExactScalar:
     return sphere_surface(d - 1) * beta_half_int(k + 1, d - 1)
 
 
-@lru_cache(maxsize=None)
 def delta_kernel_closed_form(d: int) -> ExactScalar:
     """The constant C_d of the delta-weight kernel C_d (1+t)^{1/2} (1-t)^{(d-3)/2}.
 
@@ -77,41 +73,35 @@ def delta_kernel_closed_form(d: int) -> ExactScalar:
 
 
 class MomentTable:
-    """Cache of the double-sphere moment constants for one dimension,
+    """The moments C(d, J, 0) = int int |w3+w4|^{2J} dsigma dsigma of one dimension.
 
-        C(d, J, K) = int int |w3+w4|^{2J} (e . (w3+w4))^K dsigma dsigma   (unit e),
-
-    products of the sphere-convolution constant, a directional sphere moment
-    and a radial moment, all exact half-integer Beta data.  Only C(d, 0, K)
-    takes Beta values: the radial moment of exponent a + 2 is that of a times
-    4(a+1)/(a+d), so C(d, J, K) = C(d, J-1, K) 4(a+1)/(a+d) with
-    a = 2J+K+d-4.  Every nonzero C(d, J, K) has the grade of C(d, 0, 0) =
-    |S^{d-1}|^2 (``grade``), so kernels sum their rational parts.
+    The row starts from C(d, 0, 0) = |S^{d-1}|^2, the mass normalisation
+    that defines c_d, and steps up without Beta values: the radial moment
+    of exponent a + 2 = 2J+d-2 is that of a times 4(a+1)/(a+d).  Every entry
+    has the grade of |S^{d-1}|^2 (``grade``), so kernels sum their rational
+    parts.  ``f0`` is F(d, 0) = 2^{d-2} B((d-1)/2, (d-1)/2) |S^{d-2}|, the
+    factor of ``specfun.funk_hecke_eigen``.  The kernels need K = 0 alone:
+    C(d, J, K), with a factor (e . (w3+w4))^K for a unit e, is the product of
+    ``sigma_conv_constant``, ``directional_sphere_moment`` and ``radial_moment``.
     """
 
     def __init__(self, d: int):
         if d < 3:
             raise ValueError("d must be >= 3")
         self.d = d
-        self.grade = (sphere_surface(d) * sphere_surface(d)).grade
-        self.rows: dict[int, list[ExactScalar]] = {}  # K -> [C(d, 0, K), C(d, 1, K), ...]
+        first = sphere_surface(d) * sphere_surface(d)
+        self.grade = first.grade
+        self.row = [first]  # C(d, 0, 0), C(d, 1, 0), ...
+        self.f0 = beta_half_int(d - 1, d - 1) * 2 ** (d - 2) * sphere_surface(d - 1)
 
-    def get(self, j: int, k: int) -> ExactScalar:
-        """C(d, J, K); exactly zero for odd K, strictly positive for even K."""
-        if j < 0 or k < 0:
-            raise ValueError("need J, K >= 0")
-        if k % 2 == 1:
-            return ZERO
-        d, row = self.d, self.rows.get(k)
-        if row is None:
-            first = (sigma_conv_constant(d) * directional_sphere_moment(d, k)
-                     * radial_moment(d, k + d - 2))
-            if first.grade != self.grade:
-                raise GradeMismatch(f"C({d}, 0, {k}) has grade {first.grade}, not {self.grade}")
-            row = self.rows[k] = [first]
+    def get(self, j: int) -> ExactScalar:
+        """C(d, J, 0), strictly positive."""
+        if j < 0:
+            raise ValueError("need J >= 0")
+        row = self.row
         while len(row) <= j:
-            a = 2 * len(row) + k + d - 4
-            row.append(row[-1] * rat(4 * (a + 1), a + d))
+            a = 2 * len(row) + self.d - 4
+            row.append(row[-1] * rat(4 * (a + 1), a + self.d))
         return row[j]
 
 
@@ -123,7 +113,7 @@ def _mean_power(table: MomentTable, m: int, shift: int = 0) -> list:
     """
     d, w, coeffs = table.d, rat(1), []
     for n in range(m + 1):
-        coeffs.append(table.get(m - n + shift, 0).coeff * w)
+        coeffs.append(table.get(m - n + shift).coeff * w)
         w *= rat(2 * (m - n) * (d + 2 * (m - n - 1)), (n + 1) * (d + 2 * n))
     return coeffs
 

@@ -26,7 +26,7 @@ from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
 from .kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from .polys import ExactPoly, minimal_shift, nonneg_on
 from .scalars import ZERO, ExactScalar
-from .specfun import eigen_delta_weight, funk_hecke_eigen
+from .specfun import DeltaRun, eigen_delta_weight, funk_hecke_eigen
 
 GENERATOR = {"name": "sharpcert", "version": "0.1.0"}
 
@@ -48,12 +48,13 @@ class EigenTable:
     value is computed when asked for, since one run asks for it once.
     Structural zeros (harmonic degree above the kernel degree) fall out of
     exact orthogonality.  Every call that needs eigenvalues builds its own
-    table, so nothing carries over from one call to the next.
+    table, which owns every per-d constant (its moment table and delta run).
     """
 
     def __init__(self, d: int):
         self.d = d
         self.moments = MomentTable(d)
+        self.delta_run = DeltaRun(d)
         self.lambda_poly: dict[tuple[str, int, int], ExactScalar] = {}  # (identity, two_m, k)
 
     def kernel(self, two_m: int, identity: str) -> ExactPoly:
@@ -64,7 +65,7 @@ class EigenTable:
         return builder(self.moments, two_m // 2)
 
     def delta(self, k: int) -> ExactScalar:
-        return eigen_delta_weight(k, self.d)
+        return eigen_delta_weight(k, self.delta_run)
 
     def mag(self, two_m: int, k: int) -> ExactScalar:
         return self._poly_eigen(MAGICAL, two_m, k)
@@ -175,7 +176,7 @@ def build_weights(d: int, tail_depth: int = 25):
     degree by ``top_degree``) reaches harmonic degree 2 ell, so weight 1
     lists the delta eigenvalue at 2 ell, each checked, and the others list
     zero.
-    Every zero entry is one of a single list made per call, one
+    Every zero ladder entry is one of a single list made per call, one
     ``EigCheck(ell, ZERO, True)`` per ell: all weights share those objects,
     and weights n >= 2 take their tail as a slice of it.  Constant terms
     are left at 0: the eigenvalues do not depend on them, and
@@ -224,17 +225,24 @@ def build_weights(d: int, tail_depth: int = 25):
         w.eig.reverse()
         _check_grades(w, grade)
         if w.has_delta:
-            for ell in range(cutoff + 1, cutoff + tail_depth + 1):
-                v = table.delta(2 * ell)
-                if v.sign() > 0:
-                    raise SchemeInfeasible(f"d={d} n={n}: eigenvalue condition fails at ell={ell}")
-                w.eig.append(zeros[ell - 1] if v.is_zero() else EigCheck(ell, v, True))
+            w.eig += _delta_signs(table, range(cutoff + 1, cutoff + tail_depth + 1), f" n={n}")
         else:
             w.eig += zeros[cutoff:cutoff + tail_depth]
         for q, c in coeffs.items():
             transfers[q] = transfers.get(q, ZERO) + c
         weights.append(w)
     return weights, table, grade
+
+
+def _delta_signs(table: EigenTable, ells: range, where: str) -> list[EigCheck]:
+    """Weight 1's tail or the d <= 6 evidence: lambda_delta(2 ell), ell in ``ells``, each checked <= 0."""
+    entries = []
+    for ell in ells:
+        v = table.delta(2 * ell)
+        if v.sign() > 0:
+            raise SchemeInfeasible(f"d={table.d}{where}: delta eigenvalue positive at ell={ell}")
+        entries.append(EigCheck(ell, v, True))
+    return entries
 
 
 def _coefficient_grade(table: EigenTable, N: int) -> tuple:
@@ -408,10 +416,10 @@ class Certificate:
     def from_json(cls, obj: dict) -> "Certificate":
         """The certificate in a parsed file; a sign-table ``EigCheck`` and ``ZERO`` are taken as read.
 
-        ``generator`` is not checked past its being an object: a zero value
-        or entry inside it stays the ZERO or EigCheck :meth:`from_text` read.
+        ``generator`` is not checked past its being an object; a zero value or
+        entry anywhere in it is restored to the JSON object it was read as.
         """
-        obj = _as_read(obj)  # a file that is one zero value or entry: an object of the wrong shape
+        obj = obj if type(obj) is dict else _as_read(obj)  # a file that is one zero value or entry
         if not isinstance(obj, dict):
             raise MalformedCertificate(f"expected a JSON object, got {type(obj).__name__}")
         try:
@@ -458,7 +466,7 @@ class Certificate:
                 paper_baseline_decimal=baseline,
                 notes=[_json(s, str) for s in _json(obj.get("notes", []), list)],
                 delta_eigen_evidence=_sign_table(evidence),
-                generator=dict(_json(_as_read(obj.get("generator", GENERATOR)), dict)),
+                generator=_json(_as_read(obj.get("generator", GENERATOR)), dict),
             )
         except MalformedCertificate:
             raise
@@ -568,11 +576,15 @@ def _object_reader():
 
 
 def _as_read(v):
-    """``v``, or the JSON object read as it when it is a reader's ZERO or EigCheck."""
+    """A copy of parsed JSON ``v``, each reader's ZERO or EigCheck in it back as the object it was read as."""
     if v is ZERO:
         return ZERO.to_json()
     if type(v) is EigCheck:
         return {"ell": v.ell, "value": ZERO.to_json(), "nonpositive": v.nonpositive}
+    if type(v) is dict:
+        return {k: _as_read(x) for k, x in v.items()}
+    if type(v) is list:
+        return [_as_read(x) for x in v]
     return v
 
 
@@ -611,12 +623,7 @@ def _construct(d: int, tail_depth: int) -> tuple[Certificate, tuple]:
         if not check_sum_condition(cert.weights):
             raise SchemeInfeasible(f"d={d}: sum condition violated")
         return cert, grade
-    table = EigenTable(d)
-    for ell in range(1, N + tail_depth + 1):
-        v = table.delta(2 * ell)
-        if v.sign() > 0:
-            raise SchemeInfeasible(f"d={d}: delta eigenvalue positive at ell={ell}")
-        cert.delta_eigen_evidence.append(EigCheck(ell, v, True))
+    cert.delta_eigen_evidence = _delta_signs(EigenTable(d), range(1, N + tail_depth + 1), "")
     return cert, ZERO.grade
 
 

@@ -10,15 +10,16 @@ writes C_k(t) (1-t^2)^{(d-3)/2} / C_k(1) as a k-th derivative of
 (1-t^2)^{k+(d-3)/2} divided by (-2)^k ((d-1)/2)_k = (-1)^k prod_{i<k} (d-1+2i).
 Integrating by parts k times moves the derivatives onto K, and every
 remaining integral is one Beta value.  A polynomial kernel sum_p b_p s^p
-in s = 1 + t then has, with F computed once per (d, k),
+in s = 1 + t then has
 
     lambda(k) = F(d, k) sum_{p >= k} b_p tau_p,   tau_k = 4^k k!,
     tau_{p+1}/tau_p = (p+1)(2p+d-1) / ((p+1-k)(p+k+d-1)),
     F(d, k) = 2^{d-2} B(k+(d-1)/2, k+(d-1)/2) |S^{d-2}| / prod_{i<k} (d-1+2i),
 
 which vanishes for k above the kernel degree.  The Beta values telescope,
-F(d, k+1) = F(d, k) / (4(2k+d)), so F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d)
-takes one Beta value per d.  No kernel is built: with
+F(d, k+1) = F(d, k) / (4(2k+d)), so F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d):
+the 4^k cancels tau_k's, and F(d, 0) is one Beta value per moment table
+(``MomentTable.f0``).  No kernel is built: with
 N_m's coefficients (``kernels``) and C(d, J+1, 0)/C(d, J, 0) = 2(2J+d-1)/(J+d-1),
 
     t_{p+1}/t_p = (m-p)(2(m-p-1)+d)(m-p+d-2)(2p+d-1) / ((2p+d)(2(m-p)+d-3)(p+1-k)(p+k+d-1))
@@ -46,8 +47,10 @@ three-term recurrence in the degree (Koekoek-Lesky-Swarttouw (9.5.3); DLMF
 It runs on the integers G_n = F_n prod_{i<n} a_i, G_{n+1} = b_n G_n +
 c_n a_{n-1} G_{n-1}, so every lambda_delta(k) with k <= K costs O(K)
 integer steps in all, and one rational G_k / prod_{i<k} a_i per even k.
-Dividing out the common gcd at each even n (``_HahnRun``) keeps the
-integers as small as the reduced values, so the cost grows linearly in K.
+Dividing out the common gcd at each even n keeps the integers as small as
+the reduced values, so the cost grows linearly in K.  A ``DeltaRun`` holds
+K_d and the recurrence of one d; each eigenvalue table makes its own, so
+no per-d state outlives the call that made it.
 
 All values are exact.
 
@@ -111,16 +114,8 @@ def gegenbauer_basis(d: int) -> GegenbauerBasis:
     return GegenbauerBasis(d)
 
 
-@lru_cache(maxsize=None)
-def _k_factor(d: int, k: int) -> ExactScalar:
-    """F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d), shared by both polynomial kernels and every m."""
-    if k:
-        return _k_factor(d, 0) / (4**k * prod(range(d, d + 2 * k, 2)))
-    return beta_half_int(d - 1, d - 1) * 2 ** (d - 2) * sphere_surface(d - 1)
-
-
 def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0):
-    """sum_{p >= k} 2^p w_n C(d, m-n+e, 0) tau_p, n = p - shift, w_n the weight of alpha^n in N_m.
+    """sum_{p >= k} 2^p w_n C(d, m-n+e, 0) tau_p / 4^k, n = p - shift, w_n the weight of alpha^n in N_m.
 
     ``shift`` = 1 gives alpha N_m, ``e`` = 1 gives N_m'; at k - shift = m + 1, w_{m+1} = 0 zeroes it.
     """
@@ -133,7 +128,7 @@ def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0)
         num, den = b * den + a * num, b * den
     for i in range(lo):  # times the start term 2^{lo+shift} w_lo tau_k (tau_{lo+shift} = tau_k)
         num, den = num * 2 * (m - i) * (d + 2 * (m - i - 1)), den * (i + 1) * (d + 2 * i)
-    return rat(num * 2**shift * 4**k * factorial(k), den) * moments.get(m - lo + e, 0).coeff
+    return rat(num * 2**shift * factorial(k), den) * moments.get(m - lo + e).coeff
 
 
 def funk_hecke_eigen(moments: MomentTable, m: int, k: int, magical: bool) -> ExactScalar:
@@ -147,18 +142,13 @@ def funk_hecke_eigen(moments: MomentTable, m: int, k: int, magical: bool) -> Exa
                  - _alpha_sum(moments, k, m + 1) * rat(1, 8))
     else:
         total = _alpha_sum(moments, k, m)
-    return ExactScalar(total, *moments.grade) * _k_factor(moments.d, k)
+    d = moments.d
+    # F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d), and _alpha_sum leaves out tau_k's 4^k
+    return ExactScalar(total / prod(range(d, d + 2 * k, 2)), *moments.grade) * moments.f0
 
 
-@lru_cache(maxsize=None)
-def _delta_constant(d: int) -> ExactScalar:
-    """K_d = C_d |S^{d-2}| 2^{3(d-2)/2} B(d-2, d/2), the k-free factor of lambda_delta."""
-    return (delta_kernel_closed_form(d) * sphere_surface(d - 1)
-            * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d))
-
-
-class _HahnRun:
-    """F_0, F_2, ... of one d from the recurrence, extended on demand.
+class DeltaRun:
+    """K_d and F_0, F_2, ... of one d, the latter from the recurrence, extended on demand.
 
     The state is n, G_{n-1}, G_n and P_n = prod_{i<n} a_i.  At every even n,
     where F_n = G_n / P_n is reduced anyway, its three integers are divided
@@ -168,6 +158,9 @@ class _HahnRun:
     """
 
     def __init__(self, d: int):
+        # K_d = C_d |S^{d-2}| 2^{3(d-2)/2} B(d-2, d/2), the k-free factor of lambda_delta
+        self.constant = (delta_kernel_closed_form(d) * sphere_surface(d - 1)
+                         * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d))
         self.d, self.n, self.g_prev, self.g, self.p = d, 0, 0, 1, 1
         self.even = [rat(1)]  # F_0, F_2, ..., F_n
 
@@ -188,14 +181,8 @@ class _HahnRun:
         return self.even[k // 2]
 
 
-# one run per process, for the latest d only, so a scan does not hold every run alive
-_hahn_run = lru_cache(maxsize=1)(_HahnRun)
-
-
-def eigen_delta_weight(k: int, d: int) -> ExactScalar:
-    """Exact eigenvalue lambda_1(k) of the delta-weight kernel, even k."""
+def eigen_delta_weight(k: int, run: DeltaRun) -> ExactScalar:
+    """Exact eigenvalue lambda_1(k) of the delta-weight kernel of ``run``'s d, even k."""
     if k < 0 or k % 2 == 1:
         raise ValueError("k must be even and >= 0")
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    return _delta_constant(d) * _hahn_run(d).at(k)
+    return run.constant * run.at(k)

@@ -2,8 +2,9 @@
 
 ``mc_double_sphere_moment`` estimates the constants by vectorized Monte
 Carlo with a fixed probe direction; it is a statistical sanity check of
-``sharpcert.kernels.MomentTable``, never a certification path, and the
-only reader of numpy.
+``sharpcert.kernels.MomentTable`` (K = 0) and of the Beta product
+``sigma_conv_constant`` x ``directional_sphere_moment`` x ``radial_moment``
+(K > 0), never a certification path, and the only reader of numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sharpcert.kernels import MomentTable
+from sharpcert.kernels import MomentTable, directional_sphere_moment, radial_moment, sigma_conv_constant
 from sharpcert.scalars import ExactScalar, sphere_surface
 
 
@@ -101,7 +102,11 @@ def mc_check_moment(
     times the sample count on a distinct sub-seed; a repeated miss is a
     genuine disagreement.  Returns (estimate, agrees).
     """
-    exact = MomentTable(d).get(J, K)
+    if K == 0:
+        exact = MomentTable(d).get(J)
+    else:
+        exact = (sigma_conv_constant(d) * directional_sphere_moment(d, K)
+                 * radial_moment(d, 2 * J + K + d - 2))
     est = mc_double_sphere_moment(d, J, K, samples, seed)
     if mc_agrees(est, exact, sigmas):
         return est, True

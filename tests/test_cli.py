@@ -556,6 +556,20 @@ def test_scan_json_layout(tmp_path):
     assert [r["d"] for r in json.loads(text)] == [7, 8]
 
 
+def test_scan_parallel_matches_serial(tmp_path):
+    # two worker processes give the rows one process gives, wall time aside
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"scan{jobs}.json"
+        assert run(["scan", "--d-min", "7", "--d-max", "10", "--jobs", jobs, "--format", "json",
+                    "--out", str(out)]) == 0
+        rows[jobs] = json.loads(out.read_text())
+        for r in rows[jobs]:
+            assert r.pop("wall_ms") >= 0
+    assert [r["d"] for r in rows["1"]] == [7, 8, 9, 10]
+    assert rows["2"] == rows["1"]
+
+
 def test_scan_empty_range():
     assert run(["scan", "--d-min", "9", "--d-max", "8"]) == 2
     assert run(["scan", "--d-min", "1", "--d-max", "2"]) == 2

@@ -1,3 +1,4 @@
+from functools import cache
 from math import factorial
 
 import pytest
@@ -25,6 +26,17 @@ def from_scalars(scalars) -> ExactPoly:
     return ExactPoly([s.coeff for s in scalars], grades.pop() if grades else RAT_GRADE)
 
 
+@cache
+def double_sphere_moment(d, j, k):
+    """C(d, J, K) as the product of its three Beta-valued factors; zero for odd K."""
+    return sigma_conv_constant(d) * directional_sphere_moment(d, k) * radial_moment(d, 2 * j + k + d - 2)
+
+
+def moment(table, j, k):
+    """C(d, J, K): the table's entry at K = 0, the Beta product otherwise."""
+    return table.get(j) if k == 0 else double_sphere_moment(table.d, j, k)
+
+
 def test_sigma_conv_constant():
     assert sigma_conv_constant(3) == ExactScalar(2, 0, 2)  # 2 pi
     for d in range(3, 17):
@@ -50,19 +62,19 @@ def test_double_sphere_moment_examples():
     for d in (3, 4, 7):
         table = MomentTable(d)
         s2 = sphere_surface(d) * sphere_surface(d)
-        assert table.get(0, 0) == s2
+        assert table.get(0) == s2
         for j in (0, 1, 2):
-            assert table.get(j, 3).is_zero()
-            assert table.get(j, 2).sign() == 1
-    assert MomentTable(3).get(1, 0) == ExactScalar(32, 0, 4)
+            assert double_sphere_moment(d, j, 3).is_zero()
+            assert double_sphere_moment(d, j, 2).sign() == 1
+    assert MomentTable(3).get(1) == ExactScalar(32, 0, 4)
 
 
 @pytest.mark.parametrize("d", [7, 8, 24, 25])
 def test_moments_share_one_grade(d):
     # kernels sum the moments' rational parts under MomentTable.grade
     table = MomentTable(d)
-    assert table.grade == table.get(0, 0).grade
-    assert {table.get(j, k).grade for j in range(2 * d) for k in range(0, 12, 2)} == {table.grade}
+    assert table.grade == table.get(0).grade
+    assert {moment(table, j, k).grade for j in range(2 * d) for k in range(0, 12, 2)} == {table.grade}
 
 
 def test_delta_kernel_constant():
@@ -110,7 +122,7 @@ def test_nonmagical_degree_and_examples():
     for d in (3, 4, 9, 24):
         table = MomentTable(d)
         expect = from_scalars(
-            [table.get(2, 0), table.get(1, 0) * (2 * (2 + rat(4, d))), table.get(0, 0) * 4]
+            [table.get(2), table.get(1) * (2 * (2 + rat(4, d))), table.get(0) * 4]
         )
         assert nonmagical_kernel_poly(table, 2) == expect
 
@@ -123,7 +135,8 @@ def _trinomial_kernel(table, m, magical):
     """Reference: expand (alpha + beta + gamma)^m term by term.
 
     alpha = |w1+w2|^2 = 2s, beta = |w3+w4|^2 and gamma = 2 (w1+w2).(w3+w4);
-    beta^j gamma^k integrates to 2^k C(d, j, k) alpha^{k/2}.  The magical
+    beta^j gamma^k integrates to 2^k C(d, j, k) alpha^{k/2}, the table's entry at
+    k = 0 and the Beta product past it.  The magical
     family multiplies by the quartic factor (alpha + beta - gamma/2)/4 first.
     """
     acc = {}
@@ -136,14 +149,14 @@ def _trinomial_kernel(table, m, magical):
             k = m - i - j
             w = rat(_multinomial(m, i, j, k) * 2**k)
             if not magical:
-                add(i + k // 2, table.get(j, k) * w)
+                add(i + k // 2, moment(table, j, k) * w)
                 continue
             w = w / 4
             if k % 2 == 0:
-                add(i + 1 + k // 2, table.get(j, k) * w)
-                add(i + k // 2, table.get(j + 1, k) * w)
+                add(i + 1 + k // 2, moment(table, j, k) * w)
+                add(i + k // 2, moment(table, j + 1, k) * w)
             else:
-                add(i + (k + 1) // 2, table.get(j, k + 1) * (-w))
+                add(i + (k + 1) // 2, moment(table, j, k + 1) * (-w))
     return from_scalars([acc.get(p, ExactScalar(0)) * 2**p for p in range(max(acc) + 1)])
 
 

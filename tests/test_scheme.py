@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sharpcert import scheme
+from sharpcert import scheme, specfun
 from sharpcert.backend import rat
 from sharpcert.errors import MalformedCertificate, SchemeInfeasible
 from sharpcert.polys import nonneg_on
@@ -243,6 +243,22 @@ def test_to_text_of_free_form_fields():
     _assert_written_as_json_dumps(Certificate.from_json(obj))
 
 
+def test_zero_values_nested_in_generator_are_written_back():
+    # the reader takes a zero value or entry anywhere for ZERO or an EigCheck;
+    # inside the unchecked generator they are plain JSON again once loaded
+    cert = compute_a_star(9)
+    zero = {"rational": "0", "sqrt2": 0, "pi_half": 0}
+    cert.generator = {"name": "x", "extra": zero,
+                      "row": [{"ell": 1, "value": zero, "nonpositive": True}]}
+    text = cert.to_text()
+    loaded = Certificate.from_text(text)
+    ok, failures = verify_certificate(loaded)
+    assert ok, failures
+    assert loaded.to_text() == text
+    assert loaded.to_json()["generator"] == cert.generator
+    assert json.loads(json.dumps(loaded.to_json())) == json.loads(text)
+
+
 def test_tamper_detection():
     cert = compute_a_star(9)
     base = cert.to_json()
@@ -370,6 +386,41 @@ def test_verify_does_no_shift_work(monkeypatch, d):
     ok, failures = verify_certificate(cert)
     assert ok, failures
     assert calls == {"minimal_shift": 0, "nonneg_on": len(cert.weights)}
+
+
+def _eigen_work(monkeypatch, fn):
+    """(F_{2j} from the Hahn recurrence, funk_hecke_eigen calls, eigen_delta_weight calls) in ``fn``."""
+    runs, calls = [], {"funk_hecke_eigen": 0, "eigen_delta_weight": 0}
+    init = specfun.DeltaRun.__init__
+
+    def recording_init(self, d):
+        runs.append(self)
+        init(self, d)
+
+    def spy(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(specfun.DeltaRun, "__init__", recording_init)
+        for name in calls:
+            m.setattr(scheme, name, spy(name, getattr(scheme, name)))
+        fn()
+    return sum(len(run.even) - 1 for run in runs), calls["funk_hecke_eigen"], calls["eigen_delta_weight"]
+
+
+def test_verify_work_does_not_depend_on_history(monkeypatch):
+    # in one process, a verify right after a certify of the same d computes
+    # what a verify after another d computes: no per-d state outlives its call
+    cert = compute_a_star(24)
+    compute_a_star(23)
+    first = _eigen_work(monkeypatch, lambda: verify_certificate(cert))
+    certify = _eigen_work(monkeypatch, lambda: compute_a_star(24))
+    after = _eigen_work(monkeypatch, lambda: verify_certificate(cert))
+    assert after == first == certify
+    assert first[0] == ell_star(24) + 25  # lambda_delta(2 ell) up to ell = N + depth
 
 
 def test_reading_and_building_share_zero_entries(monkeypatch):

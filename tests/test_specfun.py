@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpcert.backend import rat
-from sharpcert import specfun
 from sharpcert.kernels import (
     MomentTable,
     delta_kernel_closed_form,
@@ -19,7 +18,7 @@ from sharpcert.kernels import (
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
 from sharpcert.scheme import MAGICAL, NONMAGICAL, EigenTable, ell_star
-from sharpcert.specfun import eigen_delta_weight, funk_hecke_eigen, gegenbauer_basis
+from sharpcert.specfun import DeltaRun, eigen_delta_weight, funk_hecke_eigen, gegenbauer_basis
 
 ZERO = ExactScalar(0)
 T = ExactPoly([-1, 1])  # t = s - 1, in the kernels' variable s = 1+t
@@ -113,11 +112,11 @@ def test_funk_hecke_hand_examples():
 def test_delta_eigen_hand_examples():
     # d = 3: the integrand at k = 0 is (1+t)^{1/2}, with integral (4/3) sqrt2
     c3 = delta_kernel_closed_form(3) * sphere_surface(2)
-    assert eigen_delta_weight(0, 3) == c3 * ExactScalar(rat(4, 3), 1, 0)
+    assert eigen_delta_weight(0, DeltaRun(3)) == c3 * ExactScalar(rat(4, 3), 1, 0)
     # d = 4: the integrand is (1 - t^2) C_k(t) / C_k(1), with C_2 = 4t^2 - 1, C_2(1) = 3
-    c4 = delta_kernel_closed_form(4) * sphere_surface(3)
-    assert eigen_delta_weight(0, 4) == c4 * ExactScalar(rat(4, 3))
-    assert eigen_delta_weight(2, 4) == c4 * ExactScalar(rat(-4, 45))
+    c4, run = delta_kernel_closed_form(4) * sphere_surface(3), DeltaRun(4)
+    assert eigen_delta_weight(0, run) == c4 * ExactScalar(rat(4, 3))
+    assert eigen_delta_weight(2, run) == c4 * ExactScalar(rat(-4, 45))
 
 
 def _gegenbauer_moment_eigen(kernel, k, d):
@@ -200,14 +199,14 @@ def test_orthogonality_kills_high_k(cs, d):
 
 
 def test_delta_eigen_signs():
-    assert eigen_delta_weight(2, 3).sign() == -1
+    assert eigen_delta_weight(2, DeltaRun(3)).sign() == -1
     for d in (3, 4, 7, 12):
-        assert eigen_delta_weight(0, d).sign() == 1
+        assert eigen_delta_weight(0, DeltaRun(d)).sign() == 1
 
 
 def test_delta_eigen_rejects_odd_k():
     with pytest.raises(ValueError):
-        eigen_delta_weight(3, 5)
+        eigen_delta_weight(3, DeltaRun(5))
 
 
 def _t_power_moments(d, top):
@@ -229,7 +228,7 @@ def test_flip_identity():
     # the t -> -t image of the delta-weight integral toggles the sign of the
     # odd Gegenbauer coefficients; for even k they vanish and both agree
     for d in list(range(3, 14)) + [24, 33]:
-        basis = gegenbauer_basis(d)
+        basis, run = gegenbauer_basis(d), DeltaRun(d)
         const = delta_kernel_closed_form(d)
         moments = _t_power_moments(d, 41)
         for k in range(0, 41, 2):
@@ -238,7 +237,7 @@ def test_flip_identity():
                 if cb != 0:
                     flipped = flipped + moments[b] * (cb if b % 2 == 0 else -cb)
             flipped = sphere_surface(d - 1) / basis.at_one(k) * const * flipped
-            assert eigen_delta_weight(k, d) == flipped
+            assert eigen_delta_weight(k, run) == flipped
 
 
 def _rodrigues_delta(k, d):
@@ -266,8 +265,9 @@ def _rodrigues_delta(k, d):
 def test_delta_eigen_matches_rodrigues_sum():
     # the 3F2 sum against the Rodrigues sum, at every even k certify asks for
     for d in range(3, 49):
+        run = DeltaRun(d)
         for k in range(0, 2 * (ell_star(d) + 25) + 1, 2):
-            assert eigen_delta_weight(k, d) == _rodrigues_delta(k, d), (d, k)
+            assert eigen_delta_weight(k, run) == _rodrigues_delta(k, d), (d, k)
 
 
 def _delta_3f2_sum(k, d):
@@ -285,39 +285,48 @@ def test_delta_recurrence_matches_3f2_sum():
     # the Hahn recurrence against the hypergeometric sum it replaces, past
     # every tail depth certify uses by default; lambda_delta(0) = K_d
     for d in range(3, 61):
+        run = DeltaRun(d)
         for k in range(0, 2 * (ell_star(d) + 60) + 1, 2):
-            assert eigen_delta_weight(k, d) == eigen_delta_weight(0, d) * _delta_3f2_sum(k, d), (d, k)
-    # values asked for out of order, and across a change of d, are the same
+            assert eigen_delta_weight(k, run) == eigen_delta_weight(0, run) * _delta_3f2_sum(k, d), (d, k)
+    # values asked for out of order, and from two runs in turn, are the same
+    runs = {9: DeltaRun(9), 3: DeltaRun(3)}
     for d, k in ((9, 40), (9, 2), (3, 8), (9, 0), (9, 40)):
-        assert eigen_delta_weight(k, d) == eigen_delta_weight(0, d) * _delta_3f2_sum(k, d), (d, k)
+        run = runs[d]
+        assert eigen_delta_weight(k, run) == eigen_delta_weight(0, run) * _delta_3f2_sum(k, d), (d, k)
 
 
 def test_k_factor_matches_beta_form():
-    # F(d, k) = 2^{d-2} B(k+(d-1)/2, k+(d-1)/2) |S^{d-2}| / prod_{i<k} (d-1+2i)
+    # F(d, k) = 2^{d-2} B(k+(d-1)/2, k+(d-1)/2) |S^{d-2}| / prod_{i<k} (d-1+2i): the
+    # table's F(d, 0), and the telescoping F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d)
     for d in range(3, 49):
+        f0 = MomentTable(d).f0
         for k in range(61):
             want = (beta_half_int(2 * k + d - 1, 2 * k + d - 1) * 2 ** (d - 2)
                     * sphere_surface(d - 1) / prod(range(d - 1, d + 2 * k - 1, 2)))
-            assert specfun._k_factor(d, k) == want, (d, k)
+            assert f0 / (4**k * prod(range(d, d + 2 * k, 2))) == want, (d, k)
 
 
 def test_moments_match_beta_form():
     # C(d, J, K) as the product of its three Beta-valued factors; the table
-    # is asked from the top down, so one request fills the rows below it
+    # holds K = 0, and an even K is C(d, J + K/2, 0) (1/2)_{K/2} / (d/2)_{K/2}, the
+    # direction's moment E (e . omega)^K.  The table is asked from the top down, so
+    # one request fills the row below it
     for d in range(3, 49):
         table = MomentTable(d)
         for K in (0, 2, 4):
+            direction = prod(rat(2 * i + 1, 2 * i + d) for i in range(K // 2))
             for J in range(30, -1, -1):
                 want = (sigma_conv_constant(d) * directional_sphere_moment(d, K)
                         * radial_moment(d, 2 * J + K + d - 2))
-                assert table.get(J, K) == want, (d, J, K)
+                assert table.get(J + K // 2) * direction == want, (d, J, K)
 
 
 def test_delta_eigen_grade_coherence():
     for d in (3, 4, 8, 9):
+        run = DeltaRun(d)
         grades = {
-            eigen_delta_weight(k, d).grade
+            eigen_delta_weight(k, run).grade
             for k in range(0, 22, 2)
-            if not eigen_delta_weight(k, d).is_zero()
+            if not eigen_delta_weight(k, run).is_zero()
         }
         assert len(grades) == 1
