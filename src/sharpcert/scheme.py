@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
+from functools import cached_property
 
 from .backend import rat, rat_parse, rat_str
 from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
@@ -48,14 +49,22 @@ class EigenTable:
     value is computed when asked for, since one run asks for it once.
     Structural zeros (harmonic degree above the kernel degree) fall out of
     exact orthogonality.  Every call that needs eigenvalues builds its own
-    table, which owns every per-d constant (its moment table and delta run).
+    table, which owns every per-d constant (its moment table and delta run),
+    each built on first use: d <= 6 reads only the delta run, and a
+    polynomial kernel alone never does.
     """
 
     def __init__(self, d: int):
         self.d = d
-        self.moments = MomentTable(d)
-        self.delta_run = DeltaRun(d)
         self.lambda_poly: dict[tuple[str, int, int], ExactScalar] = {}  # (identity, two_m, k)
+
+    @cached_property
+    def moments(self) -> MomentTable:
+        return MomentTable(self.d)
+
+    @cached_property
+    def delta_run(self) -> DeltaRun:
+        return DeltaRun(self.d)
 
     def kernel(self, two_m: int, identity: str) -> ExactPoly:
         """The kernel of exponent ``two_m`` for ``identity``, built afresh (eigenvalues need none)."""
@@ -220,7 +229,7 @@ def build_weights(d: int, tail_depth: int = 25):
             v = weight_eigen(w, table, ell)
             if v.sign() > 0:
                 coeffs[q_star] = -(v / denom)  # clipped ratio {.}_+, entering negatively
-                v = v + coeffs[q_star] * denom
+                v = ZERO  # v + coeffs[q_star] * denom, zero by construction
             w.eig.append(zeros[ell - 1] if v.is_zero() else EigCheck(ell, v, True))
         w.eig.reverse()
         _check_grades(w, grade)
@@ -688,6 +697,21 @@ def mismatches(tag: str, stored, rebuilt) -> list[str]:
     return failures
 
 
+def _short(n: int) -> str:
+    """``n`` in full up to 20 digits, else its leading and trailing digits and its digit count.
+
+    The stored integers a staged check names can have thousands of digits;
+    the count is found without ``str``, which refuses more than 4,300.
+    """
+    a = abs(n)
+    if a < 10**20:
+        return str(n)
+    e = (a.bit_length() - 1) * 30102 // 100000  # at most floor(log10 a)
+    while a >= 10 ** (e + 1):
+        e += 1
+    return f"{'-' if n < 0 else ''}{a // 10 ** (e - 5)}...{a % 10**6:06d} ({e + 1} digits)"
+
+
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Re-derive every claim of a certificate from its dimension and tail depth alone.
 
@@ -708,16 +732,16 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """
     d, depth = cert.dimension, cert.tail_check_depth
     if d < 3:
-        return False, [f"dimension {d} out of range"]
+        return False, [f"dimension {_short(d)} out of range"]
     N = ell_star(d)
     n_weights, n_evidence = (2 * N, 0) if N >= 2 else (0, N + depth)
     for what, stored, want in (("N", cert.N, N), ("weight count", len(cert.weights), n_weights),
                                ("evidence length", len(cert.delta_eigen_evidence), n_evidence)):
         if stored != want:
-            return False, [f"{what} mismatch: stored {stored}, expected {want}"]
+            return False, [f"{what} mismatch: stored {_short(stored)}, expected {_short(want)}"]
     for w, (n, *_, cutoff) in zip(cert.weights, _shapes(N)):
         if len(w.eig) != cutoff + depth:
-            return False, [f"weight {n}: stored eigenvalues do not cover ell = 1..{cutoff + depth}"]
+            return False, [f"weight {n}: stored eigenvalues do not cover ell = 1..{_short(cutoff + depth)}"]
     try:
         built, grade = _construct(d, depth)
     except (SchemeInfeasible, GradeMismatch) as exc:

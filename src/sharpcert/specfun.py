@@ -25,9 +25,12 @@ N_m's coefficients (``kernels``) and C(d, J+1, 0)/C(d, J, 0) = 2(2J+d-1)/(J+d-1)
     t_{p+1}/t_p = (m-p)(2(m-p-1)+d)(m-p+d-2)(2p+d-1) / ((2p+d)(2(m-p)+d-3)(p+1-k)(p+k+d-1))
 
 for t_p = b_p tau_p, summed from the top in integers, S = 1 + (a/b) S' =
-num/den, times one rational start term t_k.  The magical kernel
-(3/8)(alpha N_m + N_m') - N_{m+1}/8 takes three such sums: alpha moves each
-index of N_m up by one, and N_m' reads C(d, m-p+1, 0).
+num/den, times the start term t_k, a closed form in ``math.comb`` and
+``math.prod``.  The magical kernel (3/8)(alpha N_m + N_m') - N_{m+1}/8
+takes three such sums: alpha moves each index of N_m up by one, and N_m'
+reads C(d, m-p+1, 0).  Each sum stays an integer pair (num, den); the pairs,
+the moment entries, prod_{i<k} (2i+d) and F(d, 0)'s rational part are
+combined in integers, and each eigenvalue is one rational, made at the end.
 
 The delta-weight kernel C_d (1+t)^{1/2} (1-t)^{(d-3)/2} instead takes
 C_k(t)/C_k(1) = 2F1(-k, k+d-2; (d-1)/2; (1-t)/2) (DLMF 18.5(iii)): against
@@ -46,7 +49,7 @@ three-term recurrence in the degree (Koekoek-Lesky-Swarttouw (9.5.3); DLMF
 
 It runs on the integers G_n = F_n prod_{i<n} a_i, G_{n+1} = b_n G_n +
 c_n a_{n-1} G_{n-1}, so every lambda_delta(k) with k <= K costs O(K)
-integer steps in all, and one rational G_k / prod_{i<k} a_i per even k.
+integer steps in all, and one rational K_d G_k / prod_{i<k} a_i per value.
 Dividing out the common gcd at each even n keeps the integers as small as
 the reduced values, so the cost grows linearly in K.  A ``DeltaRun`` holds
 K_d and the recurrence of one d; each eigenvalue table makes its own, so
@@ -65,7 +68,7 @@ quadrature oracle, which integrates the defining integral directly.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 
 from .backend import rat
 from .kernels import MomentTable, delta_kernel_closed_form
@@ -114,10 +117,15 @@ def gegenbauer_basis(d: int) -> GegenbauerBasis:
     return GegenbauerBasis(d)
 
 
-def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0):
-    """sum_{p >= k} 2^p w_n C(d, m-n+e, 0) tau_p / 4^k, n = p - shift, w_n the weight of alpha^n in N_m.
+def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0) -> tuple[int, int]:
+    """(num, den) with num / den = sum_{p >= k} 2^p w_n C(d, m-n+e, 0) tau_p / 4^k, n = p - shift.
 
-    ``shift`` = 1 gives alpha N_m, ``e`` = 1 gives N_m'; at k - shift = m + 1, w_{m+1} = 0 zeroes it.
+    w_n is the weight of alpha^n in N_m; ``shift`` = 1 gives alpha N_m and
+    ``e`` = 1 gives N_m'.  The sum runs over n >= lo = max(k - shift, 0), and
+    its start term is a closed form, 2^lo C(m, lo) prod_{i<lo} (d+2(m-lo)+2i)
+    / prod_{i<lo} (d+2i) times 2^shift k! and the rational part of C(d,
+    m-lo+e, 0); at lo = m + 1, C(m, lo) = 0 zeroes it.  Both integers are
+    left unreduced.
     """
     d, lo = moments.d, max(k - shift, 0)
     num = den = 1
@@ -126,9 +134,10 @@ def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0)
         a = (m - n) * (d + 2 * (m - n - 1)) * (j + d - 2) * (p + 1) * (2 * p + d - 1)
         b = (n + 1) * (d + 2 * n) * (2 * j + d - 3) * (p + 1 - k) * (p + k + d - 1)
         num, den = b * den + a * num, b * den
-    for i in range(lo):  # times the start term 2^{lo+shift} w_lo tau_k (tau_{lo+shift} = tau_k)
-        num, den = num * 2 * (m - i) * (d + 2 * (m - i - 1)), den * (i + 1) * (d + 2 * i)
-    return rat(num * 2**shift * factorial(k), den) * moments.get(m - lo + e).coeff
+    moment = moments.get(m - lo + e).coeff
+    num *= comb(m, lo) * prod(range(d + 2 * (m - lo), d + 2 * m, 2)) * factorial(k) * moment.numerator
+    den *= prod(range(d, d + 2 * lo, 2)) * moment.denominator
+    return num << (lo + shift), den
 
 
 def funk_hecke_eigen(moments: MomentTable, m: int, k: int, magical: bool) -> ExactScalar:
@@ -138,23 +147,26 @@ def funk_hecke_eigen(moments: MomentTable, m: int, k: int, magical: bool) -> Exa
     if k > m + magical:
         return ZERO
     if magical:  # (3/8)(alpha N_m + N_m') - N_{m+1}/8
-        total = ((_alpha_sum(moments, k, m, shift=1) + _alpha_sum(moments, k, m, e=1)) * rat(3, 8)
-                 - _alpha_sum(moments, k, m + 1) * rat(1, 8))
+        (n1, d1), (n2, d2), (n3, d3) = (_alpha_sum(moments, k, m, shift=1),
+                                        _alpha_sum(moments, k, m, e=1), _alpha_sum(moments, k, m + 1))
+        num, den = 3 * (n1 * d2 + n2 * d1) * d3 - n3 * d1 * d2, 8 * d1 * d2 * d3
     else:
-        total = _alpha_sum(moments, k, m)
-    d = moments.d
+        num, den = _alpha_sum(moments, k, m)
+    d, f0 = moments.d, moments.f0
     # F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d), and _alpha_sum leaves out tau_k's 4^k
-    return ExactScalar(total / prod(range(d, d + 2 * k, 2)), *moments.grade) * moments.f0
+    den *= f0.coeff.denominator * prod(range(d, d + 2 * k, 2))
+    return ExactScalar(rat(num * f0.coeff.numerator, den),
+                       moments.grade[0] + f0.sqrt2, moments.grade[1] + f0.pi_half)
 
 
 class DeltaRun:
     """K_d and F_0, F_2, ... of one d, the latter from the recurrence, extended on demand.
 
-    The state is n, G_{n-1}, G_n and P_n = prod_{i<n} a_i.  At every even n,
-    where F_n = G_n / P_n is reduced anyway, its three integers are divided
-    by their gcd: the recurrence is linear in (G_{n-1}, G_n), so only their
-    ratios to P_n matter, and the integers stay about as small as the
-    reduced values.
+    The state is n, G_{n-1}, G_n and P_n = prod_{i<n} a_i.  At every even n
+    its three integers are divided by their gcd: the recurrence is linear in
+    (G_{n-1}, G_n), so only their ratios to P_n matter, and the integers stay
+    about as small as the reduced values.  ``even`` holds the pairs (G_n,
+    P_n) of F_n = G_n / P_n, n = 0, 2, ..., each left unreduced.
     """
 
     def __init__(self, d: int):
@@ -162,9 +174,9 @@ class DeltaRun:
         self.constant = (delta_kernel_closed_form(d) * sphere_surface(d - 1)
                          * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d))
         self.d, self.n, self.g_prev, self.g, self.p = d, 0, 0, 1, 1
-        self.even = [rat(1)]  # F_0, F_2, ..., F_n
+        self.even = [(1, 1)]  # (G_0, P_0), (G_2, P_2), ..., (G_n, P_n)
 
-    def at(self, k: int):
+    def at(self, k: int) -> tuple[int, int]:
         d = self.d
         while len(self.even) <= k // 2:
             for n in (self.n, self.n + 1):
@@ -177,7 +189,7 @@ class DeltaRun:
             self.n += 2
             h = gcd(self.g_prev, self.g, self.p)
             self.g_prev, self.g, self.p = self.g_prev // h, self.g // h, self.p // h
-            self.even.append(rat(self.g, self.p))
+            self.even.append((self.g, self.p))
         return self.even[k // 2]
 
 
@@ -185,4 +197,6 @@ def eigen_delta_weight(k: int, run: DeltaRun) -> ExactScalar:
     """Exact eigenvalue lambda_1(k) of the delta-weight kernel of ``run``'s d, even k."""
     if k < 0 or k % 2 == 1:
         raise ValueError("k must be even and >= 0")
-    return run.constant * run.at(k)
+    g, p = run.at(k)
+    c = run.constant
+    return ExactScalar(rat(c.coeff.numerator * g, c.coeff.denominator * p), c.sqrt2, c.pi_half)

@@ -450,6 +450,25 @@ def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
 @pytest.mark.parametrize(
     "doc",
     [
+        _d9_with(lambda c: c.update(dimension=3 * 10**3999 + 7)),
+        _d9_with(lambda c: c.update(dimension=-(10**3999))),
+        _with(D5, lambda c: c.update(tail_check_depth=10**3999)),
+        _d9_with(lambda c: c.update(tail_check_depth=10**3999)),
+    ],
+    ids=["dimension_n_mismatch", "dimension_negative", "evidence_length_d5", "eig_coverage_d9"],
+)
+def test_verify_shortens_long_integers_in_its_message(tmp_path, capsys, doc):
+    # a staged check names 4,000-digit integers by their ends and digit count
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certificate INVALID") and "digits)" in err and len(err) < 500, err[:600]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
         _d9_with(lambda c: c.update(generator={"name": "other", "version": "9"})),
         _d9_with(lambda c: c.update(timestamp="2000-01-01T00:00:00Z")),
         # shaped like what the reader shares for a zero value and a zero entry
@@ -609,6 +628,23 @@ def test_eigen_json_layout(tmp_path):
                 "--out", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [(["--kernel", "magical", "-d", "9", "--m", "2", "--k", "0,2"], "DeltaRun"),
+     (["--kernel", "nonmagical", "-d", "9", "--m", "2", "--k", "2"], "DeltaRun"),
+     (["--kernel", "delta", "-d", "9", "--k", "0,2"], "MomentTable")],
+    ids=["magical", "nonmagical", "delta"],
+)
+def test_eigen_builds_only_what_its_kernel_reads(tmp_path, monkeypatch, argv, unused):
+    # a polynomial kernel never reads the delta run (K_d, eight Gamma values),
+    # and the delta kernel never reads the moment table
+    built = []
+    cls = getattr(scheme, unused)
+    monkeypatch.setattr(scheme, unused, lambda d: built.append(d) or cls(d))
+    assert run(["eigen", *argv, "--out", str(tmp_path / "eig.json")]) == 0
+    assert built == []
 
 
 def test_eigen_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sharpcert import scheme, specfun
+from sharpcert import scalars, scheme, specfun
 from sharpcert.backend import rat
 from sharpcert.errors import MalformedCertificate, SchemeInfeasible
 from sharpcert.polys import nonneg_on
@@ -421,6 +421,24 @@ def test_verify_work_does_not_depend_on_history(monkeypatch):
     after = _eigen_work(monkeypatch, lambda: verify_certificate(cert))
     assert after == first == certify
     assert first[0] == ell_star(24) + 25  # lambda_delta(2 ell) up to ell = N + depth
+
+
+def test_d5_builds_no_moment_table(monkeypatch):
+    # d <= 6 reads only the delta run, whose K_d takes eight Gamma values;
+    # the moment table's |S^{d-1}|^2 and F(d, 0) would take six more
+    calls = 0
+    gamma = scalars.gamma_half_int
+
+    def counting(two_a):
+        nonlocal calls
+        calls += 1
+        return gamma(two_a)
+
+    monkeypatch.setattr(scalars, "gamma_half_int", counting)
+    cert = compute_a_star(5)
+    assert calls == 8
+    assert verify_certificate(cert) == (True, [])
+    assert calls == 16
 
 
 def test_reading_and_building_share_zero_entries(monkeypatch):

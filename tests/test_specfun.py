@@ -17,7 +17,8 @@ from sharpcert.kernels import (
 )
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
-from sharpcert.scheme import MAGICAL, NONMAGICAL, EigenTable, ell_star
+from sharpcert import scheme, specfun
+from sharpcert.scheme import MAGICAL, NONMAGICAL, EigenTable, compute_a_star, ell_star
 from sharpcert.specfun import DeltaRun, eigen_delta_weight, funk_hecke_eigen, gegenbauer_basis
 
 ZERO = ExactScalar(0)
@@ -160,6 +161,108 @@ def test_horner_sums_match_kernel_reference():
                     got = funk_hecke_eigen(table, m, k, magical)
                     assert got == _rodrigues_eigen(kernel, k, d), (d, m, k, magical)
                     assert got.is_zero() == (k > kernel.degree()), (d, m, k, magical)
+
+
+def _ref_alpha_sum(moments, k, m, shift=0, e=0):
+    # specfun._alpha_sum in per-step Fractions, with its start term built by a
+    # lo-step loop: the form the integer pair replaced
+    d, lo = moments.d, max(k - shift, 0)
+    num = den = 1
+    for n in range(m - 1, lo - 1, -1):
+        p, j = n + shift, m - n + e
+        a = (m - n) * (d + 2 * (m - n - 1)) * (j + d - 2) * (p + 1) * (2 * p + d - 1)
+        b = (n + 1) * (d + 2 * n) * (2 * j + d - 3) * (p + 1 - k) * (p + k + d - 1)
+        num, den = b * den + a * num, b * den
+    for i in range(lo):
+        num, den = num * 2 * (m - i) * (d + 2 * (m - i - 1)), den * (i + 1) * (d + 2 * i)
+    return rat(num * 2**shift * factorial(k), den) * moments.get(m - lo + e).coeff
+
+
+def _ref_funk_hecke(moments, m, k, magical):
+    if k > m + magical:
+        return ZERO
+    if magical:
+        total = ((_ref_alpha_sum(moments, k, m, shift=1) + _ref_alpha_sum(moments, k, m, e=1)) * rat(3, 8)
+                 - _ref_alpha_sum(moments, k, m + 1) * rat(1, 8))
+    else:
+        total = _ref_alpha_sum(moments, k, m)
+    d = moments.d
+    return ExactScalar(total / prod(range(d, d + 2 * k, 2)), *moments.grade) * moments.f0
+
+
+def _ref_delta(run, k):
+    # K_d times F_k = G_k / prod_{i<k} a_i from the Hahn recurrence, one Fraction per even step
+    d, g_prev, g, p, f = run.d, 0, 1, 1, rat(1)
+    for n in range(k):
+        a = (n + d - 2) * (2 * n + 3 * d - 4)
+        c = n * (2 * n - d)
+        b = a - c - 4 * (d - 2) * (2 * n + d - 2)
+        g_prev, g = g, b * g + c * (n + d - 3) * (2 * n + 3 * d - 6) * g_prev
+        p *= a
+        if n % 2 == 1:
+            f = rat(g, p)
+    return run.constant * f
+
+
+def test_eigenvalues_match_per_step_fractions_at_the_ladders_range():
+    # every value certify asks for at d = 7..48, where the knobs reach m = 2N - 1
+    # and k = 2N (43 and 44 at d = 48), against the per-step Fraction forms
+    asked = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            v = fn(*args)
+            asked.append((name, args, v))
+            return v
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("funk_hecke_eigen", "eigen_delta_weight"):
+            mp.setattr(scheme, name, spy(name, getattr(scheme, name)))
+        for d in range(7, 49):
+            compute_a_star(d)
+    top = max(args[1] for name, args, _ in asked if name == "funk_hecke_eigen")
+    assert top == 2 * ell_star(48) - 1
+    for name, args, v in asked:
+        if name == "funk_hecke_eigen":
+            assert v == _ref_funk_hecke(*args), args[1:]
+        else:
+            assert v == _ref_delta(args[1], args[0]), (args[1].d, args[0])
+
+
+def test_eigenvalues_match_per_step_fractions_at_low_degree():
+    for d in range(3, 34):
+        table, run = MomentTable(d), DeltaRun(d)
+        for m in range(13):
+            for k in range(m + 4):
+                for magical in (True, False):
+                    want = _ref_funk_hecke(table, m, k, magical)
+                    assert funk_hecke_eigen(table, m, k, magical) == want, (d, m, k, magical)
+        for k in range(0, 60, 2):
+            assert eigen_delta_weight(k, run) == _ref_delta(run, k), (d, k)
+
+
+def test_one_rational_per_eigenvalue(monkeypatch):
+    # no per-step Fractions: each value is built from integers by one rat()
+    calls = 0
+    rat_of = specfun.rat
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return rat_of(*args)
+
+    monkeypatch.setattr(specfun, "rat", counting)
+    for d in (7, 24, 48):
+        table, run = MomentTable(d), DeltaRun(d)
+        for m, k, magical in ((0, 0, False), (0, 1, True), (5, 3, True), (23, 24, True), (22, 22, False)):
+            before = calls
+            funk_hecke_eigen(table, m, k, magical)
+            assert calls - before <= 1, (d, m, k, magical)
+        for k in (0, 60, 2, 62):  # 60 extends the run by 30 steps in one call
+            before = calls
+            eigen_delta_weight(k, run)
+            assert calls - before <= 1, (d, k)
 
 
 def test_eigen_table_serves_the_horner_sums():
