@@ -8,9 +8,8 @@ parser ``build_parser`` builds from the same table, so their texts and exit
 codes are argparse's.  argparse is imported only then.
 
 Exit codes are part of the contract: 0 all checks pass, 1 a check failed,
-2 invalid input or malformed file, 3 internal grade mismatch.  Decimal
-output is presentation-only; certificates always carry the exact
-serialization alongside.
+2 invalid input or malformed file.  Decimal output is presentation-only;
+certificates always carry the exact serialization alongside.
 """
 
 from __future__ import annotations
@@ -23,14 +22,13 @@ import time
 from types import SimpleNamespace
 
 from .backend import rat
-from .errors import GradeMismatch, MalformedCertificate, PrecisionExhausted, SchemeInfeasible
+from .errors import MalformedCertificate, PrecisionExhausted, SchemeInfeasible
 from .scalars import ExactScalar
 from .scheme import Certificate, EigenTable, compute_a_star, mismatches, verify_certificate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID_INPUT = 2
-EXIT_GRADE_MISMATCH = 3
 
 DEFAULT_PRECISION = 128
 
@@ -138,8 +136,6 @@ def _scan_one(task):
         a_dec = cert.a_star_decimal
         grade = _grade_str(cert.a_star.grade)
         n = cert.N
-    except GradeMismatch as exc:
-        status, a_dec, grade, n = f"grade-mismatch: {exc}", "", "", -1
     except SchemeInfeasible as exc:
         status, a_dec, grade, n = f"failed: {exc}", "", "", -1
     wall_ms = int((time.monotonic() - t0) * 1000)
@@ -359,11 +355,7 @@ def _read_plain(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv) or build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except GradeMismatch as exc:
-        print(f"grade mismatch: {exc}", file=sys.stderr)
-        return EXIT_GRADE_MISMATCH
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 
 class GradeMismatch(ArithmeticError):
-    """Two values with incompatible radical grades were combined.
+    """Two nonzero exact values of distinct radical grades were added.
 
-    The exact field is rationals times (sqrt2, sqrt pi) powers; sums and
-    comparisons are only defined within a single grade.  This is raised
-    rather than coercing to floating point.
+    The exact field is rationals times (sqrt2, sqrt pi) powers; a sum is only
+    defined within one grade.  In the package only ``ExactScalar`` addition
+    (and subtraction) raises this, rather than coercing to floating point.
     """
 
 

@@ -10,10 +10,11 @@ coefficient ladder is built, each weight's constant term is set to the
 minimal certified shift making it nonnegative on the ball (radius 4, i.e.
 u = |xi|^2 in [0, 16]).  The reported constant is the sum of those shifts.
 
-Everything is exact.  All coefficients share one radical grade (the ratio
-of the delta-kernel eigenvalue grade to the polynomial-kernel eigenvalue
-grade); a violation of that empirical uniformity aborts with GradeMismatch
-rather than falling back to floating point.
+Everything is exact.  Each polynomial-kernel eigenvalue is a rational
+times grade(|S^{d-1}|^2 F(d, 0)), as ``funk_hecke_eigen`` builds it, and
+each delta-kernel eigenvalue a rational times K_d, so every grade is known
+from d: the ladder runs on rational parts, and each coefficient gets the
+grade grade(K_d) - grade(|S^{d-1}|^2 F(d, 0)) when its weight is made.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 
 from .backend import rat, rat_parse, rat_str
-from .errors import GradeMismatch, MalformedCertificate, SchemeInfeasible
+from .errors import MalformedCertificate, SchemeInfeasible
 from .kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from .polys import ExactPoly, minimal_shift, nonneg_on
 from .scalars import ZERO, ExactScalar
@@ -131,20 +132,21 @@ class WeightSpec:
         return out
 
 
-def weight_eigen(w: WeightSpec, table: EigenTable, ell: int) -> ExactScalar:
-    """Exact eigenvalue Lambda_n(2 ell) of the weight's certification kernel.
+def weight_eigen(table: EigenTable, identity: str, has_delta: bool, coeffs: dict, ell: int):
+    """Rational part (grade: K_d's) of Lambda_n(2 ell) of a weight's certification kernel.
 
-    The constant term contributes nothing for ell >= 1 (its kernel has too
-    low a degree), so only the delta and the power coefficients enter.
+    ``coeffs`` maps degree to rational part.  The constant term contributes
+    nothing for ell >= 1 (its kernel has too low a degree), so only the
+    delta and the power coefficients enter.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     k = 2 * ell
-    total = table.delta(k) if w.has_delta else ZERO
-    for q, c in w.coeffs.items():
-        nu = table.get(w.identity, q, k)
-        if not nu.is_zero():
-            total = total + nu * c
+    total = table.delta(k).coeff if has_delta else 0
+    for q, c in coeffs.items():
+        nu = table.get(identity, q, k).coeff
+        if nu:
+            total += nu * c
     return total
 
 
@@ -181,10 +183,13 @@ def build_weights(d: int, tail_depth: int = 25):
     1..cutoff + tail_depth.  An entry up to the cutoff is evaluated once:
     the ladder's sum at ell plus the clipped term it adds there, so it is
     nonpositive by construction.  Past the cutoff no coefficient's kernel
-    (of degree at most 2 cutoff + 1, since :func:`_check_grades` bounds each
-    degree by ``top_degree``) reaches harmonic degree 2 ell, so weight 1
-    lists the delta eigenvalue at 2 ell, each checked, and the others list
-    zero.
+    (of degree at most 2 cutoff + 1, since :func:`_check_coefficients`
+    bounds each degree by ``top_degree``) reaches harmonic degree 2 ell, so
+    weight 1 lists the delta eigenvalue at 2 ell, each checked, and the
+    others list zero.
+    The ladder runs on the rational parts of the table's values, since every
+    grade is known from d (:func:`_coefficient_grade`): a weight is made
+    with ``grade`` on each coefficient and K_d's on each nonzero entry.
     Every zero ladder entry is one of a single list made per call, one
     ``EigCheck(ell, ZERO, True)`` per ell: all weights share those objects,
     and weights n >= 2 take their tail as a slice of it.  Constant terms
@@ -198,48 +203,43 @@ def build_weights(d: int, tail_depth: int = 25):
         raise ValueError("tail_depth must be >= 0")
     table = EigenTable(d)
     grade = _coefficient_grade(table, N)
+    k_grade = table.delta_run.constant.grade
 
     weights: list[WeightSpec] = []
-    transfers: dict[int, ExactScalar] = {}  # degree -> sum of the coefficients so far
+    transfers: dict = {}  # degree -> rational part of the sum of the coefficients so far
     shapes = _shapes(N)
     # one zero entry per ell, shared by every weight's table (weight 1 reaches ell = N + depth)
     zeros = [EigCheck(ell, ZERO, True) for ell in range(1, shapes[0][3] + tail_depth + 1)]
 
     for n, identity, top, cutoff in shapes:
-        coeffs: dict[int, ExactScalar] = {}
+        coeffs = {}  # degree -> rational part
         if n >= 2:
-            dictated = -transfers.get(top, ZERO)
-            if not dictated.is_zero():
+            dictated = -transfers.get(top, 0)
+            if dictated:
                 coeffs[top] = dictated
-        w = WeightSpec(
-            n=n,
-            identity=identity,
-            has_delta=(n == 1),
-            top_degree=top,
-            coeffs=coeffs,
-            c0=rat(0),
-        )
+        eig = []
         for ell in range(cutoff, 0, -1):
             q_star = _knob_degree(identity, ell)
-            denom = table.get(identity, q_star, 2 * ell)
-            if denom.sign() <= 0:
+            denom = table.get(identity, q_star, 2 * ell).coeff
+            if denom <= 0:
                 raise SchemeInfeasible(
                     f"d={d} n={n}: eigenvalue at degree {q_star}, k={2*ell} not positive"
                 )
-            v = weight_eigen(w, table, ell)
-            if v.sign() > 0:
-                coeffs[q_star] = -(v / denom)  # clipped ratio {.}_+, entering negatively
-                v = ZERO  # v + coeffs[q_star] * denom, zero by construction
-            w.eig.append(zeros[ell - 1] if v.is_zero() else EigCheck(ell, v, True))
-        w.eig.reverse()
-        _check_grades(w, grade)
-        if w.has_delta:
-            w.eig += _delta_signs(table, range(cutoff + 1, cutoff + tail_depth + 1), f" n={n}")
+            v = weight_eigen(table, identity, n == 1, coeffs, ell)
+            if v > 0:
+                coeffs[q_star] = -v / denom  # clipped ratio {.}_+, entering negatively
+                v = 0  # v + coeffs[q_star] * denom, zero by construction
+            eig.append(EigCheck(ell, ExactScalar(v, *k_grade), True) if v else zeros[ell - 1])
+        eig.reverse()
+        _check_coefficients(n, top, coeffs)
+        if n == 1:
+            eig += _delta_signs(table, range(cutoff + 1, cutoff + tail_depth + 1), f" n={n}")
         else:
-            w.eig += zeros[cutoff:cutoff + tail_depth]
+            eig += zeros[cutoff:cutoff + tail_depth]
         for q, c in coeffs.items():
-            transfers[q] = transfers.get(q, ZERO) + c
-        weights.append(w)
+            transfers[q] = transfers.get(q, 0) + c
+        graded = {q: ExactScalar(c, *grade) for q, c in coeffs.items()}
+        weights.append(WeightSpec(n, identity, n == 1, top, graded, rat(0), eig=eig))
     return weights, table, grade
 
 
@@ -258,6 +258,10 @@ def _coefficient_grade(table: EigenTable, N: int) -> tuple:
     """The shared grade of every clipped ratio: grade(lambda_1) - grade(lambda).
 
     Every lambda_1 value is K_d times a rational, and lambda_1(0) = K_d > 0.
+    Every lambda is a rational times grade(|S^{d-1}|^2 F(d, 0)), which has no
+    sqrt 2 (sphere areas and half-integer Beta values carry only sqrt pi): no
+    power of sqrt 2 is folded, so the ladder's ratio of rational parts is the
+    coefficient's rational part.
     """
     den = table.mag(4 * N - 2, 2 * N)
     if den.sign() <= 0:
@@ -265,32 +269,29 @@ def _coefficient_grade(table: EigenTable, N: int) -> tuple:
     return (table.delta(0) / den).grade
 
 
-def _check_grades(w: WeightSpec, grade: tuple) -> None:
-    for q, c in w.coeffs.items():
-        if q > w.top_degree:
+def _check_coefficients(n: int, top: int, coeffs: dict) -> None:
+    """Each coefficient (rational part) is at degree <= ``top``, > 0 at the top of n >= 2, else < 0."""
+    for q, c in coeffs.items():
+        if q > top:
             raise SchemeInfeasible(
-                f"weight {w.n}: coefficient at degree {q} is above the top degree {w.top_degree}")
-        if c.sign() != (1 if w.n >= 2 and q == w.top_degree else -1):
-            raise SchemeInfeasible(f"weight {w.n}: coefficient at degree {q} has the wrong sign")
-        if c.grade != grade:
-            raise GradeMismatch(
-                f"weight {w.n}: coefficient at degree {q} has grade {c.grade}, expected {grade}"
-            )
+                f"weight {n}: coefficient at degree {q} is above the top degree {top}")
+        if not (c > 0 if n >= 2 and q == top else c < 0):
+            raise SchemeInfeasible(f"weight {n}: coefficient at degree {q} has the wrong sign")
 
 
 def check_sum_condition(weights: list[WeightSpec]) -> bool:
     """Sum of the signed weights must be exactly one delta plus a constant.
 
-    Distinct grades are linearly independent over the rationals, so the
-    coefficients at each degree must cancel grade by grade.
+    Every coefficient :func:`build_weights` makes has the one coefficient
+    grade, so the rational parts at each degree must cancel.
     """
     if sum(1 for w in weights if w.has_delta) != 1:
         return False
-    acc: dict[tuple[int, tuple], object] = {}  # (degree, grade) -> rational sum
+    acc: dict[int, object] = {}  # degree -> rational sum
     for w in weights:
         for q, c in w.coeffs.items():
             if q >= 1:
-                acc[q, c.grade] = acc.get((q, c.grade), 0) + c.coeff
+                acc[q] = acc.get(q, 0) + c.coeff
     return not any(acc.values())
 
 
@@ -744,7 +745,7 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
             return False, [f"weight {n}: stored eigenvalues do not cover ell = 1..{_short(cutoff + depth)}"]
     try:
         built, grade = _construct(d, depth)
-    except (SchemeInfeasible, GradeMismatch) as exc:
+    except SchemeInfeasible as exc:
         return False, [f"reconstruction failed: {exc}"]
 
     failures: list[str] = []

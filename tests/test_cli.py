@@ -919,6 +919,14 @@ def test_plain_command_lines_build_no_parser(tmp_path, monkeypatch):
     assert main(["verify", str(out)]) == 0
 
 
+def test_readme_exit_codes_match_cli():
+    # README's "Exit codes" table lists exactly the codes cli declares
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Exit codes\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = [int(row.split("|")[1]) for row in table.splitlines()[2:]]
+    assert listed == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+
+
 def test_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

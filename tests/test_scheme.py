@@ -9,7 +9,7 @@ from sharpcert import scalars, scheme, specfun
 from sharpcert.backend import rat
 from sharpcert.errors import MalformedCertificate, SchemeInfeasible
 from sharpcert.polys import nonneg_on
-from sharpcert.scalars import ExactScalar
+from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
 from sharpcert.scheme import (
     NONMAGICAL,
     Certificate,
@@ -58,11 +58,16 @@ def test_delta_negative_d3():
         assert table.delta(2 * ell).sign() == -1
 
 
+def _eigen_of(w: WeightSpec, table: EigenTable, ell: int) -> ExactScalar:
+    """``weight_eigen`` of a made weight, from its coefficients' rational parts, with K_d's grade."""
+    coeffs = {q: c.coeff for q, c in w.coeffs.items()}
+    return ExactScalar(weight_eigen(table, w.identity, w.has_delta, coeffs, ell), *table.delta(0).grade)
+
+
 def test_weight_eigen_trivial():
     table = EigenTable(9)
-    empty = WeightSpec(2, "nonmagical", False, 10, {}, rat(0))
     for ell in (1, 2, 5):
-        assert weight_eigen(empty, table, ell).is_zero()
+        assert weight_eigen(table, NONMAGICAL, False, {}, ell) == 0
 
 
 def test_h1_tail_is_delta_eigenvalue():
@@ -71,14 +76,14 @@ def test_h1_tail_is_delta_eigenvalue():
     h1 = weights[0]
     N = ell_star(d)
     for ell in range(N + 1, N + 4):
-        assert weight_eigen(h1, table, ell) == table.delta(2 * ell)
+        assert _eigen_of(h1, table, ell) == table.delta(2 * ell)
 
 
 def test_last_weight_vanishes():
     weights, table, _ = build_weights(10, tail_depth=3)
     last = weights[-1]
     for ell in range(1, 8):
-        assert weight_eigen(last, table, ell).is_zero()
+        assert _eigen_of(last, table, ell).is_zero()
 
 
 def test_d8_shape():
@@ -108,10 +113,16 @@ def test_leading_transfer():
 
 def test_coefficient_above_top_degree_rejected(monkeypatch):
     # the zeros listed past each cutoff rest on this degree bound
-    grade = build_weights(9, tail_depth=0)[2]
-    w = WeightSpec(2, NONMAGICAL, False, 10, {12: ExactScalar(-1, *grade)}, rat(0))
     with pytest.raises(SchemeInfeasible, match="above the top degree"):
-        scheme._check_grades(w, grade)
+        scheme._check_coefficients(2, 10, {12: rat(-1)})
+    # the sign check is exact: positive exactly at the top degree of weights
+    # n >= 2, negative elsewhere, and a zero coefficient is neither
+    scheme._check_coefficients(2, 10, {10: rat(1), 8: rat(-1)})
+    scheme._check_coefficients(1, 10, {8: rat(-1)})
+    for n, coeffs in ((2, {10: rat(-1)}), (2, {8: rat(1)}), (1, {10: rat(1)}),
+                      (2, {8: rat(0)}), (2, {10: rat(0)}), (1, {8: rat(0)})):
+        with pytest.raises(SchemeInfeasible, match="wrong sign"):
+            scheme._check_coefficients(n, 10, coeffs)
     # a ladder whose knob lands above a weight's top degree stops there
     knob = scheme._knob_degree
     monkeypatch.setattr(scheme, "_knob_degree", lambda identity, ell: knob(identity, ell) + 4)
@@ -125,7 +136,7 @@ def test_ladder_entries_past_cutoff():
     weights, table, _ = build_weights(12, tail_depth=4)
     for w in weights:
         for e in w.eig:
-            assert e.value == weight_eigen(w, table, e.ell), (w.n, e.ell)
+            assert e.value == _eigen_of(w, table, e.ell), (w.n, e.ell)
         cutoff = len(w.eig) - 4
         tail = [e.value for e in w.eig[cutoff:]]
         assert tail == ([table.delta(2 * ell) for ell in range(cutoff + 1, cutoff + 5)]
@@ -162,15 +173,46 @@ def test_sum_condition_polynomial_identity():
         assert not any(total)
 
 
-def test_coefficient_grades_uniform():
-    weights, table, grade = build_weights(9, tail_depth=0)
-    for w in weights:
-        for c in w.coeffs.values():
-            if not c.is_zero():
-                assert c.grade == grade
-    # the grade is the delta/polynomial eigenvalue ratio grade
-    ratio = table.delta(2) / table.mag(2, 2)
-    assert grade == ratio.grade
+def _recording(method, seen: list):
+    def wrapper(self, *args):
+        v = method(self, *args)
+        seen.append(v)
+        return v
+    return wrapper
+
+
+def test_coefficient_grades_uniform(monkeypatch):
+    # the ladder runs on rational parts and attaches grades it never checks;
+    # this is the fact it rests on, with both grades derived here from their
+    # definitions: G_P of |S^{d-1}|^2 F(d, 0), F(d, 0) = 2^{d-2}
+    # B((d-1)/2, (d-1)/2) |S^{d-2}|, and G_K of K_d = C_d |S^{d-2}|
+    # 2^{3(d-2)/2} B(d-2, d/2), C_d = (3/4) 2^{(d-2)/2} |S^{d-1}| /
+    # (2^{2d-5} B((d-1)/2, (d-1)/2))
+    poly, delta = [], []
+    monkeypatch.setattr(EigenTable, "get", _recording(EigenTable.get, poly))
+    monkeypatch.setattr(EigenTable, "delta", _recording(EigenTable.delta, delta))
+    for d in [*range(7, 49), 64, 128]:
+        surface, beta = sphere_surface(d), beta_half_int(d - 1, d - 1)
+        g_p = (surface * surface * beta * 2 ** (d - 2) * sphere_surface(d - 1)).grade
+        g_k = (ExactScalar(1, d - 2) * surface / beta * sphere_surface(d - 1)
+               * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d)).grade
+        assert g_p[0] == 0, d  # no sqrt 2: a ratio of rational parts is the coefficient's rational part
+        poly.clear()
+        delta.clear()
+        weights, table, grade = build_weights(d, tail_depth=3)
+        assert poly and delta, d
+        assert all(v.grade == g_p for v in poly if not v.is_zero()), d
+        assert all(v.grade == g_k for v in delta), d
+        assert grade == (g_k[0] - g_p[0], g_k[1] - g_p[1]), d
+        for w in weights:
+            for c in w.coeffs.values():
+                assert c.grade == grade, (d, w.n)
+            for e in w.eig:
+                if not e.value.is_zero():
+                    assert e.value.grade == g_k, (d, w.n, e.ell)
+        # the grade is the delta/polynomial eigenvalue ratio grade
+        ratio = table.delta(2) / table.mag(2, 2)
+        assert grade == ratio.grade, d
 
 
 def test_collapse_at_d7():
