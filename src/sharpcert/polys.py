@@ -78,7 +78,7 @@ containing a point where the polynomial is negative.
 # A rational list p is cleared once to integers P = L p with L > 0.  At a
 # rational point n/q (q > 0) the homogenised Horner sum q^deg P(n/q) is an
 # integer with the sign of p(n/q), and p(n/q) = that sum / (L q^deg), so
-# every sign test and every bisection step runs on plain ints; a Fraction is
+# every sign test and every bisection step runs on plain ints; a rational is
 # built only for a point or a bound that is returned.
 
 

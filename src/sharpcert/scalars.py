@@ -196,6 +196,8 @@ class ExactScalar:
         rational, sqrt2, pi_half = obj["rational"], obj["sqrt2"], obj["pi_half"]
         if type(sqrt2) is not int or sqrt2 not in (0, 1) or type(pi_half) is not int:
             raise ValueError(f"sqrt2 must be 0 or 1 and pi_half an integer, got {sqrt2!r}, {pi_half!r}")
+        if len(obj) != 3:  # it has the three fields just read, and more
+            raise ValueError(f"unknown field {next(k for k in obj if k not in _VALUE_FIELDS)!r}")
         if rational == "0":  # structural zeros, most entries of a certificate
             return ZERO
         coeff = rat_parse(rational)
@@ -203,6 +205,7 @@ class ExactScalar:
 
 
 ZERO = ExactScalar(0)
+_VALUE_FIELDS = ("rational", "sqrt2", "pi_half")
 
 
 @functools.lru_cache(maxsize=32)

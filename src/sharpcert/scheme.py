@@ -428,6 +428,8 @@ class Certificate:
 
         ``generator`` is not checked past its being an object; a zero value or
         entry anywhere in it is restored to the JSON object it was read as.
+        Any other key the format does not have, at any level, raises
+        MalformedCertificate; a top-level ``timestamp`` is allowed and not kept.
         """
         obj = obj if type(obj) is dict else _as_read(obj)  # a file that is one zero value or entry
         if not isinstance(obj, dict):
@@ -447,6 +449,8 @@ class Certificate:
                     if sign not in (1, -1) or value.sign() == -sign:
                         raise MalformedCertificate(
                             f"coefficient at degree {degree}: sign must be 1 or -1 and value >= 0")
+                    if len(cd) != len(_COEFFICIENT_FIELDS):
+                        raise _unknown_field(cd, _COEFFICIENT_FIELDS)
                     coeffs[degree] = value
                 weights.append(WeightSpec(
                     n=_json(wd["n"], int),
@@ -458,6 +462,8 @@ class Certificate:
                     adm_margin=rat_parse(wd["adm_margin"]),
                     eig=_sign_table(_json(wd["eig"], list)),
                 ))
+                if len(wd) != len(_WEIGHT_FIELDS):
+                    raise _unknown_field(wd, _WEIGHT_FIELDS)
             tail_check_depth = _json(obj["tail_check_depth"], int)
             if tail_check_depth < 0:
                 raise MalformedCertificate(f"tail_check_depth={tail_check_depth} must be >= 0")
@@ -465,14 +471,21 @@ class Certificate:
             baseline = obj.get("paper_baseline_decimal")
             if baseline is not None:
                 _json(baseline, str)
+            a_star = obj["a_star"]
+            a_star_value = ExactScalar.from_json(a_star["rational_times_grade"])
+            a_star_decimal = _json(a_star["decimal"], str)
+            if len(a_star) != len(_A_STAR_FIELDS):
+                raise _unknown_field(a_star, _A_STAR_FIELDS)
+            if not _TOP_FIELDS.issuperset(obj):  # five of its fields are optional
+                raise _unknown_field(obj, _TOP_FIELDS)
             return cls(
                 dimension=_json(obj["dimension"], int),
                 N=_json(obj["N"], int),
                 tail_check_depth=tail_check_depth,
                 weights=weights,
                 sum_condition_ok=_json(obj["sum_condition_ok"], bool),
-                a_star=ExactScalar.from_json(obj["a_star"]["rational_times_grade"]),
-                a_star_decimal=_json(obj["a_star"]["decimal"], str),
+                a_star=a_star_value,
+                a_star_decimal=a_star_decimal,
                 paper_baseline_decimal=baseline,
                 notes=[_json(s, str) for s in _json(obj.get("notes", []), list)],
                 delta_eigen_evidence=_sign_table(evidence),
@@ -524,6 +537,25 @@ def _json(v, kind):
     return v
 
 
+_TOP_FIELDS = frozenset(("version", "dimension", "N", "tail_check_depth", "weights",
+                         "sum_condition_ok", "a_star", "paper_baseline_decimal",
+                         "delta_eigen_evidence", "generator", "notes", "timestamp"))
+_WEIGHT_FIELDS = ("n", "identity", "has_delta", "top_degree", "coefficients", "c0", "adm_margin",
+                  "eig")
+_COEFFICIENT_FIELDS = ("degree", "sign", "value")
+_ENTRY_FIELDS = ("ell", "value", "nonpositive")
+_A_STAR_FIELDS = ("rational_times_grade", "decimal")
+
+
+def _unknown_field(obj: dict, fields: tuple) -> MalformedCertificate:
+    """The error naming ``obj``'s first key outside ``fields``, which it has.
+
+    An object below the top level was read for each of its ``fields``, so it
+    has another key exactly when it has more keys: one ``len`` per object.
+    """
+    return MalformedCertificate(f"unknown field {next(k for k in obj if k not in fields)!r}")
+
+
 def _sign_table(entries: list) -> list[EigCheck]:
     """A stored ``eig`` or ``delta_eigen_evidence`` array; its zero entries come read and checked."""
     return [e if type(e) is EigCheck else _eig_check_from_json(e) for e in entries]
@@ -538,6 +570,8 @@ def _eig_check_from_json(e) -> EigCheck:
     value, nonpositive = ExactScalar.from_json(e["value"]), e["nonpositive"]
     if type(nonpositive) is not bool:
         raise MalformedCertificate(f"expected true or false, got {nonpositive!r:.60}")
+    if len(e) != len(_ENTRY_FIELDS):
+        raise _unknown_field(e, _ENTRY_FIELDS)
     return EigCheck(ell, value, nonpositive)
 
 

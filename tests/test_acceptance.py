@@ -34,6 +34,8 @@ PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.jso
 PINS_D25_32 = json.loads((Path(__file__).resolve().parent / "pins_d25_32.json").read_text())
 # And for d = 33..48.
 PINS_D33_48 = json.loads((Path(__file__).resolve().parent / "pins_d33_48.json").read_text())
+# And for d = 49..64.
+PINS_D49_64 = json.loads((Path(__file__).resolve().parent / "pins_d49_64.json").read_text())
 
 
 def _report(num, desc, ok):
@@ -133,6 +135,10 @@ def test_criterion_06_pinned_bytes_d25_to_d32():
 
 def test_criterion_06_pinned_bytes_d33_to_d48():
     _report(6, "d in 33..48 certify to pinned bytes", _pinned_bytes_ok(PINS_D33_48))
+
+
+def test_criterion_06_pinned_bytes_d49_to_d64():
+    _report(6, "d in 49..64 certify to pinned bytes", _pinned_bytes_ok(PINS_D49_64))
 
 
 def test_criterion_07_quadrature_enclosures():

@@ -325,6 +325,44 @@ def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("malformed certificate:")
 
 
+def _extra(obj):
+    obj["extra"] = 1
+
+
+def _d9_nonzero_entry(cert):
+    """Weight 1's last sign-table entry, a nonzero lambda_delta."""
+    entry = cert["weights"][0]["eig"][-1]
+    assert entry["value"]["rational"] != "0"
+    return entry
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _d9_with(_extra),
+        _d9_with(lambda c: _extra(c["weights"][0])),
+        _d9_with(lambda c: _extra(c["weights"][0]["coefficients"][0])),
+        _d9_with(lambda c: _extra(c["weights"][0]["coefficients"][0]["value"])),
+        _d9_with(lambda c: _extra(_d9_nonzero_entry(c))),
+        _d9_with(lambda c: _extra(_d9_nonzero_entry(c)["value"])),
+        _d9_with(lambda c: _extra(_d9_zero_entry(c))),
+        _d9_with(lambda c: _extra(_d9_zero_entry(c)["value"])),
+        _d9_with(lambda c: _extra(c["a_star"])),
+        _d9_with(lambda c: _extra(c["a_star"]["rational_times_grade"])),
+        _with(compute_a_star(5).to_json(), lambda c: _extra(c["delta_eigen_evidence"][0])),
+    ],
+    ids=["top_level", "weight", "coefficient", "coefficient_value", "eig_entry", "eig_value",
+         "zero_entry", "zero_value", "a_star", "a_star_value", "evidence_entry"],
+)
+def test_verify_rejects_unknown_field(tmp_path, capsys, doc):
+    # generator's contents and a top-level timestamp are the only keys verify
+    # does not read; any other key it does not know is malformed
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("malformed certificate: unknown field 'extra'")
+
+
 def _insert_before(text, anchor, marker, line):
     """``text`` with ``line`` inserted before the first ``marker`` after ``anchor``."""
     i = text.index(marker, text.index(anchor))
@@ -470,12 +508,13 @@ def test_verify_shortens_long_integers_in_its_message(tmp_path, capsys, doc):
     "doc",
     [
         _d9_with(lambda c: c.update(generator={"name": "other", "version": "9"})),
+        _d9_with(lambda c: _extra(c["generator"])),
         _d9_with(lambda c: c.update(timestamp="2000-01-01T00:00:00Z")),
         # shaped like what the reader shares for a zero value and a zero entry
         _d9_with(lambda c: c.update(generator={"rational": "0", "sqrt2": 0, "pi_half": 0})),
         _d9_with(lambda c: c.update(generator=copy.deepcopy(_d9_zero_entry(c)))),
     ],
-    ids=["generator_edited", "timestamp_added", "generator_zero_value", "generator_zero_entry"],
+    ids=["generator_edited", "generator_extra_field", "timestamp_added", "generator_zero_value", "generator_zero_entry"],
 )
 def test_verify_ignores_generator_and_timestamp(tmp_path, doc):
     path = tmp_path / "c.json"
