@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import os
@@ -684,6 +685,20 @@ def test_eigen_builds_only_what_its_kernel_reads(tmp_path, monkeypatch, argv, un
     monkeypatch.setattr(scheme, unused, lambda d: built.append(d) or cls(d))
     assert run(["eigen", *argv, "--out", str(tmp_path / "eig.json")]) == 0
     assert built == []
+
+
+# SHA-256 of stdout and the exit code of `sharpcert eigen --kernel <line>`
+# for five of CI's smoke lines, structural zeros among them
+EIGEN_PINS = json.loads((Path(__file__).resolve().parent / "pins_eigen.json").read_text())
+
+
+@pytest.mark.parametrize("line", list(EIGEN_PINS))
+def test_eigen_output_pinned(line):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = run(["eigen", "--kernel", *line.split()])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert {"sha256": digest, "exit": rc} == EIGEN_PINS[line]
 
 
 def test_eigen_validation():
