@@ -2,7 +2,6 @@
 
 from .backend import BACKEND, rat, rat_str
 from .errors import (
-    GradeMismatch,
     MalformedCertificate,
     PrecisionExhausted,
     SchemeInfeasible,
@@ -18,7 +17,6 @@ __all__ = [
     "Certificate",
     "ExactPoly",
     "ExactScalar",
-    "GradeMismatch",
     "MalformedCertificate",
     "NonnegCertificate",
     "PrecisionExhausted",

@@ -68,12 +68,15 @@ def _int_at_least(lo: int, name: str):
 def _out_path(text: str) -> str:
     """An argparse type: a file path that can be written, checked before any work.
 
-    An empty path names no file (``realpath("")`` is the working directory).
+    An empty path, or one ending in a separator, names no file
+    (``realpath("")`` is the working directory, and ``realpath("new/")``
+    drops the separator).
     A symbolic link is followed to the file it names, so a link into a
     missing directory is refused too.
     """
     parent = os.path.dirname(os.path.realpath(text))
-    if not text or os.path.isdir(text) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+    if (not os.path.basename(text) or os.path.isdir(text) or not os.path.isdir(parent)
+            or not os.access(parent, os.W_OK)):
         raise _type_error(f"cannot write {text!r}")
     return text
 
@@ -190,11 +193,12 @@ def cmd_eigen(args) -> int:
         return EXIT_INVALID_INPUT
     d = args.dimension
     table = EigenTable(d)
+    # the table holds rational parts; the grade is fixed by the kernel family
     if args.kernel == "delta":
-        desc = "delta"
+        desc, grade = "delta", table.delta_run.constant.grade
         exact_of = table.delta
     else:
-        desc = table.kernel(2 * args.m, args.kernel)
+        desc, grade = table.kernel(2 * args.m, args.kernel), table.moments.eigen_grade
         exact_of = lambda k: table.get(args.kernel, 2 * args.m, k)
 
     rows = []
@@ -202,7 +206,7 @@ def cmd_eigen(args) -> int:
     digits = args.precision_bits * 3 // 10 + 2  # the enclosure's precision, plus two digits
     for k in ks:
         try:
-            exact = exact_of(k)
+            exact = ExactScalar(exact_of(k), *grade)
             enclosure = quad_eigen_enclosure(desc, k, d, args.precision_bits)
         except PrecisionExhausted as exc:
             print(f"k={k}: enclosure unavailable ({exc})", file=sys.stderr)

@@ -1,17 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class GradeMismatch(ArithmeticError):
-    """Two nonzero exact values of distinct radical grades were added.
-
-    The exact field is rationals times (sqrt2, sqrt pi) powers; a sum is only
-    defined within one grade.  In the package only ``ExactScalar`` addition
-    (and subtraction) raises this, rather than coercing to floating point.
-    """
+None is for arithmetic: exact values are never added, since every sum runs
+on rational parts under a grade fixed by d (``sharpcert.scalars``).
+"""
 
 
 class SchemeInfeasible(RuntimeError):
-    """A denominator eigenvalue required by the weight scheme is not positive."""
+    """A check of the weight scheme failed, such as a knob eigenvalue that is not positive."""
 
 
 class PrecisionExhausted(RuntimeError):

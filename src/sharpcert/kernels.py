@@ -78,10 +78,12 @@ class MomentTable:
     The row starts from C(d, 0, 0) = |S^{d-1}|^2, the mass normalisation
     that defines c_d, and steps up without Beta values: the radial moment
     of exponent a + 2 = 2J+d-2 is that of a times 4(a+1)/(a+d).  Every entry
-    has the grade of |S^{d-1}|^2 (``grade``), so kernels sum their rational
-    parts.  ``f0`` is F(d, 0) = 2^{d-2} B((d-1)/2, (d-1)/2) |S^{d-2}|, the
-    factor of ``specfun.funk_hecke_eigen``.  The kernels need K = 0 alone:
-    C(d, J, K), with a factor (e . (w3+w4))^K for a unit e, is the product of
+    has the grade of |S^{d-1}|^2 (``grade``), so the row holds rational
+    parts and kernels sum them.  ``f0`` is F(d, 0) = 2^{d-2} B((d-1)/2,
+    (d-1)/2) |S^{d-2}|, the factor of ``specfun.funk_hecke_eigen``, so every
+    polynomial-kernel eigenvalue is a rational times ``eigen_grade``, the
+    grade of |S^{d-1}|^2 F(d, 0).  The kernels need K = 0 alone: C(d, J, K),
+    with a factor (e . (w3+w4))^K for a unit e, is the product of
     ``sigma_conv_constant``, ``directional_sphere_moment`` and ``radial_moment``.
     """
 
@@ -90,12 +92,12 @@ class MomentTable:
             raise ValueError("d must be >= 3")
         self.d = d
         first = sphere_surface(d) * sphere_surface(d)
-        self.grade = first.grade
-        self.row = [first]  # C(d, 0, 0), C(d, 1, 0), ...
         self.f0 = beta_half_int(d - 1, d - 1) * 2 ** (d - 2) * sphere_surface(d - 1)
+        self.grade, self.eigen_grade = first.grade, (first * self.f0).grade
+        self.row = [first.coeff]  # rational parts of C(d, 0, 0), C(d, 1, 0), ...
 
-    def get(self, j: int) -> ExactScalar:
-        """C(d, J, 0), strictly positive."""
+    def get(self, j: int):
+        """The rational part of C(d, J, 0), strictly positive."""
         if j < 0:
             raise ValueError("need J >= 0")
         row = self.row
@@ -113,7 +115,7 @@ def _mean_power(table: MomentTable, m: int, shift: int = 0) -> list:
     """
     d, w, coeffs = table.d, rat(1), []
     for n in range(m + 1):
-        coeffs.append(table.get(m - n + shift).coeff * w)
+        coeffs.append(table.get(m - n + shift) * w)
         w *= rat(2 * (m - n) * (d + 2 * (m - n - 1)), (n + 1) * (d + 2 * n))
     return coeffs
 

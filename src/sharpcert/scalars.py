@@ -7,8 +7,10 @@ coefficients) lives in the graded field
     value = coeff * (sqrt 2)^sqrt2 * (sqrt pi)^pi_half,
 
 with coeff an arbitrary-precision rational, sqrt2 in {0, 1} (even powers
-of sqrt 2 are folded into coeff) and pi_half any integer.  Sums across
-distinct grades are not representable and raise :class:`GradeMismatch`.
+of sqrt 2 are folded into coeff) and pi_half any integer.  Values are
+multiplied, divided and negated, never added: every sum in the pipeline
+runs on rational parts under a grade fixed by d, and an ``ExactScalar`` is
+made only where a value leaves the computation.
 
 Decimal renderings are correctly rounded and computed in integers (pi by
 Machin's formula, square roots by ``math.isqrt``), so this module, like
@@ -22,7 +24,6 @@ import functools
 import math
 
 from .backend import is_rational, rat, rat_parse, rat_str
-from .errors import GradeMismatch
 
 Grade = tuple  # (sqrt2, pi_half)
 
@@ -68,25 +69,6 @@ class ExactScalar:
         return (n > 0) - (n < 0)
 
     # -- field operations --------------------------------------------------
-
-    def _check_addable(self, other: "ExactScalar") -> None:
-        if self.is_zero() or other.is_zero():
-            return
-        if self.grade != other.grade:
-            raise GradeMismatch(
-                f"cannot add grades {self.grade} and {other.grade}"
-            )
-
-    def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        self._check_addable(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return ExactScalar(self.coeff + other.coeff, self.sqrt2, self.pi_half)
-
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self + (-other)
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.coeff, self.sqrt2, self.pi_half)

@@ -11,10 +11,12 @@ minimal certified shift making it nonnegative on the ball (radius 4, i.e.
 u = |xi|^2 in [0, 16]).  The reported constant is the sum of those shifts.
 
 Everything is exact.  Each polynomial-kernel eigenvalue is a rational
-times grade(|S^{d-1}|^2 F(d, 0)), as ``funk_hecke_eigen`` builds it, and
-each delta-kernel eigenvalue a rational times K_d, so every grade is known
-from d: the ladder runs on rational parts, and each coefficient gets the
+times grade(|S^{d-1}|^2 F(d, 0)), and each delta-kernel eigenvalue a
+rational times K_d, so every grade is fixed by d: ``EigenTable`` holds
+rational parts, the ladder runs on them, and each coefficient gets the
 grade grade(K_d) - grade(|S^{d-1}|^2 F(d, 0)) when its weight is made.
+An ``ExactScalar`` is made only where a value leaves the computation: a
+coefficient, a nonzero sign-table entry and a*.
 """
 
 from __future__ import annotations
@@ -44,10 +46,13 @@ def ell_star(d: int) -> int:
 
 
 class EigenTable:
-    """Exact eigenvalues lambda_1(k), lambda_{2m}(k), mu_{2m}(k) for one d.
+    """Exact eigenvalues lambda_1(k), lambda_{2m}(k), mu_{2m}(k) for one d, as rational parts.
 
-    Polynomial-kernel values are computed on demand and cached; each delta
-    value is computed when asked for, since one run asks for it once.
+    A value's grade is fixed by its kernel family: ``moments.eigen_grade``
+    for the polynomial kernels, K_d's (``delta_run.constant.grade``) for the
+    delta kernel.  Polynomial-kernel values are computed on demand and
+    cached; each delta value is computed when asked for, since one run asks
+    for it once.
     Structural zeros (harmonic degree above the kernel degree) fall out of
     exact orthogonality.  Every call that needs eigenvalues builds its own
     table, which owns every per-d constant (its moment table and delta run),
@@ -57,7 +62,7 @@ class EigenTable:
 
     def __init__(self, d: int):
         self.d = d
-        self.lambda_poly: dict[tuple[str, int, int], ExactScalar] = {}  # (identity, two_m, k)
+        self.lambda_poly: dict = {}  # (identity, two_m, k) -> rational part
 
     @cached_property
     def moments(self) -> MomentTable:
@@ -74,19 +79,19 @@ class EigenTable:
         builder = magical_kernel_poly if identity == MAGICAL else nonmagical_kernel_poly
         return builder(self.moments, two_m // 2)
 
-    def delta(self, k: int) -> ExactScalar:
+    def delta(self, k: int):
         return eigen_delta_weight(k, self.delta_run)
 
-    def mag(self, two_m: int, k: int) -> ExactScalar:
+    def mag(self, two_m: int, k: int):
         return self._poly_eigen(MAGICAL, two_m, k)
 
-    def nonmag(self, two_m: int, k: int) -> ExactScalar:
+    def nonmag(self, two_m: int, k: int):
         return self._poly_eigen(NONMAGICAL, two_m, k)
 
-    def get(self, identity: str, two_m: int, k: int) -> ExactScalar:
+    def get(self, identity: str, two_m: int, k: int):
         return self.mag(two_m, k) if identity == MAGICAL else self.nonmag(two_m, k)
 
-    def _poly_eigen(self, identity: str, two_m: int, k: int) -> ExactScalar:
+    def _poly_eigen(self, identity: str, two_m: int, k: int):
         key = (identity, two_m, k)
         v = self.lambda_poly.get(key)
         if v is None:
@@ -142,9 +147,9 @@ def weight_eigen(table: EigenTable, identity: str, has_delta: bool, coeffs: dict
     if ell < 1:
         raise ValueError("ell must be >= 1")
     k = 2 * ell
-    total = table.delta(k).coeff if has_delta else 0
+    total = table.delta(k) if has_delta else 0
     for q, c in coeffs.items():
-        nu = table.get(identity, q, k).coeff
+        nu = table.get(identity, q, k)
         if nu:
             total += nu * c
     return total
@@ -187,9 +192,11 @@ def build_weights(d: int, tail_depth: int = 25):
     bounds each degree by ``top_degree``) reaches harmonic degree 2 ell, so
     weight 1 lists the delta eigenvalue at 2 ell, each checked, and the
     others list zero.
-    The ladder runs on the rational parts of the table's values, since every
-    grade is known from d (:func:`_coefficient_grade`): a weight is made
-    with ``grade`` on each coefficient and K_d's on each nonzero entry.
+    The ladder runs on the table's rational parts, since every grade is
+    fixed by d: a weight is made with ``grade`` on each coefficient and
+    K_d's on each nonzero entry.  Each knob's eigenvalue must be positive,
+    else SchemeInfeasible: the first, at n = 1 and ell = N, is the leading
+    magical eigenvalue mag(4N - 2, 2N).
     Every zero ladder entry is one of a single list made per call, one
     ``EigCheck(ell, ZERO, True)`` per ell: all weights share those objects,
     and weights n >= 2 take their tail as a slice of it.  Constant terms
@@ -202,8 +209,12 @@ def build_weights(d: int, tail_depth: int = 25):
     if tail_depth < 0:
         raise ValueError("tail_depth must be >= 0")
     table = EigenTable(d)
-    grade = _coefficient_grade(table, N)
-    k_grade = table.delta_run.constant.grade
+    k_grade, eigen_grade = table.delta_run.constant.grade, table.moments.eigen_grade
+    # each coefficient is a ratio lambda_1 / lambda.  Neither grade has a sqrt 2
+    # (sphere areas and half-integer Beta values carry only sqrt pi, and K_d's
+    # powers of 2 are whole), so no power of sqrt 2 folds: the ladder's ratio
+    # of rational parts is the coefficient's rational part.
+    grade = (k_grade[0] - eigen_grade[0], k_grade[1] - eigen_grade[1])
 
     weights: list[WeightSpec] = []
     transfers: dict = {}  # degree -> rational part of the sum of the coefficients so far
@@ -220,7 +231,7 @@ def build_weights(d: int, tail_depth: int = 25):
         eig = []
         for ell in range(cutoff, 0, -1):
             q_star = _knob_degree(identity, ell)
-            denom = table.get(identity, q_star, 2 * ell).coeff
+            denom = table.get(identity, q_star, 2 * ell)
             if denom <= 0:
                 raise SchemeInfeasible(
                     f"d={d} n={n}: eigenvalue at degree {q_star}, k={2*ell} not positive"
@@ -244,29 +255,18 @@ def build_weights(d: int, tail_depth: int = 25):
 
 
 def _delta_signs(table: EigenTable, ells: range, where: str) -> list[EigCheck]:
-    """Weight 1's tail or the d <= 6 evidence: lambda_delta(2 ell), ell in ``ells``, each checked <= 0."""
+    """Weight 1's tail or the d <= 6 evidence: lambda_delta(2 ell), ell in ``ells``, each checked <= 0.
+
+    Each entry carries K_d's grade.
+    """
+    k_grade = table.delta_run.constant.grade
     entries = []
     for ell in ells:
         v = table.delta(2 * ell)
-        if v.sign() > 0:
+        if v > 0:
             raise SchemeInfeasible(f"d={table.d}{where}: delta eigenvalue positive at ell={ell}")
-        entries.append(EigCheck(ell, v, True))
+        entries.append(EigCheck(ell, ExactScalar(v, *k_grade), True))
     return entries
-
-
-def _coefficient_grade(table: EigenTable, N: int) -> tuple:
-    """The shared grade of every clipped ratio: grade(lambda_1) - grade(lambda).
-
-    Every lambda_1 value is K_d times a rational, and lambda_1(0) = K_d > 0.
-    Every lambda is a rational times grade(|S^{d-1}|^2 F(d, 0)), which has no
-    sqrt 2 (sphere areas and half-integer Beta values carry only sqrt pi): no
-    power of sqrt 2 is folded, so the ladder's ratio of rational parts is the
-    coefficient's rational part.
-    """
-    den = table.mag(4 * N - 2, 2 * N)
-    if den.sign() <= 0:
-        raise SchemeInfeasible("leading magical eigenvalue not positive")
-    return (table.delta(0) / den).grade
 
 
 def _check_coefficients(n: int, top: int, coeffs: dict) -> None:

@@ -55,7 +55,10 @@ the reduced values, so the cost grows linearly in K.  A ``DeltaRun`` holds
 K_d and the recurrence of one d; each eigenvalue table makes its own, so
 no per-d state outlives the call that made it.
 
-All values are exact.
+All values are exact, and each is returned as its rational part: its grade
+is fixed by d, that of |S^{d-1}|^2 F(d, 0) (``MomentTable.eigen_grade``)
+for a polynomial kernel and K_d's for the delta kernel, and the caller
+attaches it where a value leaves the computation.
 
 The Gegenbauer polynomials, normalized by C_0 = 1, C_1 = 2 nu t and
 
@@ -72,7 +75,7 @@ from math import comb, factorial, gcd, prod
 
 from .backend import rat
 from .kernels import MomentTable, delta_kernel_closed_form
-from .scalars import ZERO, ExactScalar, beta_half_int, sphere_surface
+from .scalars import ExactScalar, beta_half_int, sphere_surface
 
 
 class GegenbauerBasis:
@@ -134,29 +137,31 @@ def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0)
         a = (m - n) * (d + 2 * (m - n - 1)) * (j + d - 2) * (p + 1) * (2 * p + d - 1)
         b = (n + 1) * (d + 2 * n) * (2 * j + d - 3) * (p + 1 - k) * (p + k + d - 1)
         num, den = b * den + a * num, b * den
-    moment = moments.get(m - lo + e).coeff
+    moment = moments.get(m - lo + e)
     num *= comb(m, lo) * prod(range(d + 2 * (m - lo), d + 2 * m, 2)) * factorial(k) * moment.numerator
     den *= prod(range(d, d + 2 * lo, 2)) * moment.denominator
     return num << (lo + shift), den
 
 
-def funk_hecke_eigen(moments: MomentTable, m: int, k: int, magical: bool) -> ExactScalar:
-    """Exact eigenvalue on degree-k harmonics of the magical kernel or N_m, exponent 2m."""
+def funk_hecke_eigen(moments: MomentTable, m: int, k: int, magical: bool):
+    """The eigenvalue on degree-k harmonics of the magical kernel or N_m, exponent 2m.
+
+    It is returned as its rational part; its grade is ``moments.eigen_grade``.
+    """
     if m < 0 or k < 0:
         raise ValueError("need m >= 0 and k >= 0")
     if k > m + magical:
-        return ZERO
+        return rat(0)
     if magical:  # (3/8)(alpha N_m + N_m') - N_{m+1}/8
         (n1, d1), (n2, d2), (n3, d3) = (_alpha_sum(moments, k, m, shift=1),
                                         _alpha_sum(moments, k, m, e=1), _alpha_sum(moments, k, m + 1))
         num, den = 3 * (n1 * d2 + n2 * d1) * d3 - n3 * d1 * d2, 8 * d1 * d2 * d3
     else:
         num, den = _alpha_sum(moments, k, m)
-    d, f0 = moments.d, moments.f0
+    d, f0 = moments.d, moments.f0.coeff
     # F(d, k) = F(d, 0) / prod_{i<k} 4(2i+d), and _alpha_sum leaves out tau_k's 4^k
-    den *= f0.coeff.denominator * prod(range(d, d + 2 * k, 2))
-    return ExactScalar(rat(num * f0.coeff.numerator, den),
-                       moments.grade[0] + f0.sqrt2, moments.grade[1] + f0.pi_half)
+    den *= f0.denominator * prod(range(d, d + 2 * k, 2))
+    return rat(num * f0.numerator, den)
 
 
 class DeltaRun:
@@ -193,10 +198,13 @@ class DeltaRun:
         return self.even[k // 2]
 
 
-def eigen_delta_weight(k: int, run: DeltaRun) -> ExactScalar:
-    """Exact eigenvalue lambda_1(k) of the delta-weight kernel of ``run``'s d, even k."""
+def eigen_delta_weight(k: int, run: DeltaRun):
+    """The eigenvalue lambda_1(k) of the delta-weight kernel of ``run``'s d, even k.
+
+    It is returned as its rational part; its grade is K_d's, ``run.constant.grade``.
+    """
     if k < 0 or k % 2 == 1:
         raise ValueError("k must be even and >= 0")
     g, p = run.at(k)
-    c = run.constant
-    return ExactScalar(rat(c.coeff.numerator * g, c.coeff.denominator * p), c.sqrt2, c.pi_half)
+    c = run.constant.coeff
+    return rat(c.numerator * g, c.denominator * p)

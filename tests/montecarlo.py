@@ -103,7 +103,8 @@ def mc_check_moment(
     genuine disagreement.  Returns (estimate, agrees).
     """
     if K == 0:
-        exact = MomentTable(d).get(J)
+        table = MomentTable(d)
+        exact = ExactScalar(table.get(J), *table.grade)
     else:
         exact = (sigma_conv_constant(d) * directional_sphere_moment(d, K)
                  * radial_moment(d, 2 * J + K + d - 2))

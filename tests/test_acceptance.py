@@ -12,6 +12,7 @@ from pathlib import Path
 
 from montecarlo import mc_check_moment
 from test_kernels import from_scalars
+from test_scheme import exact_delta, exact_eigen
 
 from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
@@ -19,6 +20,8 @@ from sharpcert.oracle import quad_eigen_enclosure
 from sharpcert.polys import nonneg_on
 from sharpcert.scalars import ExactScalar, sphere_surface
 from sharpcert.scheme import (
+    MAGICAL,
+    NONMAGICAL,
     Certificate,
     EigenTable,
     compute_a_star,
@@ -49,15 +52,16 @@ def test_criterion_01_kernel_eigenvalue_sign_pattern():
         table = EigenTable(d)
         for m in range(11):
             for k in range(0, 2 * m + 7, 2):
+                # rational parts: a grade's radical factor is positive
                 lam = table.mag(2 * m, k)
                 mu = table.nonmag(2 * m, k)
-                if k > m + 1 and not lam.is_zero():
+                if k > m + 1 and lam != 0:
                     ok = False
-                if k == m + 1 and (m + 1) % 2 == 0 and lam.sign() != 1:
+                if k == m + 1 and (m + 1) % 2 == 0 and not lam > 0:
                     ok = False
-                if k > m and not mu.is_zero():
+                if k > m and mu != 0:
                     ok = False
-                if k == m and m % 2 == 0 and mu.sign() != 1:
+                if k == m and m % 2 == 0 and not mu > 0:
                     ok = False
     _report(1, "exact eigenvalue sign/zero pattern, d in 3..16, m in 0..10", ok)
 
@@ -68,14 +72,14 @@ def test_criterion_02_delta_eigen_tail_nonpositive():
         table = EigenTable(d)
         N = ell_star(d)
         for ell in range(N + 1, N + 26):
-            if table.delta(2 * ell).sign() > 0:
+            if table.delta(2 * ell) > 0:
                 ok = False
     _report(2, "delta eigenvalues nonpositive past the cutoff, d in 3..20", ok)
 
 
 def test_criterion_03_d3_all_strictly_negative():
     table = EigenTable(3)
-    ok = all(table.delta(2 * ell).sign() == -1 for ell in range(1, 26))
+    ok = all(table.delta(2 * ell) < 0 for ell in range(1, 26))
     _report(3, "d=3 delta eigenvalues strictly negative for ell in 1..25", ok)
 
 
@@ -150,12 +154,12 @@ def test_criterion_07_quadrature_enclosures():
             mag = magical_kernel_poly(mt, m)
             non = nonmagical_kernel_poly(mt, m)
             for k in range(0, 9, 2):
-                if not quad_eigen_enclosure(mag, k, d).contains(table.mag(2 * m, k)):
+                if not quad_eigen_enclosure(mag, k, d).contains(exact_eigen(table, MAGICAL, 2 * m, k)):
                     ok = False
-                if not quad_eigen_enclosure(non, k, d).contains(table.nonmag(2 * m, k)):
+                if not quad_eigen_enclosure(non, k, d).contains(exact_eigen(table, NONMAGICAL, 2 * m, k)):
                     ok = False
         for ell in range(1, 5):
-            if not quad_eigen_enclosure("delta", 2 * ell, d).contains(table.delta(2 * ell)):
+            if not quad_eigen_enclosure("delta", 2 * ell, d).contains(exact_delta(table, 2 * ell)):
                 ok = False
     _report(7, "exact eigenvalues inside 128-bit quadrature enclosures", ok)
 

@@ -801,12 +801,17 @@ def test_removed_flag_exits_2(argv):
         ["certify", "-d", "7", "--out", "link.json"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", "link.json"],
         ["scan", "--d-min", "7", "--d-max", "7", "--out", "link.json"],
+        # a path ending in a separator names a directory, here a missing one
+        ["certify", "-d", "7", "--out", "newdir/"],
+        ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", "newdir/"],
+        ["scan", "--d-min", "7", "--d-max", "7", "--out", "newdir/"],
     ],
     ids=["jobs_zero", "jobs_negative", "delta_odd_k", "delta_odd_k_in_list",
          "tail_depth_negative_d9", "tail_depth_negative_d5", "scan_tail_depth_negative",
          "certify_out_unwritable", "eigen_out_unwritable", "scan_out_unwritable",
          "certify_out_empty", "eigen_out_empty", "scan_out_empty",
-         "certify_out_dangling_link", "eigen_out_dangling_link", "scan_out_dangling_link"],
+         "certify_out_dangling_link", "eigen_out_dangling_link", "scan_out_dangling_link",
+         "certify_out_new_dir", "eigen_out_new_dir", "scan_out_new_dir"],
 )
 def test_invalid_value_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -4,7 +4,6 @@ from math import factorial
 import pytest
 
 from sharpcert.backend import rat
-from sharpcert.errors import GradeMismatch
 from sharpcert.kernels import (
     MomentTable,
     delta_kernel_closed_form,
@@ -18,12 +17,30 @@ from sharpcert.polys import RAT_GRADE, ExactPoly
 from sharpcert.scalars import ExactScalar, sphere_surface
 
 
+class MixedGrades(ValueError):
+    """Coefficients given to :func:`from_scalars` have distinct grades."""
+
+
 def from_scalars(scalars) -> ExactPoly:
     """An ExactPoly from ExactScalar coefficients, which must share one grade."""
     grades = {s.grade for s in scalars if not s.is_zero()}
     if len(grades) > 1:
-        raise GradeMismatch(f"coefficient grades {sorted(grades)} differ")
+        raise MixedGrades(f"coefficient grades {sorted(grades)} differ")
     return ExactPoly([s.coeff for s in scalars], grades.pop() if grades else RAT_GRADE)
+
+
+def graded_sum(values) -> ExactScalar:
+    """The sum of ExactScalars that share one grade (zeros aside), added as rational parts."""
+    values = [v for v in values if not v.is_zero()]
+    grades = {v.grade for v in values}
+    if len(grades) > 1:
+        raise MixedGrades(f"summand grades {sorted(grades)} differ")
+    return ExactScalar(sum((v.coeff for v in values), rat(0)), *(grades.pop() if grades else RAT_GRADE))
+
+
+def graded(table, j):
+    """C(d, J, 0) as an ExactScalar: the table's rational part times its one grade."""
+    return ExactScalar(table.get(j), *table.grade)
 
 
 @cache
@@ -33,8 +50,15 @@ def double_sphere_moment(d, j, k):
 
 
 def moment(table, j, k):
-    """C(d, J, K): the table's entry at K = 0, the Beta product otherwise."""
-    return table.get(j) if k == 0 else double_sphere_moment(table.d, j, k)
+    """The rational part of C(d, J, K), whose grade is ``table.grade``.
+
+    That is the table's entry at K = 0, and the Beta product's past it.
+    """
+    if k == 0:
+        return table.get(j)
+    value = double_sphere_moment(table.d, j, k)
+    assert value.is_zero() or value.grade == table.grade
+    return value.coeff
 
 
 def test_sigma_conv_constant():
@@ -62,19 +86,22 @@ def test_double_sphere_moment_examples():
     for d in (3, 4, 7):
         table = MomentTable(d)
         s2 = sphere_surface(d) * sphere_surface(d)
-        assert table.get(0) == s2
+        assert graded(table, 0) == s2
         for j in (0, 1, 2):
             assert double_sphere_moment(d, j, 3).is_zero()
             assert double_sphere_moment(d, j, 2).sign() == 1
-    assert MomentTable(3).get(1) == ExactScalar(32, 0, 4)
+    assert graded(MomentTable(3), 1) == ExactScalar(32, 0, 4)
 
 
 @pytest.mark.parametrize("d", [7, 8, 24, 25])
 def test_moments_share_one_grade(d):
-    # kernels sum the moments' rational parts under MomentTable.grade
+    # kernels sum the moments' rational parts under MomentTable.grade, the
+    # grade of C(d, 0, 0) = |S^{d-1}|^2; each table entry is its Beta product
     table = MomentTable(d)
-    assert table.grade == table.get(0).grade
-    assert {moment(table, j, k).grade for j in range(2 * d) for k in range(0, 12, 2)} == {table.grade}
+    assert table.grade == (sphere_surface(d) * sphere_surface(d)).grade
+    assert all(graded(table, j) == double_sphere_moment(d, j, 0) for j in range(2 * d))
+    assert {double_sphere_moment(d, j, k).grade
+            for j in range(2 * d) for k in range(0, 12, 2)} == {table.grade}
 
 
 def test_delta_kernel_constant():
@@ -122,7 +149,7 @@ def test_nonmagical_degree_and_examples():
     for d in (3, 4, 9, 24):
         table = MomentTable(d)
         expect = from_scalars(
-            [table.get(2), table.get(1) * (2 * (2 + rat(4, d))), table.get(0) * 4]
+            [graded(table, 2), graded(table, 1) * (2 * (2 + rat(4, d))), graded(table, 0) * 4]
         )
         assert nonmagical_kernel_poly(table, 2) == expect
 
@@ -138,11 +165,12 @@ def _trinomial_kernel(table, m, magical):
     beta^j gamma^k integrates to 2^k C(d, j, k) alpha^{k/2}, the table's entry at
     k = 0 and the Beta product past it.  The magical
     family multiplies by the quartic factor (alpha + beta - gamma/2)/4 first.
+    Every C(d, j, k) has the table's grade, so the sums run on rational parts.
     """
     acc = {}
 
     def add(power, value):
-        acc[power] = acc.get(power, ExactScalar(0)) + value
+        acc[power] = acc.get(power, 0) + value
 
     for i in range(m + 1):
         for j in range(m - i + 1):
@@ -157,7 +185,7 @@ def _trinomial_kernel(table, m, magical):
                 add(i + k // 2, moment(table, j + 1, k) * w)
             else:
                 add(i + (k + 1) // 2, moment(table, j, k + 1) * (-w))
-    return from_scalars([acc.get(p, ExactScalar(0)) * 2**p for p in range(max(acc) + 1)])
+    return ExactPoly([acc.get(p, rat(0)) * 2**p for p in range(max(acc) + 1)], table.grade)
 
 
 @pytest.mark.parametrize("d", [*range(3, 14), 24, 33, 48])

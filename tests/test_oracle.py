@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from montecarlo import _unit_rows, mc_check_moment, mc_double_sphere_moment
+from test_scheme import exact_delta, exact_eigen
 
 from sharpcert.backend import rat
 from sharpcert.kernels import MomentTable, magical_kernel_poly, nonmagical_kernel_poly
 from sharpcert.oracle import _enclose, _pi_bounds, quad_eigen_enclosure
 from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, _pi_fixed
-from sharpcert.scheme import EigenTable
+from sharpcert.scheme import MAGICAL, NONMAGICAL, EigenTable
 
 PI = ExactScalar(1, 0, 2)
 
@@ -66,7 +67,7 @@ def test_constant_kernel_odd_k_contains_zero():
 def test_delta_d3_strictly_negative():
     iv = quad_eigen_enclosure("delta", 2, 3)
     assert iv.hi < 0
-    assert iv.contains(EigenTable(3).delta(2))
+    assert iv.contains(exact_delta(EigenTable(3), 2))
 
 
 def test_magical_m1_k2_d5_positive_and_tight():
@@ -74,7 +75,7 @@ def test_magical_m1_k2_d5_positive_and_tight():
     kernel = magical_kernel_poly(MomentTable(5), 1)
     iv = quad_eigen_enclosure(kernel, 2, 5)
     assert iv.lo > 0
-    exact = table.mag(2, 2)
+    exact = exact_eigen(table, MAGICAL, 2, 2)
     assert iv.contains(exact)
     assert iv.hi - iv.lo < 2e-30
 
@@ -85,19 +86,19 @@ def _grid():
         table = EigenTable(d)
         mt = MomentTable(d)
         for k in (0, 2, 4):
-            yield "delta", k, d, table.delta(k)
+            yield "delta", k, d, exact_delta(table, k)
         for m in (0, 2):
             mag = magical_kernel_poly(mt, m)
             non = nonmagical_kernel_poly(mt, m)
             for k in (0, 2, 6):
-                yield mag, k, d, table.mag(2 * m, k)
-                yield non, k, d, table.nonmag(2 * m, k)
+                yield mag, k, d, exact_eigen(table, MAGICAL, 2 * m, k)
+                yield non, k, d, exact_eigen(table, NONMAGICAL, 2 * m, k)
     # delta eigenvalues of both parities of d, including the even-d case where
     # both quadrature pieces are exact and the enclosure is a rounding interval
     for d in (5, 8, 11):
         table = EigenTable(d)
         for k in (0, 2, 4, 8):
-            yield "delta", k, d, table.delta(k)
+            yield "delta", k, d, exact_delta(table, k)
 
 
 def test_enclosures_contain_exact_grid():
@@ -134,7 +135,7 @@ def test_rounding_enclosure_refutes_only_disjoint_values(precision_bits):
     # d=23, magical m=4, k=0: both quadrature pieces integrate exactly
     table = EigenTable(23)
     iv = quad_eigen_enclosure(table.kernel(8, "magical"), 0, 23, precision_bits)
-    exact = table.mag(8, 0)
+    exact = exact_eigen(table, MAGICAL, 8, 0)
     assert iv.contains(exact)
     assert not iv.contains(exact * (1 + rat(1, 2 ** (precision_bits - 8))))
     assert not iv.contains(exact * (1 - rat(1, 2 ** (precision_bits - 8))))

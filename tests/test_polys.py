@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernels import from_scalars
+from test_kernels import MixedGrades, from_scalars
 
 from sharpcert.backend import rat
-from sharpcert.errors import GradeMismatch
 from sharpcert.polys import (
     RAT_GRADE,
     ExactPoly,
@@ -46,7 +45,7 @@ def test_derivative():
 
 
 def test_from_scalars_mixed_grades_rejected():
-    with pytest.raises(GradeMismatch):
+    with pytest.raises(MixedGrades):
         from_scalars([ExactScalar(1, 0, 1), ExactScalar(1, 0, 2)])
 
 

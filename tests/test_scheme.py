@@ -9,8 +9,9 @@ from sharpcert import scalars, scheme, specfun
 from sharpcert.backend import rat
 from sharpcert.errors import MalformedCertificate, SchemeInfeasible
 from sharpcert.polys import nonneg_on
-from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
+from sharpcert.scalars import ZERO, ExactScalar, beta_half_int, sphere_surface
 from sharpcert.scheme import (
+    MAGICAL,
     NONMAGICAL,
     Certificate,
     EigCheck,
@@ -23,6 +24,16 @@ from sharpcert.scheme import (
     verify_certificate,
     weight_eigen,
 )
+
+
+def exact_delta(table, k):
+    """lambda_delta(k) as an ExactScalar: the table's rational part times K_d's grade."""
+    return ExactScalar(table.delta(k), *table.delta_run.constant.grade)
+
+
+def exact_eigen(table, identity, two_m, k):
+    """A polynomial-kernel eigenvalue as an ExactScalar: the table's rational part times its grade."""
+    return ExactScalar(table.get(identity, two_m, k), *table.moments.eigen_grade)
 
 
 def test_ell_star():
@@ -39,29 +50,31 @@ def test_eigen_table_structural_zeros():
     for m in range(4):
         for k in range(0, 9, 2):
             if k > m + 1:
-                assert table.mag(2 * m, k).is_zero()
+                assert table.mag(2 * m, k) == 0
             if k > m:
-                assert table.nonmag(2 * m, k).is_zero()
+                assert table.nonmag(2 * m, k) == 0
 
 
 def test_eigen_table_positive_knobs():
     table = EigenTable(9)
-    # the entries the scheme divides by must be strictly positive
+    # the entries the scheme divides by must be strictly positive (a grade's
+    # radical factor is positive, so the rational part carries the sign)
     for ell in (1, 2, 3):
-        assert table.mag(4 * ell - 2, 2 * ell).sign() == 1
-        assert table.nonmag(4 * ell, 2 * ell).sign() == 1
+        assert table.mag(4 * ell - 2, 2 * ell) > 0
+        assert table.nonmag(4 * ell, 2 * ell) > 0
 
 
 def test_delta_negative_d3():
     table = EigenTable(3)
     for ell in range(1, 11):
-        assert table.delta(2 * ell).sign() == -1
+        assert table.delta(2 * ell) < 0
 
 
 def _eigen_of(w: WeightSpec, table: EigenTable, ell: int) -> ExactScalar:
     """``weight_eigen`` of a made weight, from its coefficients' rational parts, with K_d's grade."""
     coeffs = {q: c.coeff for q, c in w.coeffs.items()}
-    return ExactScalar(weight_eigen(table, w.identity, w.has_delta, coeffs, ell), *table.delta(0).grade)
+    value = weight_eigen(table, w.identity, w.has_delta, coeffs, ell)
+    return ExactScalar(value, *table.delta_run.constant.grade)
 
 
 def test_weight_eigen_trivial():
@@ -76,7 +89,7 @@ def test_h1_tail_is_delta_eigenvalue():
     h1 = weights[0]
     N = ell_star(d)
     for ell in range(N + 1, N + 4):
-        assert _eigen_of(h1, table, ell) == table.delta(2 * ell)
+        assert _eigen_of(h1, table, ell) == exact_delta(table, 2 * ell)
 
 
 def test_last_weight_vanishes():
@@ -99,12 +112,14 @@ def test_leading_transfer():
     # each weight n >= 2 leads with minus the earlier weights' sum at its top
     # degree; weight 1 has no coefficient at its own top degree, and each one
     # it has (degree 2 at d = 9, 12; degree 6 at d = 17, 24) is carried to
-    # the weight that leads at that degree
+    # the weight that leads at that degree.  Every coefficient has the ladder's
+    # grade, so the earlier weights' sum is one of rational parts
     for d in (9, 12, 17, 24):
-        weights, _, _ = build_weights(d, tail_depth=0)
+        weights, _, grade = build_weights(d, tail_depth=0)
+        assert {c.grade for w in weights for c in w.coeffs.values()} == {grade}
         for i, w in enumerate(weights[1:], start=1):
-            earlier = sum((v.coeffs.get(w.top_degree, ExactScalar(0)) for v in weights[:i]), ExactScalar(0))
-            assert w.coeffs.get(w.top_degree, ExactScalar(0)) == -earlier
+            earlier = sum(v.coeffs[w.top_degree].coeff for v in weights[:i] if w.top_degree in v.coeffs)
+            assert w.coeffs.get(w.top_degree, ZERO) == ExactScalar(-earlier, *grade)
         leading_at = {w.top_degree: w for w in weights[1:]}
         assert weights[0].coeffs
         for q, c in weights[0].coeffs.items():
@@ -130,6 +145,23 @@ def test_coefficient_above_top_degree_rejected(monkeypatch):
         build_weights(9, tail_depth=0)
 
 
+@pytest.mark.parametrize("key", [(MAGICAL, 10, 6), (NONMAGICAL, 8, 4)], ids=["leading", "later"])
+@pytest.mark.parametrize("value", [rat(0), rat(-1, 7)], ids=["zero", "negative"])
+def test_ladder_rejects_a_knob_eigenvalue_not_positive(monkeypatch, key, value):
+    # at d = 9 (N = 3) the ladder's first knob is (magical, 4N - 2, 2N), the
+    # leading magical eigenvalue; (nonmagical, 8, 4) is weight 2's first knob.
+    # Each is the denominator of a clipped ratio and must be positive
+    cert = compute_a_star(9)
+    get = EigenTable.get
+    monkeypatch.setattr(EigenTable, "get",
+                        lambda self, *args: value if args == key else get(self, *args))
+    with pytest.raises(SchemeInfeasible, match="not positive"):
+        build_weights(9, tail_depth=0)
+    ok, failures = verify_certificate(cert)
+    assert not ok
+    assert failures[0].startswith("reconstruction failed") and "not positive" in failures[0], failures
+
+
 def test_ladder_entries_past_cutoff():
     # weight 1 lists lambda_delta(2 ell), every other weight zero, and each
     # entry equals a full evaluation of the weight's eigenvalue
@@ -139,7 +171,7 @@ def test_ladder_entries_past_cutoff():
             assert e.value == _eigen_of(w, table, e.ell), (w.n, e.ell)
         cutoff = len(w.eig) - 4
         tail = [e.value for e in w.eig[cutoff:]]
-        assert tail == ([table.delta(2 * ell) for ell in range(cutoff + 1, cutoff + 5)]
+        assert tail == ([exact_delta(table, 2 * ell) for ell in range(cutoff + 1, cutoff + 5)]
                         if w.has_delta else [ExactScalar(0)] * 4)
 
 
@@ -173,36 +205,30 @@ def test_sum_condition_polynomial_identity():
         assert not any(total)
 
 
-def _recording(method, seen: list):
-    def wrapper(self, *args):
-        v = method(self, *args)
-        seen.append(v)
-        return v
-    return wrapper
+def _grades_from_definitions(d):
+    """(G_P, G_K), derived here from their definitions, not read off the tables.
+
+    G_P is the grade of |S^{d-1}|^2 F(d, 0), F(d, 0) = 2^{d-2} B((d-1)/2,
+    (d-1)/2) |S^{d-2}|, and G_K that of K_d = C_d |S^{d-2}| 2^{3(d-2)/2}
+    B(d-2, d/2), C_d = (3/4) 2^{(d-2)/2} |S^{d-1}| / (2^{2d-5} B((d-1)/2, (d-1)/2)).
+    """
+    surface, beta = sphere_surface(d), beta_half_int(d - 1, d - 1)
+    g_p = (surface * surface * beta * 2 ** (d - 2) * sphere_surface(d - 1)).grade
+    g_k = (ExactScalar(1, d - 2) * surface / beta * sphere_surface(d - 1)
+           * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d)).grade
+    return g_p, g_k
 
 
-def test_coefficient_grades_uniform(monkeypatch):
-    # the ladder runs on rational parts and attaches grades it never checks;
-    # this is the fact it rests on, with both grades derived here from their
-    # definitions: G_P of |S^{d-1}|^2 F(d, 0), F(d, 0) = 2^{d-2}
-    # B((d-1)/2, (d-1)/2) |S^{d-2}|, and G_K of K_d = C_d |S^{d-2}|
-    # 2^{3(d-2)/2} B(d-2, d/2), C_d = (3/4) 2^{(d-2)/2} |S^{d-1}| /
-    # (2^{2d-5} B((d-1)/2, (d-1)/2))
-    poly, delta = [], []
-    monkeypatch.setattr(EigenTable, "get", _recording(EigenTable.get, poly))
-    monkeypatch.setattr(EigenTable, "delta", _recording(EigenTable.delta, delta))
+def test_coefficient_grades_uniform():
+    # the tables hold rational parts and the ladder attaches grades it never
+    # checks; this is the fact it rests on: the two per-d grades the tables
+    # hold are those of the definitions, and every value made carries them
     for d in [*range(7, 49), 64, 128]:
-        surface, beta = sphere_surface(d), beta_half_int(d - 1, d - 1)
-        g_p = (surface * surface * beta * 2 ** (d - 2) * sphere_surface(d - 1)).grade
-        g_k = (ExactScalar(1, d - 2) * surface / beta * sphere_surface(d - 1)
-               * ExactScalar(1, 3 * (d - 2)) * beta_half_int(2 * (d - 2), d)).grade
-        assert g_p[0] == 0, d  # no sqrt 2: a ratio of rational parts is the coefficient's rational part
-        poly.clear()
-        delta.clear()
+        g_p, g_k = _grades_from_definitions(d)
+        assert g_p[0] == 0 and g_k[0] == 0, d  # no sqrt 2: a ratio of rational parts is the coefficient's
         weights, table, grade = build_weights(d, tail_depth=3)
-        assert poly and delta, d
-        assert all(v.grade == g_p for v in poly if not v.is_zero()), d
-        assert all(v.grade == g_k for v in delta), d
+        assert table.moments.eigen_grade == g_p, d
+        assert table.delta_run.constant.grade == g_k, d
         assert grade == (g_k[0] - g_p[0], g_k[1] - g_p[1]), d
         for w in weights:
             for c in w.coeffs.values():
@@ -211,8 +237,15 @@ def test_coefficient_grades_uniform(monkeypatch):
                 if not e.value.is_zero():
                     assert e.value.grade == g_k, (d, w.n, e.ell)
         # the grade is the delta/polynomial eigenvalue ratio grade
-        ratio = table.delta(2) / table.mag(2, 2)
+        ratio = exact_delta(table, 2) / exact_eigen(table, MAGICAL, 2, 2)
         assert grade == ratio.grade, d
+    # d <= 6 runs no ladder: every delta evidence entry carries K_d's grade
+    for d in range(3, 7):
+        _, g_k = _grades_from_definitions(d)
+        evidence = compute_a_star(d, tail_depth=6).delta_eigen_evidence
+        assert any(not e.value.is_zero() for e in evidence), d
+        for e in evidence:
+            assert e.value.is_zero() or e.value.grade == g_k, (d, e.ell)
 
 
 def test_collapse_at_d7():

@@ -3,6 +3,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import graded, graded_sum
 
 from sharpcert.backend import is_rational, rat
 from sharpcert.kernels import (
@@ -22,6 +23,16 @@ from sharpcert.specfun import DeltaRun, eigen_delta_weight, funk_hecke_eigen, ge
 
 ZERO = ExactScalar(0)
 T = ExactPoly([-1, 1])  # t = s - 1, in the kernels' variable s = 1+t
+
+
+def fh_value(moments, m, k, magical):
+    """``funk_hecke_eigen`` as an ExactScalar: its rational part times the table's eigenvalue grade."""
+    return ExactScalar(funk_hecke_eigen(moments, m, k, magical), *moments.eigen_grade)
+
+
+def delta_value(k, run):
+    """``eigen_delta_weight`` as an ExactScalar: its rational part times K_d's grade."""
+    return ExactScalar(eigen_delta_weight(k, run), *run.constant.grade)
 
 
 def _at(coeffs, t):
@@ -64,12 +75,8 @@ def _sym_moment(d, n):
 
 
 def _inner(d, p, q):
-    total = ZERO
-    for a, ca in enumerate(p):
-        for b, cb in enumerate(q):
-            if ca and cb:
-                total = total + _sym_moment(d, a + b) * (ca * cb)
-    return total
+    return graded_sum(_sym_moment(d, a + b) * (ca * cb)
+                      for a, ca in enumerate(p) for b, cb in enumerate(q) if ca and cb)
 
 
 def test_orthogonality_exact():
@@ -112,11 +119,11 @@ def test_funk_hecke_hand_examples():
 def test_delta_eigen_hand_examples():
     # d = 3: the integrand at k = 0 is (1+t)^{1/2}, with integral (4/3) sqrt2
     c3 = delta_kernel_closed_form(3) * sphere_surface(2)
-    assert eigen_delta_weight(0, DeltaRun(3)) == c3 * ExactScalar(rat(4, 3), 1, 0)
+    assert delta_value(0, DeltaRun(3)) == c3 * ExactScalar(rat(4, 3), 1, 0)
     # d = 4: the integrand is (1 - t^2) C_k(t) / C_k(1), with C_2 = 4t^2 - 1, C_2(1) = 3
     c4, run = delta_kernel_closed_form(4) * sphere_surface(3), DeltaRun(4)
-    assert eigen_delta_weight(0, run) == c4 * ExactScalar(rat(4, 3))
-    assert eigen_delta_weight(2, run) == c4 * ExactScalar(rat(-4, 45))
+    assert delta_value(0, run) == c4 * ExactScalar(rat(4, 3))
+    assert delta_value(2, run) == c4 * ExactScalar(rat(-4, 45))
 
 
 def _gegenbauer_moment_eigen(kernel, k, d):
@@ -126,11 +133,7 @@ def _gegenbauer_moment_eigen(kernel, k, d):
     n = len(kernel.coeffs)
     in_t = [sum(c * comb(p, a) for p, c in enumerate(kernel.coeffs)) for a in range(n)]
     basis = gegenbauer_basis(d)
-    total = ZERO
-    for a, ka in enumerate(in_t):
-        for b, cb in enumerate(basis.poly(k)):
-            if ka and cb:
-                total = total + _sym_moment(d, a + b) * (ka * cb)
+    total = _inner(d, in_t, basis.poly(k))
     unit = ExactScalar(1, *kernel.grade)
     return sphere_surface(d - 1) / basis.at_one(k) * total * unit
 
@@ -157,7 +160,7 @@ def test_horner_sums_match_kernel_reference():
             for magical, build in ((True, magical_kernel_poly), (False, nonmagical_kernel_poly)):
                 kernel = build(table, m)
                 for k in range(m + 4):
-                    got = funk_hecke_eigen(table, m, k, magical)
+                    got = fh_value(table, m, k, magical)
                     assert got == _rodrigues_eigen(kernel, k, d), (d, m, k, magical)
                     assert got.is_zero() == (k > kernel.degree()), (d, m, k, magical)
 
@@ -174,7 +177,7 @@ def _ref_alpha_sum(moments, k, m, shift=0, e=0):
         num, den = b * den + a * num, b * den
     for i in range(lo):
         num, den = num * 2 * (m - i) * (d + 2 * (m - i - 1)), den * (i + 1) * (d + 2 * i)
-    return rat(num * 2**shift * factorial(k), den) * moments.get(m - lo + e).coeff
+    return rat(num * 2**shift * factorial(k), den) * moments.get(m - lo + e)
 
 
 def _ref_funk_hecke(moments, m, k, magical):
@@ -224,9 +227,10 @@ def test_eigenvalues_match_per_step_fractions_at_the_ladders_range():
     assert top == 2 * ell_star(48) - 1
     for name, args, v in asked:
         if name == "funk_hecke_eigen":
-            assert v == _ref_funk_hecke(*args), args[1:]
+            assert ExactScalar(v, *args[0].eigen_grade) == _ref_funk_hecke(*args), args[1:]
         else:
-            assert v == _ref_delta(args[1], args[0]), (args[1].d, args[0])
+            run, k = args[1], args[0]
+            assert ExactScalar(v, *run.constant.grade) == _ref_delta(run, k), (run.d, k)
 
 
 def test_eigenvalues_match_per_step_fractions_at_low_degree():
@@ -236,9 +240,9 @@ def test_eigenvalues_match_per_step_fractions_at_low_degree():
             for k in range(m + 4):
                 for magical in (True, False):
                     want = _ref_funk_hecke(table, m, k, magical)
-                    assert funk_hecke_eigen(table, m, k, magical) == want, (d, m, k, magical)
+                    assert fh_value(table, m, k, magical) == want, (d, m, k, magical)
         for k in range(0, 60, 2):
-            assert eigen_delta_weight(k, run) == _ref_delta(run, k), (d, k)
+            assert delta_value(k, run) == _ref_delta(run, k), (d, k)
 
 
 def test_one_rational_per_eigenvalue(monkeypatch):
@@ -301,9 +305,10 @@ def test_orthogonality_kills_high_k(cs, d):
 
 
 def test_delta_eigen_signs():
-    assert eigen_delta_weight(2, DeltaRun(3)).sign() == -1
+    # a grade's radical factor is positive, so the rational part carries the sign
+    assert eigen_delta_weight(2, DeltaRun(3)) < 0
     for d in (3, 4, 7, 12):
-        assert eigen_delta_weight(0, DeltaRun(d)).sign() == 1
+        assert eigen_delta_weight(0, DeltaRun(d)) > 0
 
 
 def test_delta_eigen_rejects_odd_k():
@@ -334,12 +339,10 @@ def test_flip_identity():
         const = delta_kernel_closed_form(d)
         moments = _t_power_moments(d, 41)
         for k in range(0, 41, 2):
-            flipped = ZERO
-            for b, cb in enumerate(basis.poly(k)):
-                if cb != 0:
-                    flipped = flipped + moments[b] * (cb if b % 2 == 0 else -cb)
+            flipped = graded_sum(moments[b] * (cb if b % 2 == 0 else -cb)
+                                 for b, cb in enumerate(basis.poly(k)) if cb != 0)
             flipped = sphere_surface(d - 1) / basis.at_one(k) * const * flipped
-            assert eigen_delta_weight(k, run) == flipped
+            assert delta_value(k, run) == flipped
 
 
 def _rodrigues_delta(k, d):
@@ -369,7 +372,7 @@ def test_delta_eigen_matches_rodrigues_sum():
     for d in range(3, 49):
         run = DeltaRun(d)
         for k in range(0, 2 * (ell_star(d) + 25) + 1, 2):
-            assert eigen_delta_weight(k, run) == _rodrigues_delta(k, d), (d, k)
+            assert delta_value(k, run) == _rodrigues_delta(k, d), (d, k)
 
 
 def _delta_3f2_sum(k, d):
@@ -420,15 +423,14 @@ def test_moments_match_beta_form():
             for J in range(30, -1, -1):
                 want = (sigma_conv_constant(d) * directional_sphere_moment(d, K)
                         * radial_moment(d, 2 * J + K + d - 2))
-                assert table.get(J + K // 2) * direction == want, (d, J, K)
+                assert graded(table, J + K // 2) * direction == want, (d, J, K)
 
 
 def test_delta_eigen_grade_coherence():
+    # every lambda_delta has K_d's grade: the Rodrigues reference, which builds
+    # each value's grade on its own, has that one grade at every even k
     for d in (3, 4, 8, 9):
         run = DeltaRun(d)
-        grades = {
-            eigen_delta_weight(k, run).grade
-            for k in range(0, 22, 2)
-            if not eigen_delta_weight(k, run).is_zero()
-        }
-        assert len(grades) == 1
+        grades = {_rodrigues_delta(k, d).grade for k in range(0, 22, 2)
+                  if eigen_delta_weight(k, run)}
+        assert grades == {run.constant.grade}, d
