@@ -12,7 +12,8 @@ certificates store them as :func:`rat_str` strings.
 
 ``fractions`` is imported only by :func:`rat` given something other than
 ints and Rational values (a string such as ``"1e-6"``, a float or a
-``Fraction``), so certify and verify never import it.
+``Fraction``; ``rat`` is public and ``ExactPoly`` takes strings), so
+certify and verify never import it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class Rational:
 
     def __delattr__(self, name):
         raise AttributeError("Rational is immutable")
-
-    def __reduce__(self):
-        return _new, (self.numerator, self.denominator)
 
     def __repr__(self):
         return f"Rational({self.numerator}, {self.denominator})"

@@ -21,7 +21,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .backend import rat
+from .backend import rat  # noqa: F401  unused; perfbench/layers.py wraps cli.rat by name
 from .errors import MalformedCertificate, PrecisionExhausted, SchemeInfeasible
 from .scalars import ExactScalar
 from .scheme import Certificate, EigenTable, compute_a_star, mismatches, verify_certificate
@@ -38,16 +38,6 @@ def _type_error(message: str):
     import argparse
 
     return argparse.ArgumentTypeError(message)
-
-
-def _parse_tol(text: str):
-    try:
-        tol = rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _type_error(f"not a rational: {text!r}") from exc
-    if tol <= 0:
-        raise _type_error("tol must be positive")
-    return tol
 
 
 def _int_at_least(lo: int, name: str):
@@ -100,7 +90,7 @@ def cmd_certify(args) -> int:
         print("error: dimension must be >= 3", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        cert = compute_a_star(args.dimension, tol=args.tol, tail_depth=args.tail_depth)
+        cert = compute_a_star(args.dimension, tail_depth=args.tail_depth)
     except SchemeInfeasible as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -131,10 +121,10 @@ def cmd_certify(args) -> int:
 
 
 def _scan_one(task):
-    d, tol, tail_depth = task
+    d, tail_depth = task
     t0 = time.monotonic()
     try:
-        cert = compute_a_star(d, tol=tol, tail_depth=tail_depth)
+        cert = compute_a_star(d, tail_depth=tail_depth)
         status = "ok"
         a_dec = cert.a_star_decimal
         grade = _grade_str(cert.a_star.grade)
@@ -151,11 +141,13 @@ def cmd_scan(args) -> int:
         print("error: need 3 <= d-min <= d-max", file=sys.stderr)
         return EXIT_INVALID_INPUT
     dims = list(range(args.d_min, args.d_max + 1))
-    tasks = [(d, args.tol, args.tail_depth) for d in dims]
-    if len(dims) > 1 and args.jobs != 1:
+    tasks = [(d, args.tail_depth) for d in dims]
+    # the pool starts all its workers at once, so never more than there are dimensions
+    jobs = min(args.jobs or os.cpu_count() or 1, len(dims))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only scan runs workers
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_one, tasks))
     else:
         rows = [_scan_one(t) for t in tasks]
@@ -254,8 +246,6 @@ def cmd_verify(args) -> int:
 # entries for everything else.  name -> (help, handler, arguments); an
 # argument is (spellings, dest, type, default, choices, required, help), and
 # one with no spellings is a positional.
-_TOL = (("--tol",), "tol", _parse_tol, rat(1, 10**6), None, False,
-        "rational tolerance for the constant-term shift (default 1/1000000)")
 _TAIL_DEPTH = (("--tail-depth",), "tail_depth", _int_at_least(0, "tail-depth"), 25, None, False,
                "extra eigenvalue signs checked past each cutoff (default 25, min 0)")
 _OUT = (("--out",), "out", _out_path, None, None, False, "output file (default stdout)")
@@ -263,13 +253,13 @@ _DIMENSION = (("-d", "--dimension"), "dimension", int, None, None, True, None)
 
 COMMANDS = {
     "certify": ("run the full scheme for one dimension", cmd_certify,
-                (_DIMENSION, _TOL, _TAIL_DEPTH, _OUT)),
+                (_DIMENSION, _TAIL_DEPTH, _OUT)),
     "scan": ("certify a range of dimensions (parallel)", cmd_scan, (
         (("--d-min",), "d_min", int, None, None, True, None),
         (("--d-max",), "d_max", int, None, None, True, None),
         (("--jobs",), "jobs", _int_at_least(1, "jobs"), None, None, False,
-         "worker processes (default: one per core, min 1)"),
-        _TOL, _TAIL_DEPTH, _OUT,
+         "worker processes (default: one per core, min 1; at most one per dimension)"),
+        _TAIL_DEPTH, _OUT,
         (("--format",), "format", None, "csv", ("json", "csv"), False, None),
     )),
     "eigen": ("exact eigenvalues with quadrature enclosures", cmd_eigen, (

@@ -26,7 +26,7 @@ from .errors import PrecisionExhausted
 from .kernels import delta_kernel_closed_form
 from .polys import ExactPoly
 from .scalars import ZERO, ExactScalar, sphere_surface
-from .specfun import gegenbauer_basis
+from .specfun import GegenbauerBasis
 
 MAX_SERIES_ORDER = 1 << 14
 
@@ -196,7 +196,7 @@ def quad_eigen_enclosure(kernel_desc, k: int, d: int, precision_bits: int = 128)
         raise ValueError("precision_bits must be >= 64")
     if k < 0 or d < 3:
         raise ValueError("need k >= 0 and d >= 3")
-    basis = gegenbauer_basis(d)
+    basis = GegenbauerBasis(d)
     ck = basis.poly(k)
     if isinstance(kernel_desc, str):
         if kernel_desc != "delta":

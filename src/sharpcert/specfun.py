@@ -70,7 +70,6 @@ quadrature oracle, which integrates the defining integral directly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial, gcd, prod
 
 from .backend import rat
@@ -113,11 +112,6 @@ class GegenbauerBasis:
         if v <= 0:
             raise ArithmeticError(f"C_{k}(1) must be positive")
         return v
-
-
-@lru_cache(maxsize=None)
-def gegenbauer_basis(d: int) -> GegenbauerBasis:
-    return GegenbauerBasis(d)
 
 
 def _alpha_sum(moments: MomentTable, k: int, m: int, shift: int = 0, e: int = 0) -> tuple[int, int]:

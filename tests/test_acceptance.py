@@ -22,6 +22,8 @@ from sharpcert.scalars import ExactScalar, sphere_surface
 from sharpcert.scheme import (
     MAGICAL,
     NONMAGICAL,
+    PAPER_BASELINE_D8,
+    SHIFT_TOL,
     Certificate,
     EigenTable,
     compute_a_star,
@@ -100,11 +102,20 @@ def test_criterion_05_d8_certificate_with_baseline():
     _report(5, "d=8 certifies a_star > 0 and records the baseline decimal", ok)
 
 
+def test_criterion_05_d8_a_star_is_the_paper_baseline():
+    # a* is normalised without the Fourier factor: a*(8) (2 pi)^8 is the
+    # paper's 2^25 pi^2 / (5^2 7^2 11), exactly
+    baseline = ExactScalar(rat(2**25, 5**2 * 7**2 * 11), 0, 4)
+    ok = PAPER_BASELINE_D8 == baseline
+    ok = ok and compute_a_star(8).a_star * ExactScalar(2**8, 0, 16) == baseline
+    _report(5, "d=8 a_star times (2 pi)^8 equals the paper's baseline exactly", ok)
+
+
 def test_criterion_06_full_range_certification():
     ok = True
-    two_tol = rat(2, 10**6)
+    two_tol = 2 * SHIFT_TOL
     for d in range(3, 25):
-        cert = compute_a_star(d, tol=rat(1, 10**6))
+        cert = compute_a_star(d)
         digest = hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
         if digest != PINS[str(d)]:
             print(f"d={d}: certificate bytes differ from the pin", file=sys.stderr)
@@ -125,7 +136,7 @@ def test_criterion_06_full_range_certification():
 def _pinned_bytes_ok(pins):
     ok = True
     for d in map(int, pins):
-        cert = compute_a_star(d, tol=rat(1, 10**6))
+        cert = compute_a_star(d)
         digest = hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
         if digest != pins[str(d)]:
             print(f"d={d}: certificate bytes differ from the pin", file=sys.stderr)

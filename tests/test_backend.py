@@ -4,7 +4,6 @@ import ast
 import math
 import operator
 import os
-import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -118,15 +117,6 @@ def test_zero_division_raises_where_fraction_does(call):
         call()
 
 
-@given(n=integers, d=denominators)
-@settings(max_examples=100, deadline=None)
-def test_pickle_round_trips(n, d):
-    x = rat(n, d)
-    back = pickle.loads(pickle.dumps(x))
-    assert is_rational(back) and back == x
-    assert (back.numerator, back.denominator) == (x.numerator, x.denominator)
-
-
 def test_immutable():
     x = rat(3, 4)
     with pytest.raises(AttributeError):
@@ -155,7 +145,7 @@ def test_rat_builds_lowest_terms(n, d):
 
 def test_certify_and_verify_import_no_fractions(tmp_path):
     # every rational on their path is the backend's own; fractions (with
-    # decimal and numbers) is imported only to read text such as --tol 1e-6
+    # decimal and numbers) is imported only to read text such as rat("1e-6")
     src = str(Path(sharpcert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     cert = str(tmp_path / "c23.json")

@@ -629,6 +629,35 @@ def test_scan_parallel_matches_serial(tmp_path):
     assert rows["2"] == rows["1"]
 
 
+def test_scan_starts_no_more_workers_than_dimensions(tmp_path, monkeypatch):
+    # the pool starts every worker at once, so --jobs is capped at the number
+    # of dimensions, and one dimension runs in process
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    out = tmp_path / "scan.json"
+    assert run(["scan", "--d-min", "7", "--d-max", "8", "--jobs", "1000", "--format", "json",
+                "--out", str(out)]) == 0
+    assert [r["d"] for r in json.loads(out.read_text())] == [7, 8]
+    assert run(["scan", "--d-min", "7", "--d-max", "7", "--out", str(out)]) == 0
+    assert sizes == [2]
+
+
 def test_scan_empty_range():
     assert run(["scan", "--d-min", "9", "--d-max", "8"]) == 2
     assert run(["scan", "--d-min", "1", "--d-max", "2"]) == 2
@@ -761,11 +790,9 @@ def test_eigen_enclosure_strings_bracket_exact_decimal(tmp_path, argv, bits):
         ["scan", "--d-min", "3", "--d-max", "3", "--seed", "1"],
         ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--seed", "1"],
         ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--format", "json"],
-        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--tol", "1/2"],
         ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--tail-depth", "3"],
         ["verify", "c.json", "--seed", "1"],
         ["verify", "c.json", "--format", "json"],
-        ["verify", "c.json", "--tol", "1/2"],
         ["verify", "c.json", "--tail-depth", "3"],
         ["verify", "c.json", "--out", "o.json"],
         ["verify", "c.json", "--precision-bits", "128"],
@@ -826,6 +853,27 @@ def test_invalid_value_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert "error: " in err.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "-d", "7", "--tol", "1/1000"],
+        ["scan", "--d-min", "7", "--d-max", "7", "--tol", "1/1000"],
+    ],
+    ids=["certify", "scan"],
+)
+def test_tolerance_flag_is_gone(tmp_path, monkeypatch, capsys, argv):
+    # the shift tolerance is a constant: --tol is an unknown flag, caught
+    # before any work, with nothing on stdout and no file written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --tol 1/1000" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _outcome(entry, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -860,14 +908,14 @@ def _full_parser_main(argv):
         ["eigen", "--help"],
         ["certify", "--dimension=2"],
         ["certify", "-d2", "--tail", "3"],
-        ["certify", "--dim", "2", "--tol=1/2"],
+        ["certify", "--dim", "2", "--tail-depth=1"],
         ["certify", "-d", "-3"],
         ["certify", "-d", "2", "-d", "3"],
         ["certify", "-d", "2", "--", "x"],
         ["certify", "-d", " 2"],
         ["certify", "-d", "\u0662"],
         ["certify", "-d", ""],
-        ["certify", "-d", "3", "--tol", "0"],
+        ["scan", "--d-min", "3", "--d-max", "3", "--jobs", "0"],
         ["scan", "--d-min=5", "--d-m", "4"],
         ["scan", "--d-min", "5", "--d-max", "4", "--d-max", "3"],
         ["scan", "--d-min", "5", "--d-max", "4", "--format", "xml"],
@@ -880,7 +928,7 @@ def _full_parser_main(argv):
          "empty", "help", "unknown_command", "certify_bare", "verify_bare", "certify_h",
          "verify_help", "eigen_help", "equals_form", "attached_and_abbreviated", "abbreviation",
          "negative_value", "repeated_flag", "double_dash", "space_before_digit",
-         "unicode_digit", "empty_value", "tol_zero", "ambiguous_abbreviation",
+         "unicode_digit", "empty_value", "jobs_zero", "ambiguous_abbreviation",
          "repeated_value", "bad_format", "bad_kernel", "precision_too_low",
          "verify_double_dash", "verify_dash_path"],
 )
@@ -899,8 +947,8 @@ _REQUIRED = {
     "verify": ((),),
 }
 _OPTIONAL = {
-    "certify": ("--tol", "--tail-depth", "--out"),
-    "scan": ("--jobs", "--tol", "--tail-depth", "--out", "--format"),
+    "certify": ("--tail-depth", "--out"),
+    "scan": ("--jobs", "--tail-depth", "--out", "--format"),
     "eigen": ("--m", "--precision-bits", "--out"),
     "verify": (),
 }
@@ -911,12 +959,12 @@ _INTS = ("3", "9", "0", "64", " 7", "\u0663", "\u096d")
 _GOOD = {"-d": _INTS, "--dimension": _INTS, "--d-min": _INTS, "--d-max": _INTS, "--jobs": _INTS,
          "--m": _INTS, "--tail-depth": _INTS,
          "--precision-bits": ("64", "128", " 99", "\u0669\u0669"),
-         "--tol": ("1/2", "3", " 1/7"), "--out": ("c.json", "-c.json", _WRITABLE),
+         "--out": ("c.json", "-c.json", _WRITABLE),
          "--format": ("json", "csv"), "--kernel": ("delta", "magical", "nonmagical"),
          "--k": ("0,2", "x", "-x")}
 _VALUES = ("3", "1", "10", "-3", "-1/2", "1/2", "1/0", "x", "", " 7", "\u0663", "json", "xml",
            "delta", "gauss", "c.json", "-c.json", _WRITABLE, "/nonexistent/x.json")
-_ODD = ("-h", "--help", "--", "-", "-d9", "--dimension=9", "--tail", "--tol=1/3", "--out=o.json",
+_ODD = ("-h", "--help", "--", "-", "-d9", "--dimension=9", "--tail", "--tail-depth=3", "--out=o.json",
         "--d-m", "--form", "--kernel=delta", "--precision", "--bogus", "-x", "--format", "--k",
         "--m", "--jobs", "--out", "-d")
 
@@ -973,8 +1021,7 @@ def test_plain_command_lines_build_no_parser(tmp_path, monkeypatch):
     out = tmp_path / "c8.json"
     assert main(["certify", "-d", "8", "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
-    assert main(["certify", "--dimension", "5", "--tol", "1/1000", "--tail-depth", "3",
-                 "--out", str(out)]) == 0
+    assert main(["certify", "--dimension", "5", "--tail-depth", "3", "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
 
 

@@ -13,6 +13,7 @@ from sharpcert.scalars import ZERO, ExactScalar, beta_half_int, sphere_surface
 from sharpcert.scheme import (
     MAGICAL,
     NONMAGICAL,
+    SHIFT_TOL,
     Certificate,
     EigCheck,
     EigenTable,
@@ -382,14 +383,14 @@ def test_larger_c0_still_verifies(d):
 
 
 def test_lowered_c0_breaks_adm():
-    cert = compute_a_star(9, tol=rat(1, 10**6))
+    cert = compute_a_star(9)
     lowered = json.loads(json.dumps(cert.to_json()))
     hit = False
     total = rat(0)
     for w in lowered["weights"]:
         c0 = rat(w["c0"])
         if not hit and c0 > 0:
-            c0 = c0 - rat(2, 10**6)
+            c0 = c0 - 2 * SHIFT_TOL
             w["c0"] = f"{c0.numerator}/{c0.denominator}"
             hit = True
         total += c0
@@ -405,8 +406,6 @@ def test_negative_tail_depth_rejected():
     for d in (5, 9):
         with pytest.raises(ValueError):
             compute_a_star(d, tail_depth=-3)
-        with pytest.raises(ValueError):
-            compute_a_star(d, tol=0)
     with pytest.raises(ValueError):
         build_weights(9, tail_depth=-1)
     weights, _, _ = build_weights(9, tail_depth=0)

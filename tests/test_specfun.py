@@ -19,7 +19,7 @@ from sharpcert.polys import ExactPoly
 from sharpcert.scalars import ExactScalar, beta_half_int, sphere_surface
 from sharpcert import scheme, specfun
 from sharpcert.scheme import MAGICAL, NONMAGICAL, EigenTable, compute_a_star, ell_star
-from sharpcert.specfun import DeltaRun, eigen_delta_weight, funk_hecke_eigen, gegenbauer_basis
+from sharpcert.specfun import DeltaRun, GegenbauerBasis, eigen_delta_weight, funk_hecke_eigen
 
 ZERO = ExactScalar(0)
 T = ExactPoly([-1, 1])  # t = s - 1, in the kernels' variable s = 1+t
@@ -40,23 +40,23 @@ def _at(coeffs, t):
 
 
 def test_gegenbauer_low_degrees():
-    assert gegenbauer_basis(5).poly(0) == (1,)
-    assert gegenbauer_basis(4).poly(1) == (0, 2)
-    assert gegenbauer_basis(3).poly(2) == (rat(-1, 2), rat(0), rat(3, 2))
+    assert GegenbauerBasis(5).poly(0) == (1,)
+    assert GegenbauerBasis(4).poly(1) == (0, 2)
+    assert GegenbauerBasis(3).poly(2) == (rat(-1, 2), rat(0), rat(3, 2))
     # plain rational tuples, not graded kernels
-    c7 = gegenbauer_basis(6).poly(7)
+    c7 = GegenbauerBasis(6).poly(7)
     assert isinstance(c7, tuple) and all(is_rational(c) for c in c7)
 
 
 def test_gegenbauer_at_one():
-    assert gegenbauer_basis(7).at_one(0) == 1
-    assert gegenbauer_basis(3).at_one(2) == 1
-    assert gegenbauer_basis(4).at_one(2) == 3
+    assert GegenbauerBasis(7).at_one(0) == 1
+    assert GegenbauerBasis(3).at_one(2) == 1
+    assert GegenbauerBasis(4).at_one(2) == 3
 
 
 def test_recurrence_holds():
     for d in (3, 4, 9):
-        basis = gegenbauer_basis(d)
+        basis = GegenbauerBasis(d)
         nu = rat(d - 2, 2)
         for k in range(2, 9):
             # k C_k = 2 (k + nu - 1) t C_{k-1} - (k + 2 nu - 2) C_{k-2} at ten
@@ -81,7 +81,7 @@ def _inner(d, p, q):
 
 def test_orthogonality_exact():
     for d in range(3, 13):
-        basis = gegenbauer_basis(d)
+        basis = GegenbauerBasis(d)
         for j in range(11):
             for k in range(j + 1, 11):
                 assert _inner(d, basis.poly(j), basis.poly(k)).is_zero()
@@ -132,7 +132,7 @@ def _gegenbauer_moment_eigen(kernel, k, d):
     # symmetric Beta moments, independent of Rodrigues' formula
     n = len(kernel.coeffs)
     in_t = [sum(c * comb(p, a) for p, c in enumerate(kernel.coeffs)) for a in range(n)]
-    basis = gegenbauer_basis(d)
+    basis = GegenbauerBasis(d)
     total = _inner(d, in_t, basis.poly(k))
     unit = ExactScalar(1, *kernel.grade)
     return sphere_surface(d - 1) / basis.at_one(k) * total * unit
@@ -335,7 +335,7 @@ def test_flip_identity():
     # the t -> -t image of the delta-weight integral toggles the sign of the
     # odd Gegenbauer coefficients; for even k they vanish and both agree
     for d in list(range(3, 14)) + [24, 33]:
-        basis, run = gegenbauer_basis(d), DeltaRun(d)
+        basis, run = GegenbauerBasis(d), DeltaRun(d)
         const = delta_kernel_closed_form(d)
         moments = _t_power_moments(d, 41)
         for k in range(0, 41, 2):
