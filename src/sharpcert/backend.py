@@ -45,6 +45,11 @@ class Rational:
     def __delattr__(self, name):
         raise AttributeError("Rational is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the value: the default slot-state restore
+        # would go through the blocked __setattr__
+        return rat, (self.numerator, self.denominator)
+
     def __repr__(self):
         return f"Rational({self.numerator}, {self.denominator})"
 

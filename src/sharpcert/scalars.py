@@ -53,6 +53,10 @@ class ExactScalar:
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the value from its fields, as Rational does
+        return ExactScalar, (self.coeff, self.sqrt2, self.pi_half)
+
     # -- structure ---------------------------------------------------------
 
     @property

@@ -181,27 +181,29 @@ def _shapes(N: int) -> list[tuple[int, str, int, int]]:
 def build_weights(d: int, tail_depth: int = 25):
     """Run the coefficient ladder; returns (weights, table, grade).
 
+    Each knob a ladder divides by, (magical, 4 ell - 2, 2 ell) for ell =
+    1..N and (nonmagical, 4 ell, 2 ell) for ell < N, is checked once before
+    any weight is built, and must be positive, else SchemeInfeasible.
     Weights are produced in declaration order (coefficients from the top
-    degree down within each weight); every eigenvalue condition is checked
-    exactly, including ``tail_depth`` values beyond each weight's
-    structural cutoff, and each weight's ``eig`` table lists ell =
-    1..cutoff + tail_depth.  An entry up to the cutoff is evaluated once:
-    the ladder's sum at ell plus the clipped term it adds there, so it is
-    nonpositive by construction.  Past the cutoff no coefficient's kernel
-    (of degree at most 2 cutoff + 1, since :func:`_check_coefficients`
-    bounds each degree by ``top_degree``) reaches harmonic degree 2 ell, so
-    weight 1 lists the delta eigenvalue at 2 ell, each checked, and the
-    others list zero.
-    The ladder runs on the table's rational parts, since every grade is
-    fixed by d: a weight is made with ``grade`` on each coefficient and
-    K_d's on each nonzero entry.  Each knob's eigenvalue must be positive,
-    else SchemeInfeasible: the first, at n = 1 and ell = N, is the leading
-    magical eigenvalue mag(4N - 2, 2N).
-    Every zero ladder entry is one of a single list made per call, one
-    ``EigCheck(ell, ZERO, True)`` per ell: all weights share those objects,
-    and weights n >= 2 take their tail as a slice of it.  Constant terms
-    are left at 0: the eigenvalues do not depend on them, and
-    :func:`compute_a_star` sets them.
+    degree down within each weight).  A weight n >= 2 whose dictated top
+    coefficient is zero has no delta and no coefficient, so it is zero at
+    every ell and is built without a ladder.  What remains is weight 1,
+    clipped at one ell (two at d = 16), and one chain of weights at the end,
+    whose negative coefficients are each clipped at their weight's first
+    ell (observed for d = 7..256, not proved).
+    Every eigenvalue condition is checked exactly, including ``tail_depth``
+    values beyond each weight's structural cutoff, and each weight's ``eig``
+    table lists ell = 1..cutoff + tail_depth.  An entry up to the cutoff is
+    evaluated once: the ladder's sum at ell plus the clipped term it adds
+    there, so it is nonpositive by construction.  Past the cutoff no
+    coefficient's kernel (of degree at most 2 cutoff + 1, since
+    :func:`_check_coefficients` bounds each degree by ``top_degree``)
+    reaches harmonic degree 2 ell, so weight 1 lists the delta eigenvalue at
+    2 ell, each checked, and the others list zero.  The ladder runs on the
+    table's rational parts, since every grade is fixed by d: a weight is
+    made with ``grade`` on each coefficient and K_d's on each nonzero entry.
+    Every zero entry is one shared ``EigCheck(ell, ZERO, True)`` per ell.
+    Constant terms are left at 0 for :func:`compute_a_star`.
     """
     N = ell_star(d)
     if N < 2:
@@ -209,6 +211,10 @@ def build_weights(d: int, tail_depth: int = 25):
     if tail_depth < 0:
         raise ValueError("tail_depth must be >= 0")
     table = EigenTable(d)
+    for identity, ell in [(MAGICAL, e) for e in range(1, N + 1)] + [(NONMAGICAL, e) for e in range(1, N)]:
+        q = _knob_degree(identity, ell)
+        if table.get(identity, q, 2 * ell) <= 0:
+            raise SchemeInfeasible(f"d={d}: eigenvalue at degree {q}, k={2*ell} not positive")
     k_grade, eigen_grade = table.delta_run.constant.grade, table.moments.eigen_grade
     # each coefficient is a ratio lambda_1 / lambda.  Neither grade has a sqrt 2
     # (sphere areas and half-integer Beta values carry only sqrt pi, and K_d's
@@ -223,23 +229,17 @@ def build_weights(d: int, tail_depth: int = 25):
     zeros = [EigCheck(ell, ZERO, True) for ell in range(1, shapes[0][3] + tail_depth + 1)]
 
     for n, identity, top, cutoff in shapes:
-        coeffs = {}  # degree -> rational part
-        if n >= 2:
-            dictated = -transfers.get(top, 0)
-            if dictated:
-                coeffs[top] = dictated
+        coeffs = {top: -transfers.get(top, 0)} if n >= 2 else {}  # degree -> rational part
+        if n >= 2 and not coeffs[top]:
+            weights.append(WeightSpec(n, identity, False, top, {}, rat(0), eig=zeros[:cutoff + tail_depth]))
+            continue
         eig = []
         for ell in range(cutoff, 0, -1):
-            q_star = _knob_degree(identity, ell)
-            denom = table.get(identity, q_star, 2 * ell)
-            if denom <= 0:
-                raise SchemeInfeasible(
-                    f"d={d} n={n}: eigenvalue at degree {q_star}, k={2*ell} not positive"
-                )
             v = weight_eigen(table, identity, n == 1, coeffs, ell)
-            if v > 0:
-                coeffs[q_star] = -v / denom  # clipped ratio {.}_+, entering negatively
-                v = 0  # v + coeffs[q_star] * denom, zero by construction
+            if v > 0:  # the clipped ratio {.}_+, entering negatively
+                q_star = _knob_degree(identity, ell)
+                coeffs[q_star] = -v / table.get(identity, q_star, 2 * ell)
+                v = 0  # v plus the clipped term, zero by construction
             eig.append(EigCheck(ell, ExactScalar(v, *k_grade), True) if v else zeros[ell - 1])
         eig.reverse()
         _check_coefficients(n, top, coeffs)

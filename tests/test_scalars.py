@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
@@ -193,6 +196,21 @@ def test_decimal_digits():
     assert PI.decimal(1) == "3." == _mpmath_decimal(PI, 1)
     with pytest.raises(ValueError):
         PI.decimal(0)
+
+
+@pytest.mark.parametrize("value", [rat(-7, 3), ZERO, ExactScalar(rat(5, 2), 1, -3)],
+                         ids=["rational", "zero", "scalar"])
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_rebuild_the_value(value, how):
+    # both types block attribute writes, so the default slot-state restore
+    # cannot run: each rebuilds itself from its fields
+    back = how(value)
+    assert type(back) is type(value) and back == value and hash(back) == hash(value)
+    fields = value.__slots__
+    assert [getattr(back, f) for f in fields] == [getattr(value, f) for f in fields]
+    with pytest.raises(AttributeError):
+        setattr(back, fields[0], rat(1))
 
 
 def test_json_round_trip():

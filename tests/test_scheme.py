@@ -163,6 +163,25 @@ def test_ladder_rejects_a_knob_eigenvalue_not_positive(monkeypatch, key, value):
     assert failures[0].startswith("reconstruction failed") and "not positive" in failures[0], failures
 
 
+@pytest.mark.parametrize("d", [9, 24, 48])
+def test_an_empty_weight_is_never_laddered(monkeypatch, d):
+    # a weight n >= 2 with no dictated top coefficient has no delta and no
+    # coefficient, so it is zero at every ell: only the others run a ladder,
+    # one weight_eigen call per ell up to the cutoff
+    calls = []
+    real = scheme.weight_eigen
+
+    def counted(table, identity, has_delta, coeffs, ell):
+        calls.append(has_delta or bool(coeffs))
+        return real(table, identity, has_delta, coeffs, ell)
+
+    monkeypatch.setattr(scheme, "weight_eigen", counted)
+    weights, _, _ = build_weights(d, tail_depth=0)
+    assert all(calls)
+    assert len(calls) == sum(len(w.eig) for w in weights if w.has_delta or w.coeffs)
+    assert len(calls) == {9: 3, 24: 12, 48: 42}[d]
+
+
 def test_ladder_entries_past_cutoff():
     # weight 1 lists lambda_delta(2 ell), every other weight zero, and each
     # entry equals a full evaluation of the weight's eigenvalue
@@ -174,6 +193,13 @@ def test_ladder_entries_past_cutoff():
         tail = [e.value for e in w.eig[cutoff:]]
         assert tail == ([exact_delta(table, 2 * ell) for ell in range(cutoff + 1, cutoff + 5)]
                         if w.has_delta else [ExactScalar(0)] * 4)
+
+
+def test_deep_copied_certificate_verifies():
+    cert = compute_a_star(9)
+    twin = copy.deepcopy(cert)
+    assert verify_certificate(twin) == (True, [])
+    assert twin.to_text("t") == cert.to_text("t")
 
 
 @pytest.mark.parametrize("edit", ["coefficient", "eig"])
