@@ -14,6 +14,7 @@ certificates always carry the exact serialization alongside.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -62,11 +63,12 @@ def _out_path(text: str) -> str:
     (``realpath("")`` is the working directory, and ``realpath("new/")``
     drops the separator).
     A symbolic link is followed to the file it names, so a link into a
-    missing directory is refused too.
+    missing directory is refused too, and an existing file must be writable.
     """
     parent = os.path.dirname(os.path.realpath(text))
     if (not os.path.basename(text) or os.path.isdir(text) or not os.path.isdir(parent)
-            or not os.access(parent, os.W_OK)):
+            or not os.access(parent, os.W_OK)
+            or os.path.exists(text) and not os.access(text, os.W_OK)):
         raise _type_error(f"cannot write {text!r}")
     return text
 
@@ -75,14 +77,23 @@ def _grade_str(grade) -> str:
     return f"sqrt2^{grade[0]}*pi^({grade[1]}/2)"
 
 
-def _write_out(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _write_out(text: str, path: str | None) -> bool:
+    """Write ``text`` to ``path``, or as a line to stdout; False, said in one line, if that fails."""
+    try:
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        if not path:  # the exit's own flush of stdout goes to the null device, not to an error
+            with contextlib.suppress(OSError, ValueError):  # a stdout with no file descriptor
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return False
+    return True
 
 
 def cmd_certify(args) -> int:
@@ -96,7 +107,8 @@ def cmd_certify(args) -> int:
         return EXIT_CHECK_FAILED
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = cert.to_text(timestamp)
-    _write_out(text, args.out)
+    if not _write_out(text, args.out):
+        return EXIT_INVALID_INPUT
     # self-check: the certificate as written reads back as the one computed,
     # field by field; a verify process re-derives it from d alone
     try:
@@ -154,7 +166,7 @@ def cmd_scan(args) -> int:
     rows.sort(key=lambda r: r["d"])
     fields = ["d", "N", "a_star_decimal", "grade", "status", "wall_ms"]
     if args.format == "json":
-        _write_out(json.dumps(rows, indent=2), args.out)
+        text = json.dumps(rows, indent=2)
     else:
         import csv  # only a CSV scan needs it
 
@@ -162,7 +174,9 @@ def cmd_scan(args) -> int:
         w = csv.DictWriter(buf, fieldnames=fields)
         w.writeheader()
         w.writerows(rows)
-        _write_out(buf.getvalue(), args.out)
+        text = buf.getvalue()
+    if not _write_out(text, args.out):
+        return EXIT_INVALID_INPUT
     return EXIT_OK if all(r["status"] == "ok" for r in rows) else EXIT_CHECK_FAILED
 
 
@@ -215,8 +229,9 @@ def cmd_eigen(args) -> int:
                 "contained": contained,
             }
         )
-    _write_out(json.dumps({"dimension": d, "kernel": args.kernel, "m": args.m, "values": rows},
-                          indent=2), args.out)
+    if not _write_out(json.dumps({"dimension": d, "kernel": args.kernel, "m": args.m,
+                                  "values": rows}, indent=2), args.out):
+        return EXIT_INVALID_INPUT
     for r in rows:
         flag = "" if r["contained"] else "  ENCLOSURE VIOLATION"
         print(f"k={r['k']:>3}  {r['decimal']}{flag}", file=sys.stderr)
@@ -233,8 +248,8 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID_INPUT
     ok, failures = verify_certificate(cert)
     if ok:
-        print(f"certificate valid: d={cert.dimension}, a_star = {cert.a_star_decimal}")
-        return EXIT_OK
+        line = f"certificate valid: d={cert.dimension}, a_star = {cert.a_star_decimal}"
+        return EXIT_OK if _write_out(line, None) else EXIT_INVALID_INPUT
     print(f"certificate INVALID ({len(failures)} failures):", file=sys.stderr)
     for f in failures:
         print(f"  {f}", file=sys.stderr)

@@ -181,10 +181,12 @@ class ExactScalar:
             return ZERO
         rational, sqrt2, pi_half = obj["rational"], obj["sqrt2"], obj["pi_half"]
         if type(sqrt2) is not int or sqrt2 not in (0, 1) or type(pi_half) is not int:
-            raise ValueError(f"sqrt2 must be 0 or 1 and pi_half an integer, got {sqrt2!r}, {pi_half!r}")
+            raise ValueError("sqrt2 must be 0 or 1 and pi_half an integer, "
+                             f"got {sqrt2!r:.60}, {pi_half!r:.60}")
         if len(obj) != 3:  # it has the three fields just read, and more
-            raise ValueError(f"unknown field {next(k for k in obj if k not in _VALUE_FIELDS)!r}")
-        if rational == "0":  # structural zeros, most entries of a certificate
+            key = next(k for k in obj if k not in _VALUE_FIELDS)
+            raise ValueError(f"unknown field {key!r:.60}")
+        if rational == "0":  # another spelling of zero: the reader took the canonical one as ZERO
             return ZERO
         coeff = rat_parse(rational)
         return cls(coeff if sign == 1 else -coeff, sqrt2, pi_half)

@@ -324,59 +324,16 @@ class Certificate:
         self.generator = dict(GENERATOR) if generator is None else generator
 
     def to_json(self) -> dict:
-        """The certificate as a dict, keys in file order; :meth:`to_text` writes its text."""
-        return {
-            "version": 1,
-            "dimension": self.dimension,
-            "N": self.N,
-            "tail_check_depth": self.tail_check_depth,
-            "weights": [
-                {
-                    "n": w.n,
-                    "identity": w.identity,
-                    "has_delta": w.has_delta,
-                    "top_degree": w.top_degree,
-                    "coefficients": [
-                        {
-                            "degree": q,
-                            "sign": -1 if c.sign() < 0 else 1,
-                            "value": (-c if c.sign() < 0 else c).to_json(),
-                        }
-                        for q, c in sorted(w.coeffs.items(), reverse=True)
-                    ],
-                    "c0": rat_str(w.c0),
-                    "adm_margin": rat_str(w.adm_margin),
-                    "eig": [
-                        {
-                            "ell": e.ell,
-                            "value": e.value.to_json(),
-                            "nonpositive": e.nonpositive,
-                        }
-                        for e in w.eig
-                    ],
-                }
-                for w in self.weights
-            ],
-            "sum_condition_ok": self.sum_condition_ok,
-            "a_star": {
-                "rational_times_grade": self.a_star.to_json(),
-                "decimal": self.a_star_decimal,
-            },
-            "paper_baseline_decimal": self.paper_baseline_decimal,
-            "delta_eigen_evidence": [
-                {"ell": e.ell, "value": e.value.to_json(), "nonpositive": e.nonpositive}
-                for e in self.delta_eigen_evidence
-            ],
-            "generator": dict(self.generator),
-            "notes": list(self.notes),
-        }
+        """The certificate as a dict, keys in file order: the parsed :meth:`to_text`."""
+        return json.loads(self.to_text())
 
     def to_text(self, timestamp: str | None = None) -> str:
-        """The certificate file: ``json.dumps(obj, indent=2)`` of :meth:`to_json`'s dict.
+        """The certificate file; the package's only certificate writer.
 
-        With a ``timestamp``, ``obj`` is that dict plus ``"timestamp"`` as its
-        last key.  ``json.dumps`` runs its pure-Python encoder whenever
-        ``indent`` is set; here each coefficient and sign-table entry is one
+        The text is laid out as ``json.dumps(json.loads(text), indent=2)``
+        would write it, with a ``timestamp`` (if given) as the last top-level
+        key.  That encoder is pure Python whenever ``indent`` is set, so the
+        text is built directly: each coefficient and sign-table entry is one
         f-string, the zero value's text (most sign-table entries) is built
         once, and only the free-form ``generator`` and ``notes`` go through
         ``json.dumps``, indented one level deeper.
@@ -436,7 +393,7 @@ class Certificate:
             raise MalformedCertificate(f"expected a JSON object, got {type(obj).__name__}")
         try:
             if obj.get("version") != 1 or type(obj["version"]) is not int:
-                raise MalformedCertificate(f"unsupported version {obj.get('version')!r}")
+                raise MalformedCertificate(f"unsupported version {obj.get('version')!r:.60}")
             weights = []
             for wd in _json(obj["weights"], list):
                 coeffs = {}
@@ -553,7 +510,7 @@ def _unknown_field(obj: dict, fields: tuple) -> MalformedCertificate:
     An object below the top level was read for each of its ``fields``, so it
     has another key exactly when it has more keys: one ``len`` per object.
     """
-    return MalformedCertificate(f"unknown field {next(k for k in obj if k not in fields)!r}")
+    return MalformedCertificate(f"unknown field {next(k for k in obj if k not in fields)!r:.60}")
 
 
 def _sign_table(entries: list) -> list[EigCheck]:
@@ -613,7 +570,7 @@ def _object_reader():
         obj = dict(pairs)
         if len(obj) < len(pairs):
             key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-            raise MalformedCertificate(f"repeated key {key!r}")
+            raise MalformedCertificate(f"repeated key {key!r:.60}")
         return obj
 
     return read_object

@@ -32,7 +32,7 @@ from sharpcert.scheme import (
 )
 
 
-# SHA-256 of json.dumps(compute_a_star(d).to_json(), indent=2) for d = 3..24;
+# SHA-256 of compute_a_star(d).to_text() for d = 3..24;
 # refactors must leave these bytes unchanged.
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
 # The same digests for d = 25..32, checked the same way.
@@ -41,6 +41,8 @@ PINS_D25_32 = json.loads((Path(__file__).resolve().parent / "pins_d25_32.json").
 PINS_D33_48 = json.loads((Path(__file__).resolve().parent / "pins_d33_48.json").read_text())
 # And for d = 49..64.
 PINS_D49_64 = json.loads((Path(__file__).resolve().parent / "pins_d49_64.json").read_text())
+# And for d = 96, 128 and 256, the largest dimensions CI certifies.
+PINS_D96_256 = json.loads((Path(__file__).resolve().parent / "pins_d96_256.json").read_text())
 
 
 def _report(num, desc, ok):
@@ -116,7 +118,7 @@ def test_criterion_06_full_range_certification():
     two_tol = 2 * SHIFT_TOL
     for d in range(3, 25):
         cert = compute_a_star(d)
-        digest = hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
+        digest = hashlib.sha256(cert.to_text().encode()).hexdigest()
         if digest != PINS[str(d)]:
             print(f"d={d}: certificate bytes differ from the pin", file=sys.stderr)
             ok = False
@@ -137,7 +139,7 @@ def _pinned_bytes_ok(pins):
     ok = True
     for d in map(int, pins):
         cert = compute_a_star(d)
-        digest = hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
+        digest = hashlib.sha256(cert.to_text().encode()).hexdigest()
         if digest != pins[str(d)]:
             print(f"d={d}: certificate bytes differ from the pin", file=sys.stderr)
             ok = False
@@ -154,6 +156,10 @@ def test_criterion_06_pinned_bytes_d33_to_d48():
 
 def test_criterion_06_pinned_bytes_d49_to_d64():
     _report(6, "d in 49..64 certify to pinned bytes", _pinned_bytes_ok(PINS_D49_64))
+
+
+def test_criterion_06_pinned_bytes_d96_to_d256():
+    _report(6, "d = 96, 128 and 256 certify to pinned bytes", _pinned_bytes_ok(PINS_D96_256))
 
 
 def test_criterion_07_quadrature_enclosures():

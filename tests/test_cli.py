@@ -1,10 +1,12 @@
 import contextlib
 import copy
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -389,6 +391,32 @@ def test_verify_rejects_repeated_keys(tmp_path, capsys, edit, key):
     capsys.readouterr()
     assert run(["verify", str(path)]) == 2
     assert capsys.readouterr().err == f"malformed certificate: repeated key {key!r}\n"
+
+
+_LONG_KEY = "k" * 100_000
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: _insert_before(t, "{", '"N"', f'"{_LONG_KEY}": 1, '),
+        lambda t: _insert_before(t, '"weights": [', '"c0"', f'"{_LONG_KEY}": 1, '),
+        lambda t: _insert_before(t, "{", '"N"', f'"{_LONG_KEY}": 1, "{_LONG_KEY}": 2, '),
+        lambda t: _insert_before(t, '"coefficients": [', '"rational"', f'"{_LONG_KEY}": 1, '),
+        lambda t: t.replace('"version": 1', f'"version": "{_LONG_KEY}"', 1),
+        lambda t: re.sub(r'"sqrt2": \d+', f'"sqrt2": "{_LONG_KEY}"', t, count=1),
+    ],
+    ids=["unknown_top_level", "unknown_in_weight", "repeated", "unknown_in_value", "version",
+         "sqrt2"],
+)
+def test_verify_cuts_long_stored_text_in_its_message(tmp_path, capsys, edit):
+    path = tmp_path / "c9.json"
+    assert run(["certify", "-d", "9", "--out", str(path)]) == 0
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert run(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed certificate: ") and len(err) < 200, err[:300]
 
 
 @pytest.mark.parametrize(
@@ -872,6 +900,84 @@ def test_tolerance_flag_is_gone(tmp_path, monkeypatch, capsys, argv):
     assert out == ""
     assert "unrecognized arguments: --tol 1/1000" in err
     assert list(tmp_path.iterdir()) == []
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+_WRITERS = [
+    ["certify", "-d", "9"],
+    ["scan", "--d-min", "7", "--d-max", "8", "--jobs", "1"],
+    ["eigen", "--kernel", "delta", "-d", "5", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("argv", _WRITERS, ids=lambda argv: argv[0])
+def test_failed_write_exits_2(tmp_path, monkeypatch, capsys, argv, to_file):
+    # one line naming what could not be written, no traceback, and certify
+    # stops before its self-check
+    monkeypatch.setattr(cli, "mismatches", lambda *a: pytest.fail("self-check ran"))
+    if to_file:
+        out = str(tmp_path / "out.txt")
+        argv = [*argv, "--out", out]
+        monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDisk(), raising=False)
+    else:
+        out = "stdout"
+        monkeypatch.setattr(sys, "stdout", _FullDisk())
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+
+
+def test_verify_failed_result_line_exits_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "c9.json"
+    assert run(["certify", "-d", "9", "--out", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_closed_stdout_exits_2_quietly(tmp_path, command, unbuffered):
+    # a pipe with no reader: the write fails, and so would the interpreter's
+    # last flush of a small buffered line, were stdout left on the pipe
+    cert = tmp_path / "c9.json"
+    assert run(["certify", "-d", "9", "--out", str(cert)]) == 0
+    src = str(Path(sharpcert.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["certify", "-d", "9"] if command == "certify" else ["verify", str(cert)]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sharpcert.cli", *argv], stdout=w,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", _WRITERS, ids=lambda argv: argv[0])
+def test_out_refuses_an_existing_file_it_cannot_write(tmp_path, monkeypatch, capsys, argv):
+    # os.access is patched: a process running as root may write any file
+    target = tmp_path / "kept.json"
+    target.write_text("kept")
+    target.chmod(0o444)
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode, **kw: (
+        real_access(p, mode, **kw) and not (os.fspath(p) == str(target) and mode & os.W_OK)))
+    monkeypatch.setattr(cli, "compute_a_star", lambda *a, **k: pytest.fail("work began"))
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(target)])
+    assert exc.value.code == 2
+    assert f"cannot write {str(target)!r}" in capsys.readouterr().err
+    assert target.read_text() == "kept"
 
 
 def _outcome(entry, argv):
