@@ -84,7 +84,15 @@ def _write_out(text: str, path: str | None) -> bool:
             with open(path, "w") as fh:
                 fh.write(text)
         else:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            line = text if text.endswith("\n") else text + "\n"
+            out = getattr(sys.stdout, "buffer", None)
+            if out is None:  # a text-only stdout, such as a StringIO
+                sys.stdout.write(line)
+            else:  # unbuffered (python -u), a write to the raw file may take part of the bytes
+                sys.stdout.flush()
+                data = memoryview(line.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    data = data[out.write(data):]
             sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
@@ -101,7 +109,7 @@ def cmd_certify(args) -> int:
         print("error: dimension must be >= 3", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        cert = compute_a_star(args.dimension, tail_depth=args.tail_depth)
+        cert = compute_a_star(args.dimension)
     except SchemeInfeasible as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -132,15 +140,11 @@ def cmd_certify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _scan_one(task):
-    d, tail_depth = task
+def _scan_one(d: int):
     t0 = time.monotonic()
     try:
-        cert = compute_a_star(d, tail_depth=tail_depth)
-        status = "ok"
-        a_dec = cert.a_star_decimal
-        grade = _grade_str(cert.a_star.grade)
-        n = cert.N
+        cert = compute_a_star(d)
+        status, a_dec, grade, n = "ok", cert.a_star_decimal, _grade_str(cert.a_star.grade), cert.N
     except SchemeInfeasible as exc:
         status, a_dec, grade, n = f"failed: {exc}", "", "", -1
     wall_ms = int((time.monotonic() - t0) * 1000)
@@ -153,16 +157,15 @@ def cmd_scan(args) -> int:
         print("error: need 3 <= d-min <= d-max", file=sys.stderr)
         return EXIT_INVALID_INPUT
     dims = list(range(args.d_min, args.d_max + 1))
-    tasks = [(d, args.tail_depth) for d in dims]
     # the pool starts all its workers at once, so never more than there are dimensions
     jobs = min(args.jobs or os.cpu_count() or 1, len(dims))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only scan runs workers
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_one, tasks))
+            rows = list(pool.map(_scan_one, dims))
     else:
-        rows = [_scan_one(t) for t in tasks]
+        rows = [_scan_one(d) for d in dims]
     rows.sort(key=lambda r: r["d"])
     fields = ["d", "N", "a_star_decimal", "grade", "status", "wall_ms"]
     if args.format == "json":
@@ -261,20 +264,17 @@ def cmd_verify(args) -> int:
 # entries for everything else.  name -> (help, handler, arguments); an
 # argument is (spellings, dest, type, default, choices, required, help), and
 # one with no spellings is a positional.
-_TAIL_DEPTH = (("--tail-depth",), "tail_depth", _int_at_least(0, "tail-depth"), 25, None, False,
-               "extra eigenvalue signs checked past each cutoff (default 25, min 0)")
 _OUT = (("--out",), "out", _out_path, None, None, False, "output file (default stdout)")
 _DIMENSION = (("-d", "--dimension"), "dimension", int, None, None, True, None)
 
 COMMANDS = {
-    "certify": ("run the full scheme for one dimension", cmd_certify,
-                (_DIMENSION, _TAIL_DEPTH, _OUT)),
+    "certify": ("run the full scheme for one dimension", cmd_certify, (_DIMENSION, _OUT)),
     "scan": ("certify a range of dimensions (parallel)", cmd_scan, (
         (("--d-min",), "d_min", int, None, None, True, None),
         (("--d-max",), "d_max", int, None, None, True, None),
         (("--jobs",), "jobs", _int_at_least(1, "jobs"), None, None, False,
          "worker processes (default: one per core, min 1; at most one per dimension)"),
-        _TAIL_DEPTH, _OUT,
+        _OUT,
         (("--format",), "format", None, "csv", ("json", "csv"), False, None),
     )),
     "eigen": ("exact eigenvalues with quadrature enclosures", cmd_eigen, (

@@ -37,6 +37,9 @@ GENERATOR = {"name": "sharpcert", "version": "0.1.0"}
 MAGICAL = "magical"
 NONMAGICAL = "nonmagical"
 
+SHIFT_TOL = rat(1, 10**6)  # the tolerance of every constant term's minimal shift
+TAIL_DEPTH = 25  # delta eigenvalue signs checked past each cutoff; the stored tail_check_depth
+
 
 def ell_star(d: int) -> int:
     """Cutoff N beyond which the delta-kernel eigenvalues are nonpositive."""
@@ -178,7 +181,7 @@ def _shapes(N: int) -> list[tuple[int, str, int, int]]:
     return shapes
 
 
-def build_weights(d: int, tail_depth: int = 25):
+def build_weights(d: int):
     """Run the coefficient ladder; returns (weights, table, grade).
 
     Each knob a ladder divides by, (magical, 4 ell - 2, 2 ell) for ell =
@@ -191,9 +194,9 @@ def build_weights(d: int, tail_depth: int = 25):
     clipped at one ell (two at d = 16), and one chain of weights at the end,
     whose negative coefficients are each clipped at their weight's first
     ell (observed for d = 7..256, not proved).
-    Every eigenvalue condition is checked exactly, including ``tail_depth``
+    Every eigenvalue condition is checked exactly, including ``TAIL_DEPTH``
     values beyond each weight's structural cutoff, and each weight's ``eig``
-    table lists ell = 1..cutoff + tail_depth.  An entry up to the cutoff is
+    table lists ell = 1..cutoff + TAIL_DEPTH.  An entry up to the cutoff is
     evaluated once: the ladder's sum at ell plus the clipped term it adds
     there, so it is nonpositive by construction.  Past the cutoff no
     coefficient's kernel (of degree at most 2 cutoff + 1, since
@@ -208,8 +211,6 @@ def build_weights(d: int, tail_depth: int = 25):
     N = ell_star(d)
     if N < 2:
         raise ValueError("scheme needs N >= 2 (d >= 7)")
-    if tail_depth < 0:
-        raise ValueError("tail_depth must be >= 0")
     table = EigenTable(d)
     for identity, ell in [(MAGICAL, e) for e in range(1, N + 1)] + [(NONMAGICAL, e) for e in range(1, N)]:
         q = _knob_degree(identity, ell)
@@ -225,13 +226,13 @@ def build_weights(d: int, tail_depth: int = 25):
     weights: list[WeightSpec] = []
     transfers: dict = {}  # degree -> rational part of the sum of the coefficients so far
     shapes = _shapes(N)
-    # one zero entry per ell, shared by every weight's table (weight 1 reaches ell = N + depth)
-    zeros = [EigCheck(ell, ZERO, True) for ell in range(1, shapes[0][3] + tail_depth + 1)]
+    # one zero entry per ell, shared by every weight's table (weight 1 reaches ell = N + TAIL_DEPTH)
+    zeros = [EigCheck(ell, ZERO, True) for ell in range(1, shapes[0][3] + TAIL_DEPTH + 1)]
 
     for n, identity, top, cutoff in shapes:
         coeffs = {top: -transfers.get(top, 0)} if n >= 2 else {}  # degree -> rational part
         if n >= 2 and not coeffs[top]:
-            weights.append(WeightSpec(n, identity, False, top, {}, rat(0), eig=zeros[:cutoff + tail_depth]))
+            weights.append(WeightSpec(n, identity, False, top, {}, rat(0), eig=zeros[:cutoff + TAIL_DEPTH]))
             continue
         eig = []
         for ell in range(cutoff, 0, -1):
@@ -244,9 +245,9 @@ def build_weights(d: int, tail_depth: int = 25):
         eig.reverse()
         _check_coefficients(n, top, coeffs)
         if n == 1:
-            eig += _delta_signs(table, range(cutoff + 1, cutoff + tail_depth + 1), f" n={n}")
+            eig += _delta_signs(table, range(cutoff + 1, cutoff + TAIL_DEPTH + 1), f" n={n}")
         else:
-            eig += zeros[cutoff:cutoff + tail_depth]
+            eig += zeros[cutoff:cutoff + TAIL_DEPTH]
         for q, c in coeffs.items():
             transfers[q] = transfers.get(q, 0) + c
         graded = {q: ExactScalar(c, *grade) for q, c in coeffs.items()}
@@ -402,10 +403,10 @@ class Certificate:
                     value = ExactScalar.from_json(cd["value"], sign)  # the signed coefficient
                     if degree < 0 or degree % 2 == 1 or degree in coeffs:
                         raise MalformedCertificate(
-                            f"coefficient degree {degree} must be even, >= 0 and listed once")
+                            f"coefficient degree {_short(degree)} must be even, >= 0 and listed once")
                     if sign not in (1, -1) or value.sign() == -sign:
                         raise MalformedCertificate(
-                            f"coefficient at degree {degree}: sign must be 1 or -1 and value >= 0")
+                            f"coefficient at degree {_short(degree)}: sign must be 1 or -1 and value >= 0")
                     if len(cd) != len(_COEFFICIENT_FIELDS):
                         raise _unknown_field(cd, _COEFFICIENT_FIELDS)
                     coeffs[degree] = value
@@ -423,7 +424,7 @@ class Certificate:
                     raise _unknown_field(wd, _WEIGHT_FIELDS)
             tail_check_depth = _json(obj["tail_check_depth"], int)
             if tail_check_depth < 0:
-                raise MalformedCertificate(f"tail_check_depth={tail_check_depth} must be >= 0")
+                raise MalformedCertificate(f"tail_check_depth={_short(tail_check_depth)} must be >= 0")
             evidence = _json(obj.get("delta_eigen_evidence", []), list)
             baseline = obj.get("paper_baseline_decimal")
             if baseline is not None:
@@ -523,7 +524,7 @@ def _eig_check_from_json(e) -> EigCheck:
     if type(ell) is not int:
         raise MalformedCertificate(f"expected an integer, got {ell!r:.60}")
     if ell < 1:
-        raise MalformedCertificate(f"eigenvalue index ell={ell} must be >= 1")
+        raise MalformedCertificate(f"eigenvalue index ell={_short(ell)} must be >= 1")
     value, nonpositive = ExactScalar.from_json(e["value"]), e["nonpositive"]
     if type(nonpositive) is not bool:
         raise MalformedCertificate(f"expected true or false, got {nonpositive!r:.60}")
@@ -594,8 +595,8 @@ def _decimals(d: int, a_star: ExactScalar) -> tuple[str, str | None]:
     return a_star.decimal(30), PAPER_BASELINE_D8.decimal(30) if d == 8 else None
 
 
-def _construct(d: int, tail_depth: int) -> tuple[Certificate, tuple]:
-    """The certificate of d with what certify derives from d and the depth alone; and its grade.
+def _construct(d: int) -> tuple[Certificate, tuple]:
+    """The certificate of d with what certify derives from d alone; and its grade.
 
     For N >= 2 that is the weights with their coefficients and ``eig``
     tables (constant terms 0), once the sum condition holds; for d <= 6 it
@@ -606,12 +607,10 @@ def _construct(d: int, tail_depth: int) -> tuple[Certificate, tuple]:
     are those of a fresh :func:`build_weights` run.
     """
     N = ell_star(d)
-    if tail_depth < 0:
-        raise ValueError("tail_depth must be >= 0")
     cert = Certificate(
         dimension=d,
         N=N,
-        tail_check_depth=tail_depth,
+        tail_check_depth=TAIL_DEPTH,
         weights=[],
         sum_condition_ok=True,
         a_star=ZERO,
@@ -620,18 +619,15 @@ def _construct(d: int, tail_depth: int) -> tuple[Certificate, tuple]:
         notes=[PRIOR_NOTE, TAIL_NOTE] if N < 2 else [TAIL_NOTE],
     )
     if N >= 2:
-        cert.weights, _, grade = build_weights(d, tail_depth)
+        cert.weights, _, grade = build_weights(d)
         if not check_sum_condition(cert.weights):
             raise SchemeInfeasible(f"d={d}: sum condition violated")
         return cert, grade
-    cert.delta_eigen_evidence = _delta_signs(EigenTable(d), range(1, N + tail_depth + 1), "")
+    cert.delta_eigen_evidence = _delta_signs(EigenTable(d), range(1, N + TAIL_DEPTH + 1), "")
     return cert, ZERO.grade
 
 
-SHIFT_TOL = rat(1, 10**6)  # the tolerance of every constant term's minimal shift
-
-
-def compute_a_star(d: int, tail_depth: int = 25) -> Certificate:
+def compute_a_star(d: int) -> Certificate:
     """Full certification run for one dimension.
 
     For d >= 7 (N >= 2) the inductive scheme runs and the constant is the
@@ -640,9 +636,9 @@ def compute_a_star(d: int, tail_depth: int = 25) -> Certificate:
     verify accepts any constant term at or above the minimal shift.  For d
     in {3,...,6} the constant is 0 by prior results; the certificate then
     carries the finite delta-kernel eigenvalue sign table as supporting
-    evidence only.
+    evidence only.  Every sign table runs ``TAIL_DEPTH`` entries past its cutoff.
     """
-    cert, grade = _construct(d, tail_depth)
+    cert, grade = _construct(d)
     total = rat(0)
     for w in cert.weights:
         w.c0 = minimal_shift(w.polynomial_part(include_constant=False), 0, 16, SHIFT_TOL)
@@ -708,13 +704,13 @@ def _short(n: int) -> str:
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
-    """Re-derive every claim of a certificate from its dimension and tail depth alone.
+    """Re-derive every claim of a certificate from its dimension alone.
 
-    First, before anything is computed, N and the weight count, and then
-    the length of every sign table, must be those certify writes for d at
-    the stored ``tail_check_depth`` (cutoff + depth entries in each weight's
-    ``eig``; N + depth in ``delta_eigen_evidence`` for d <= 6, none past
-    that), so neither d nor the depth costs more work than the stored
+    First, before anything is computed, N, ``tail_check_depth`` (always
+    ``TAIL_DEPTH``), the weight count and the length of every sign table must
+    be those certify writes for d (cutoff + TAIL_DEPTH entries in each
+    weight's ``eig``; N + TAIL_DEPTH in ``delta_eigen_evidence`` for d <= 6,
+    none past that), so no stored field costs more work than the stored
     tables.  Then certify's construction runs again.  Each rebuilt weight
     must satisfy Adm, by one Sturm check at the stored constant term less
     the stored margin (constants larger than minimal are accepted).  The
@@ -725,20 +721,21 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     rebuilt one; ``generator`` (and a file's timestamp, which is not loaded)
     is the only field left unchecked.
     """
-    d, depth = cert.dimension, cert.tail_check_depth
+    d = cert.dimension
     if d < 3:
         return False, [f"dimension {_short(d)} out of range"]
     N = ell_star(d)
-    n_weights, n_evidence = (2 * N, 0) if N >= 2 else (0, N + depth)
+    n_weights, n_evidence = (2 * N, 0) if N >= 2 else (0, N + TAIL_DEPTH)
     for what, stored, want in (("N", cert.N, N), ("weight count", len(cert.weights), n_weights),
+                               ("tail_check_depth", cert.tail_check_depth, TAIL_DEPTH),
                                ("evidence length", len(cert.delta_eigen_evidence), n_evidence)):
         if stored != want:
             return False, [f"{what} mismatch: stored {_short(stored)}, expected {_short(want)}"]
     for w, (n, *_, cutoff) in zip(cert.weights, _shapes(N)):
-        if len(w.eig) != cutoff + depth:
-            return False, [f"weight {n}: stored eigenvalues do not cover ell = 1..{_short(cutoff + depth)}"]
+        if len(w.eig) != cutoff + TAIL_DEPTH:
+            return False, [f"weight {n}: stored eigenvalues do not cover ell = 1..{cutoff + TAIL_DEPTH}"]
     try:
-        built, grade = _construct(d, depth)
+        built, grade = _construct(d)
     except SchemeInfeasible as exc:
         return False, [f"reconstruction failed: {exc}"]
 

@@ -114,7 +114,7 @@ def test_certify_builds_the_ladder_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scheme, "build_weights", spy)
     assert run(["certify", "-d", "12", "--out", str(tmp_path / "c.json")]) == 0
-    assert calls == [(12, 25)]
+    assert calls == [(12,)]
 
 
 def test_certify_self_check_runs_no_sturm_check_of_its_own(tmp_path, monkeypatch):
@@ -134,14 +134,6 @@ def test_certify_self_check_runs_no_sturm_check_of_its_own(tmp_path, monkeypatch
     assert len(calls) == n_weights  # compute_a_star's own checks
     assert run(["verify", str(out)]) == 0
     assert len(calls) == 2 * n_weights
-
-
-def test_deep_tail_certify_and_verify(tmp_path):
-    # every lambda_delta(2 ell) up to ell = 401 is derived, then re-derived
-    out = tmp_path / "c5.json"
-    assert run(["certify", "-d", "5", "--tail-depth", "400", "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())["delta_eigen_evidence"]) == 401
-    assert run(["verify", str(out)]) == 0
 
 
 def _bump_eig(obj):
@@ -405,9 +397,13 @@ _LONG_KEY = "k" * 100_000
         lambda t: _insert_before(t, '"coefficients": [', '"rational"', f'"{_LONG_KEY}": 1, '),
         lambda t: t.replace('"version": 1', f'"version": "{_LONG_KEY}"', 1),
         lambda t: re.sub(r'"sqrt2": \d+', f'"sqrt2": "{_LONG_KEY}"', t, count=1),
+        # stored integers of 4,001 digits, each out of range
+        lambda t: t.replace('"tail_check_depth": 25', f'"tail_check_depth": {-10**4000}', 1),
+        lambda t: re.sub(r'"degree": \d+', f'"degree": {10**4000 + 1}', t, count=1),
+        lambda t: re.sub(r'"ell": \d+', f'"ell": {-10**4000}', t, count=1),
     ],
     ids=["unknown_top_level", "unknown_in_weight", "repeated", "unknown_in_value", "version",
-         "sqrt2"],
+         "sqrt2", "tail_check_depth", "degree", "ell"],
 )
 def test_verify_cuts_long_stored_text_in_its_message(tmp_path, capsys, edit):
     path = tmp_path / "c9.json"
@@ -519,6 +515,8 @@ def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
     [
         _d9_with(lambda c: c.update(dimension=3 * 10**3999 + 7)),
         _d9_with(lambda c: c.update(dimension=-(10**3999))),
+        # the tail_check_depth check names a 4,000-digit depth before the
+        # evidence length or the eig coverage is read
         _with(D5, lambda c: c.update(tail_check_depth=10**3999)),
         _d9_with(lambda c: c.update(tail_check_depth=10**3999)),
     ],
@@ -565,18 +563,19 @@ def test_verify_reads_a_zero_value_in_any_key_order(tmp_path):
         # d = 9: N = 3, top kernel degree 4N - 2, weight 1 covers ell = 1..3 + 25
         (_d9_with(lambda c: c["weights"][0]["eig"][0].update(ell=20000)), 10, 28),
         (_d9_with(lambda c: c["weights"][0]["coefficients"][0].update(degree=1000)), 10, 28),
-        (_d9_with(lambda c: c.update(tail_check_depth=1000)), 10, 28),
         # d = 5: no kernels; the evidence covers ell = 1..N + 25 with N = 1
         (_with(D5, lambda c: c["delta_eigen_evidence"][0].update(ell=20000)), 0, 26),
-        # a sign table of the wrong length stops verify before anything is computed
+        # a stored depth other than TAIL_DEPTH, or a sign table of the wrong
+        # length, stops verify before anything is computed
+        (_d9_with(lambda c: c.update(tail_check_depth=1000)), -1, 0),
         (_d9_with(lambda c: c["weights"][2]["eig"].pop()), -1, 0),
     ],
-    ids=["eig_ell_huge", "degree_huge", "tail_check_depth_huge", "evidence_ell_huge_d5",
+    ids=["eig_ell_huge", "degree_huge", "evidence_ell_huge_d5", "tail_check_depth_huge",
          "eig_short"],
 )
 def test_verify_skips_rederiving_failed_weights(tmp_path, monkeypatch, doc, top_degree, top_ell):
     # verify evaluates only the rebuilt weights, and a sign table only once
-    # it lists exactly ell = 1..cutoff + tail_check_depth: no kernel exponent
+    # it lists exactly ell = 1..cutoff + TAIL_DEPTH: no kernel exponent
     # above the rebuilt top degree and no harmonic degree beyond the stored
     # range is computed
     poly_eigen, delta = scheme.funk_hecke_eigen, scheme.EigenTable.delta
@@ -594,6 +593,25 @@ def test_verify_skips_rederiving_failed_weights(tmp_path, monkeypatch, doc, top_
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("depth", [24, 26, 10**3999], ids=["24", "26", "huge"])
+@pytest.mark.parametrize("base", [D5, D9], ids=["d5", "d9"])
+def test_verify_requires_the_tail_depth(tmp_path, monkeypatch, capsys, base, depth):
+    # the depth is a constant: a file stored at any other depth is invalid,
+    # said in one line before any eigenvalue is computed
+    def no_eigenvalue(*args):
+        raise AssertionError("eigenvalue computed")
+
+    monkeypatch.setattr(scheme, "funk_hecke_eigen", no_eigenvalue)
+    monkeypatch.setattr(scheme.EigenTable, "delta", no_eigenvalue)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_with(base, lambda c: c.update(tail_check_depth=depth))))
+    assert run(["verify", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "certificate INVALID (1 failures):"
+    assert err[1].startswith("  tail_check_depth mismatch: stored ") and len(err) == 2
+    assert err[1].endswith(", expected 25") and len(err[1]) < 100
 
 
 @pytest.mark.parametrize(
@@ -842,9 +860,6 @@ def test_removed_flag_exits_2(argv):
         ["scan", "--d-min", "8", "--d-max", "9", "--jobs", "-1"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "3"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "0,2,5"],
-        ["certify", "-d", "9", "--tail-depth", "-3"],
-        ["certify", "-d", "5", "--tail-depth", "-3"],
-        ["scan", "--d-min", "5", "--d-max", "5", "--tail-depth", "-1"],
         ["certify", "-d", "7", "--out", "/nonexistent/dir/c.json"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", "/nonexistent/x.json"],
         ["scan", "--d-min", "7", "--d-max", "7", "--out", "/nonexistent/x.csv"],
@@ -862,7 +877,6 @@ def test_removed_flag_exits_2(argv):
         ["scan", "--d-min", "7", "--d-max", "7", "--out", "newdir/"],
     ],
     ids=["jobs_zero", "jobs_negative", "delta_odd_k", "delta_odd_k_in_list",
-         "tail_depth_negative_d9", "tail_depth_negative_d5", "scan_tail_depth_negative",
          "certify_out_unwritable", "eigen_out_unwritable", "scan_out_unwritable",
          "certify_out_empty", "eigen_out_empty", "scan_out_empty",
          "certify_out_dangling_link", "eigen_out_dangling_link", "scan_out_dangling_link",
@@ -899,6 +913,25 @@ def test_tolerance_flag_is_gone(tmp_path, monkeypatch, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments: --tol 1/1000" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [["--tail-depth", "3"], ["--tail", "3"], ["--tail-depth=3"],
+                                  ["--tail-depth", "-3"]],
+                         ids=["spelled", "abbreviated", "equals", "negative"])
+@pytest.mark.parametrize("command", [["certify", "-d", "9"], ["scan", "--d-min", "5", "--d-max", "7"]],
+                         ids=["certify", "scan"])
+def test_tail_depth_flag_is_gone(tmp_path, monkeypatch, capsys, command, flag):
+    # the tail depth is a constant: any spelling of --tail-depth is an
+    # unknown argument, caught before any work, with nothing written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "compute_a_star", lambda *a: pytest.fail("work began"))
+    with pytest.raises(SystemExit) as exc:
+        run([*command, *flag, "--out", "c.json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -961,6 +994,17 @@ def test_closed_stdout_exits_2_quietly(tmp_path, command, unbuffered):
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
+    if command == "certify":
+        # a reader that takes one byte and closes the pipe: d = 30's file is
+        # larger than the pipe holds, so the rest of it cannot be written,
+        # though unbuffered the first write to the pipe takes part of it
+        proc = subprocess.Popen([sys.executable, "-m", "sharpcert.cli", "certify", "-d", "30"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        assert len(os.read(proc.stdout.fileno(), 1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (2, "error: cannot write stdout: Broken pipe\n")
 
 
 @pytest.mark.parametrize("argv", _WRITERS, ids=lambda argv: argv[0])
@@ -1002,7 +1046,7 @@ def _full_parser_main(argv):
         ["scan", "--d-min", "5", "--d-max", "4"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "2"],
         ["verify", "c.json", "extra"],
-        ["certify", "-d", "9", "--tail-depth", "-3"],
+        ["certify", "-d", "9", "--out", ""],
         ["scan", "--help"],
         [],
         ["--help"],
@@ -1013,8 +1057,8 @@ def _full_parser_main(argv):
         ["verify", "--help"],
         ["eigen", "--help"],
         ["certify", "--dimension=2"],
-        ["certify", "-d2", "--tail", "3"],
-        ["certify", "--dim", "2", "--tail-depth=1"],
+        ["certify", "-d2", "--o", "c.json"],
+        ["certify", "--dim", "2", "--out=c.json"],
         ["certify", "-d", "-3"],
         ["certify", "-d", "2", "-d", "3"],
         ["certify", "-d", "2", "--", "x"],
@@ -1053,8 +1097,8 @@ _REQUIRED = {
     "verify": ((),),
 }
 _OPTIONAL = {
-    "certify": ("--tail-depth", "--out"),
-    "scan": ("--jobs", "--tail-depth", "--out", "--format"),
+    "certify": ("--out",),
+    "scan": ("--jobs", "--out", "--format"),
     "eigen": ("--m", "--precision-bits", "--out"),
     "verify": (),
 }
@@ -1063,14 +1107,14 @@ _WRITABLE = str(Path(tempfile.gettempdir()) / "sharpcert-unwritten.json")
 _INTS = ("3", "9", "0", "64", " 7", "\u0663", "\u096d")
 # values each flag accepts, mostly
 _GOOD = {"-d": _INTS, "--dimension": _INTS, "--d-min": _INTS, "--d-max": _INTS, "--jobs": _INTS,
-         "--m": _INTS, "--tail-depth": _INTS,
+         "--m": _INTS,
          "--precision-bits": ("64", "128", " 99", "\u0669\u0669"),
          "--out": ("c.json", "-c.json", _WRITABLE),
          "--format": ("json", "csv"), "--kernel": ("delta", "magical", "nonmagical"),
          "--k": ("0,2", "x", "-x")}
 _VALUES = ("3", "1", "10", "-3", "-1/2", "1/2", "1/0", "x", "", " 7", "\u0663", "json", "xml",
            "delta", "gauss", "c.json", "-c.json", _WRITABLE, "/nonexistent/x.json")
-_ODD = ("-h", "--help", "--", "-", "-d9", "--dimension=9", "--tail", "--tail-depth=3", "--out=o.json",
+_ODD = ("-h", "--help", "--", "-", "-d9", "--dimension=9", "--dim", "--jobs=2", "--out=o.json",
         "--d-m", "--form", "--kernel=delta", "--precision", "--bogus", "-x", "--format", "--k",
         "--m", "--jobs", "--out", "-d")
 
@@ -1104,7 +1148,7 @@ def _command_lines(draw):
 @example(["certify", "-d", "3", "--out", "-c.json"])  # argparse: expected one argument
 @example(["eigen", "-d", "3", "--kernel", "delta", "--k"])
 @example(["certify", "-d", "x", "--dimension", "3"])  # argparse converts both
-@example(["certify", "-d", "3", "--tail-depth", "-3"])
+@example(["scan", "--d-min", "3", "--d-max", "3", "--jobs", "-1"])
 @settings(max_examples=400, deadline=None)
 def test_plain_reader_matches_argparse(argv):
     args = cli._read_plain(argv)
@@ -1127,7 +1171,7 @@ def test_plain_command_lines_build_no_parser(tmp_path, monkeypatch):
     out = tmp_path / "c8.json"
     assert main(["certify", "-d", "8", "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
-    assert main(["certify", "--dimension", "5", "--tail-depth", "3", "--out", str(out)]) == 0
+    assert main(["certify", "--dimension", "5", "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
 
 

@@ -14,6 +14,7 @@ from sharpcert.scheme import (
     MAGICAL,
     NONMAGICAL,
     SHIFT_TOL,
+    TAIL_DEPTH,
     Certificate,
     EigCheck,
     EigenTable,
@@ -87,7 +88,7 @@ def test_weight_eigen_trivial():
 
 def test_h1_tail_is_delta_eigenvalue():
     d = 9
-    weights, table, _ = build_weights(d, tail_depth=5)
+    weights, table, _ = build_weights(d)
     h1 = weights[0]
     N = ell_star(d)
     for ell in range(N + 1, N + 4):
@@ -95,14 +96,14 @@ def test_h1_tail_is_delta_eigenvalue():
 
 
 def test_last_weight_vanishes():
-    weights, table, _ = build_weights(10, tail_depth=3)
+    weights, table, _ = build_weights(10)
     last = weights[-1]
     for ell in range(1, 8):
         assert _eigen_of(last, table, ell).is_zero()
 
 
 def test_d8_shape():
-    weights, _, _ = build_weights(8, tail_depth=2)
+    weights, _, _ = build_weights(8)
     assert [w.top_degree for w in weights] == [6, 6, 4, 2]
     assert [w.identity for w in weights] == [
         "magical", "nonmagical", "magical", "nonmagical"
@@ -117,7 +118,7 @@ def test_leading_transfer():
     # the weight that leads at that degree.  Every coefficient has the ladder's
     # grade, so the earlier weights' sum is one of rational parts
     for d in (9, 12, 17, 24):
-        weights, _, grade = build_weights(d, tail_depth=0)
+        weights, _, grade = build_weights(d)
         assert {c.grade for w in weights for c in w.coeffs.values()} == {grade}
         for i, w in enumerate(weights[1:], start=1):
             earlier = sum(v.coeffs[w.top_degree].coeff for v in weights[:i] if w.top_degree in v.coeffs)
@@ -144,7 +145,7 @@ def test_coefficient_above_top_degree_rejected(monkeypatch):
     knob = scheme._knob_degree
     monkeypatch.setattr(scheme, "_knob_degree", lambda identity, ell: knob(identity, ell) + 4)
     with pytest.raises(SchemeInfeasible, match="above the top degree"):
-        build_weights(9, tail_depth=0)
+        build_weights(9)
 
 
 @pytest.mark.parametrize("key", [(MAGICAL, 10, 6), (NONMAGICAL, 8, 4)], ids=["leading", "later"])
@@ -158,7 +159,7 @@ def test_ladder_rejects_a_knob_eigenvalue_not_positive(monkeypatch, key, value):
     monkeypatch.setattr(EigenTable, "get",
                         lambda self, *args: value if args == key else get(self, *args))
     with pytest.raises(SchemeInfeasible, match="not positive"):
-        build_weights(9, tail_depth=0)
+        build_weights(9)
     ok, failures = verify_certificate(cert)
     assert not ok
     assert failures[0].startswith("reconstruction failed") and "not positive" in failures[0], failures
@@ -177,23 +178,23 @@ def test_an_empty_weight_is_never_laddered(monkeypatch, d):
         return real(table, identity, has_delta, coeffs, ell)
 
     monkeypatch.setattr(scheme, "weight_eigen", counted)
-    weights, _, _ = build_weights(d, tail_depth=0)
+    weights, _, _ = build_weights(d)
     assert all(calls)
-    assert len(calls) == sum(len(w.eig) for w in weights if w.has_delta or w.coeffs)
+    assert len(calls) == sum(len(w.eig) - TAIL_DEPTH for w in weights if w.has_delta or w.coeffs)
     assert len(calls) == {9: 3, 24: 12, 48: 42}[d]
 
 
 def test_ladder_entries_past_cutoff():
     # weight 1 lists lambda_delta(2 ell), every other weight zero, and each
     # entry equals a full evaluation of the weight's eigenvalue
-    weights, table, _ = build_weights(12, tail_depth=4)
+    weights, table, _ = build_weights(12)
     for w in weights:
         for e in w.eig:
             assert e.value == _eigen_of(w, table, e.ell), (w.n, e.ell)
-        cutoff = len(w.eig) - 4
+        cutoff = len(w.eig) - TAIL_DEPTH
         tail = [e.value for e in w.eig[cutoff:]]
-        assert tail == ([exact_delta(table, 2 * ell) for ell in range(cutoff + 1, cutoff + 5)]
-                        if w.has_delta else [ExactScalar(0)] * 4)
+        assert tail == ([exact_delta(table, 2 * ell) for ell in range(cutoff + 1, len(w.eig) + 1)]
+                        if w.has_delta else [ExactScalar(0)] * TAIL_DEPTH)
 
 
 def test_deep_copied_certificate_verifies():
@@ -224,7 +225,7 @@ def test_verify_rejects_in_memory_edit_of_certify_result(edit):
 
 def test_sum_condition_polynomial_identity():
     for d in (8, 11):
-        weights, _, grade = build_weights(d, tail_depth=0)
+        weights, _, grade = build_weights(d)
         assert check_sum_condition(weights)
         total = [rat(0)] * (2 * ell_star(d))
         for w in weights:
@@ -254,7 +255,7 @@ def test_coefficient_grades_uniform():
     for d in [*range(7, 49), 64, 128]:
         g_p, g_k = _grades_from_definitions(d)
         assert g_p[0] == 0 and g_k[0] == 0, d  # no sqrt 2: a ratio of rational parts is the coefficient's
-        weights, table, grade = build_weights(d, tail_depth=3)
+        weights, table, grade = build_weights(d)
         assert table.moments.eigen_grade == g_p, d
         assert table.delta_run.constant.grade == g_k, d
         assert grade == (g_k[0] - g_p[0], g_k[1] - g_p[1]), d
@@ -270,7 +271,7 @@ def test_coefficient_grades_uniform():
     # d <= 6 runs no ladder: every delta evidence entry carries K_d's grade
     for d in range(3, 7):
         _, g_k = _grades_from_definitions(d)
-        evidence = compute_a_star(d, tail_depth=6).delta_eigen_evidence
+        evidence = compute_a_star(d).delta_eigen_evidence
         assert any(not e.value.is_zero() for e in evidence), d
         for e in evidence:
             assert e.value.is_zero() or e.value.grade == g_k, (d, e.ell)
@@ -286,11 +287,11 @@ def test_collapse_at_d7():
 
 def test_prior_results_dimensions():
     for d in (3, 4, 5, 6):
-        cert = compute_a_star(d, tail_depth=6)
+        cert = compute_a_star(d)
         assert cert.a_star.is_zero()
         assert cert.weights == []
         assert any("prior results" in n for n in cert.notes)
-        assert len(cert.delta_eigen_evidence) == ell_star(d) + 6
+        assert len(cert.delta_eigen_evidence) == ell_star(d) + TAIL_DEPTH
         ok, failures = verify_certificate(cert)
         assert ok, failures
 
@@ -330,11 +331,6 @@ def _assert_written_as_json_dumps(cert):
 @pytest.mark.parametrize("d", range(3, 49))
 def test_to_text_is_json_dumps_indent_2(d):
     _assert_written_as_json_dumps(compute_a_star(d))
-
-
-@pytest.mark.parametrize("d, depth", [(5, 0), (5, 60), (9, 0), (9, 60)])
-def test_to_text_at_other_tail_depths(d, depth):
-    _assert_written_as_json_dumps(compute_a_star(d, tail_depth=depth))
 
 
 def test_to_text_with_empty_coefficient_lists():
@@ -410,7 +406,7 @@ def test_larger_c0_still_verifies(d):
         c0 = rat(w["c0"]) + 1
         w["c0"] = f"{c0.numerator}/{c0.denominator}"
         total += c0
-    new_star = ExactScalar(total, *build_weights(d, tail_depth=0)[2])
+    new_star = ExactScalar(total, *build_weights(d)[2])
     bumped["a_star"] = {"rational_times_grade": new_star.to_json(), "decimal": new_star.decimal(30)}
     ok, failures = verify_certificate(Certificate.from_json(bumped))
     assert ok, failures
@@ -436,14 +432,20 @@ def test_lowered_c0_breaks_adm():
     assert any("admissibility" in f.lower() for f in failures)
 
 
-def test_negative_tail_depth_rejected():
+def test_every_sign_table_runs_to_the_tail_depth():
+    # the depth is a constant: certify takes d alone, and each table it
+    # writes runs TAIL_DEPTH entries past its cutoff, the depth it records
     for d in (5, 9):
-        with pytest.raises(ValueError):
-            compute_a_star(d, tail_depth=-3)
-    with pytest.raises(ValueError):
-        build_weights(9, tail_depth=-1)
-    weights, _, _ = build_weights(9, tail_depth=0)
-    assert [e.ell for e in weights[0].eig] == [1, 2, 3]
+        with pytest.raises(TypeError):
+            compute_a_star(d, tail_depth=3)
+    with pytest.raises(TypeError):
+        build_weights(9, 3)
+    d5, d9 = compute_a_star(5), compute_a_star(9)
+    assert d5.tail_check_depth == d9.tail_check_depth == TAIL_DEPTH == 25
+    assert [e.ell for e in d5.delta_eigen_evidence] == list(range(1, ell_star(5) + TAIL_DEPTH + 1))
+    cutoffs = [cutoff for *_, cutoff in scheme._shapes(ell_star(9))]
+    assert [[e.ell for e in w.eig] for w in d9.weights] == [
+        list(range(1, cutoff + TAIL_DEPTH + 1)) for cutoff in cutoffs]
 
 
 def test_malformed_certificate():
