@@ -860,6 +860,9 @@ def test_removed_flag_exits_2(argv):
         ["scan", "--d-min", "8", "--d-max", "9", "--jobs", "-1"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "3"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "0,2,5"],
+        # --tail-depth is gone: a negative depth is now an unknown argument
+        ["certify", "-d", "9", "--tail-depth", "-3"],
+        ["certify", "-d", "5", "--tail-depth", "-3"],
         ["certify", "-d", "7", "--out", "/nonexistent/dir/c.json"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", "/nonexistent/x.json"],
         ["scan", "--d-min", "7", "--d-max", "7", "--out", "/nonexistent/x.csv"],
@@ -877,6 +880,7 @@ def test_removed_flag_exits_2(argv):
         ["scan", "--d-min", "7", "--d-max", "7", "--out", "newdir/"],
     ],
     ids=["jobs_zero", "jobs_negative", "delta_odd_k", "delta_odd_k_in_list",
+         "tail_depth_negative_d9", "tail_depth_negative_d5",
          "certify_out_unwritable", "eigen_out_unwritable", "scan_out_unwritable",
          "certify_out_empty", "eigen_out_empty", "scan_out_empty",
          "certify_out_dangling_link", "eigen_out_dangling_link", "scan_out_dangling_link",
