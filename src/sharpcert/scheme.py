@@ -637,10 +637,14 @@ def compute_a_star(d: int) -> Certificate:
     in {3,...,6} the constant is 0 by prior results; the certificate then
     carries the finite delta-kernel eigenvalue sign table as supporting
     evidence only.  Every sign table runs ``TAIL_DEPTH`` entries past its cutoff.
+    A weight with no coefficient keeps the constant term and margin 0 that
+    the Sturm layer gives the zero polynomial, and runs no Sturm check.
     """
     cert, grade = _construct(d)
     total = rat(0)
     for w in cert.weights:
+        if not w.coeffs:
+            continue
         w.c0 = minimal_shift(w.polynomial_part(include_constant=False), 0, 16, SHIFT_TOL)
         adm = nonneg_on(w.polynomial_part(include_constant=True), 0, 16)
         if not adm.holds:

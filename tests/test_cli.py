@@ -29,6 +29,16 @@ def run(argv):
     return main(argv)
 
 
+_CLI = [sys.executable, "-m", "sharpcert.cli"]
+
+
+def _child_env():
+    """This environment, with PYTHONPATH set so a child imports this sharpcert, installed or not."""
+    src = str(Path(sharpcert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_certify_d9(tmp_path):
     out = tmp_path / "c9.json"
     assert run(["certify", "-d", "9", "--out", str(out)]) == 0
@@ -62,13 +72,17 @@ def test_certify_deterministic_apart_from_timestamp(tmp_path):
     assert da == db
 
 
-# the file the CLI writes is in json.dumps(indent=2) layout, not just equal as JSON
-@pytest.mark.parametrize("d", [5, 8, 24])
+# the file the CLI writes is in json.dumps(indent=2) layout, not just equal as
+# JSON; the library reads it back to the same text, and verify accepts it.
+# d = 5 has evidence, d = 7 empty coefficient lists.
+@pytest.mark.parametrize("d", [5, 7, 8, 24, 48])
 def test_certify_json_layout(tmp_path, d):
     out = tmp_path / "c.json"
     assert run(["certify", "-d", str(d), "--out", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2)
+    assert scheme.Certificate.from_text(text).to_text(json.loads(text)["timestamp"]) == text
+    assert run(["verify", str(out)]) == 0
 
 
 def test_certify_computes_each_eigenvalue_once(tmp_path, monkeypatch):
@@ -118,8 +132,8 @@ def test_certify_builds_the_ladder_once(tmp_path, monkeypatch):
 
 
 def test_certify_self_check_runs_no_sturm_check_of_its_own(tmp_path, monkeypatch):
-    # the self-check runs no admissibility check of its own; a verify
-    # process runs one per weight
+    # the self-check runs no admissibility check of its own; certify runs one
+    # per weight with a coefficient, and a verify process one per weight
     calls = []
     nonneg_on = scheme.nonneg_on
 
@@ -130,10 +144,11 @@ def test_certify_self_check_runs_no_sturm_check_of_its_own(tmp_path, monkeypatch
     monkeypatch.setattr(scheme, "nonneg_on", spy)
     out = tmp_path / "c.json"
     assert run(["certify", "-d", "17", "--out", str(out)]) == 0
-    n_weights = len(json.loads(out.read_text())["weights"])
-    assert len(calls) == n_weights  # compute_a_star's own checks
+    weights = json.loads(out.read_text())["weights"]
+    n_filled = sum(1 for w in weights if w["coefficients"])
+    assert len(calls) == n_filled < len(weights)  # compute_a_star's own checks
     assert run(["verify", str(out)]) == 0
-    assert len(calls) == 2 * n_weights
+    assert len(calls) == n_filled + len(weights)
 
 
 def _bump_eig(obj):
@@ -201,6 +216,7 @@ def test_verify_truncated(tmp_path):
 D5 = compute_a_star(5).to_json()
 D7 = compute_a_star(7).to_json()
 D9 = compute_a_star(9).to_json()
+D48 = compute_a_star(48).to_json()
 
 
 def _with(base, edit):
@@ -234,6 +250,13 @@ def _d9_zero_entry(cert):
     entry = cert["weights"][1]["eig"][-1]
     assert entry["value"] == {"rational": "0", "sqrt2": 0, "pi_half": 0}
     return entry
+
+
+def _d9_empty_weight_c0_negative(cert):
+    # weight 2 has no coefficient; weight 1's c0 gains what it loses, so a* holds
+    c0 = Fraction(cert["weights"][0]["c0"]) + 1
+    cert["weights"][0]["c0"] = f"{c0.numerator}/{c0.denominator}"
+    cert["weights"][1]["c0"] = "-1"
 
 
 def _every_nonpositive(cert, value):
@@ -298,6 +321,8 @@ def _every_nonpositive(cert, value):
         # a file that is one zero value or zero entry is an object, of the wrong shape
         {"rational": "0", "sqrt2": 0, "pi_half": 0},
         _d9_zero_entry(D9),
+        # weight 1's one coefficient listed twice
+        _with(D48, lambda c: c["weights"][0]["coefficients"].append(c["weights"][0]["coefficients"][0])),
     ],
     ids=["array", "string", "c0_div_zero", "c0_infinity", "a_star_div_zero", "eig_ell_zero",
          "sum_condition_ok_string", "nonpositive_string", "has_delta_string",
@@ -311,7 +336,7 @@ def _every_nonpositive(cert, value):
          "value_negative", "degree_repeated", "zero_eig_sqrt2_bool", "zero_eig_pi_half_float",
          "zero_entry_nonpositive_int", "zero_entry_nonpositive_null", "zero_entry_ell_bool",
          "zero_entry_ell_float", "zero_entry_ell_zero", "zero_value_sqrt2_float",
-         "zero_value_pi_half_bool", "zero_value_file", "zero_entry_file"],
+         "zero_value_pi_half_bool", "zero_value_file", "zero_entry_file", "degree_copied_d48"],
 )
 def test_verify_malformed_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -487,12 +512,16 @@ def _empty_every_eig(cert):
         _d9_with(lambda c: c.pop("notes")),
         # read as a zero entry, and unbacked: certify writes every entry nonpositive
         _d9_with(lambda c: _d9_zero_entry(c).update(nonpositive=False)),
+        _d9_with(_d9_empty_weight_c0_negative),
+        # a zero entry, weight 2's last, made nonzero
+        _with(D48, lambda c: c["weights"][1]["eig"][-1]["value"].update(rational="1")),
     ],
     ids=["adm_margin_negative", "adm_margin_too_large", "tail_check_depth_raised",
          "eig_emptied", "eig_gap", "evidence_deleted_d5", "evidence_short_d5",
          "n_99", "n_0", "sign_flipped", "coefficient_grade", "evidence_added_d9",
          "sum_ok_false_d5", "zero_coefficient_d9", "dimension_huge", "dimension_and_N_huge",
-         "notes_edited", "notes_removed", "zero_entry_nonpositive_false"],
+         "notes_edited", "notes_removed", "zero_entry_nonpositive_false", "empty_weight_c0_negative",
+         "zero_entry_nonzero_d48"],
 )
 def test_verify_rejects_unbacked_claims(tmp_path, capsys, monkeypatch, doc):
     # verify's work is bounded by the stored tables: the weight shapes are
@@ -762,8 +791,10 @@ def test_eigen_builds_only_what_its_kernel_reads(tmp_path, monkeypatch, argv, un
     assert built == []
 
 
-# SHA-256 of stdout and the exit code of `sharpcert eigen --kernel <line>`
-# for five of CI's smoke lines, structural zeros among them
+# SHA-256 of stdout and the exit code of `sharpcert eigen --kernel <line>`,
+# structural zeros among them, up to d = 64, and at d = 48 the ladder's
+# largest knobs (m = 2N - 1 and 2N - 2, k up to 2N + 1), where the
+# closed-form start term at lo = m meets the quadrature
 EIGEN_PINS = json.loads((Path(__file__).resolve().parent / "pins_eigen.json").read_text())
 
 
@@ -900,6 +931,39 @@ def test_invalid_value_exits_2(tmp_path, monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        # help, --flag=value, attached values and abbreviations go to argparse
+        (["certify", "--dimension=9", "--out=c.json"], 0),
+        (["certify", "-d9", "--o", "c.json"], 0),
+        (["scan", "--d-min=7", "--d-max", "8", "--form", "json"], 0),
+        (["verify", "--help"], 0),
+        # the shift tolerance and the tail depth are constants, not flags
+        (["certify", "-d", "9", "--tail-depth", "3"], 2),
+        (["certify", "-d", "9", "--tail-depth", "-3"], 2),
+        (["certify", "-d", "9", "--tol", "1/1000"], 2),
+        (["certify"], 2),
+        # an empty path, or one ending in a separator, names no file
+        (["certify", "-d", "7", "--out", ""], 2),
+        (["certify", "-d", "7", "--out", "newdir/"], 2),
+    ],
+    ids=["equals_form", "attached_and_abbreviated", "scan_equals_and_abbreviated", "verify_help",
+         "tail_depth", "tail_depth_negative", "tolerance", "certify_bare", "out_empty",
+         "out_new_dir"],
+)
+def test_command_line_in_a_child_process(tmp_path, argv, code):
+    # main as the interpreter runs it: its exit code, nothing on stdout and no
+    # traceback on failure, and a written certificate that verify accepts
+    proc = subprocess.run([*_CLI, *argv], cwd=tmp_path, capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+    elif (tmp_path / "c.json").exists():
+        assert run(["verify", str(tmp_path / "c.json")]) == 0
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["certify", "-d", "7", "--tol", "1/1000"],
@@ -984,17 +1048,15 @@ def test_closed_stdout_exits_2_quietly(tmp_path, command, unbuffered):
     # last flush of a small buffered line, were stdout left on the pipe
     cert = tmp_path / "c9.json"
     assert run(["certify", "-d", "9", "--out", str(cert)]) == 0
-    src = str(Path(sharpcert.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv = ["certify", "-d", "9"] if command == "certify" else ["verify", str(cert)]
     r, w = os.pipe()
     os.close(r)
     try:
-        proc = subprocess.run([sys.executable, "-m", "sharpcert.cli", *argv], stdout=w,
-                              stderr=subprocess.PIPE, text=True, env=env)
+        proc = subprocess.run([*_CLI, *argv], stdout=w, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
@@ -1002,7 +1064,7 @@ def test_closed_stdout_exits_2_quietly(tmp_path, command, unbuffered):
         # a reader that takes one byte and closes the pipe: d = 30's file is
         # larger than the pipe holds, so the rest of it cannot be written,
         # though unbuffered the first write to the pipe takes part of it
-        proc = subprocess.Popen([sys.executable, "-m", "sharpcert.cli", "certify", "-d", "30"],
+        proc = subprocess.Popen([*_CLI, "certify", "-d", "30"],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         assert len(os.read(proc.stdout.fileno(), 1)) == 1
         proc.stdout.close()
@@ -1198,18 +1260,14 @@ def test_help_lists_every_subcommand(capsys):
 
 
 def test_console_script_entry_point():
-    # the child imports the same sharpcert as this process, installed or not
-    src = str(Path(sharpcert.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sharpcert.cli", "certify", "-d", "7"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
-    cert = json.loads(proc.stdout)
-    assert cert["dimension"] == 7
+    # README's module entry point: certify's stdout piped into a cold verify
+    certify = subprocess.Popen([*_CLI, "certify", "-d", "7"], stdout=subprocess.PIPE,
+                               stderr=subprocess.DEVNULL, env=_child_env())
+    verify = subprocess.run([*_CLI, "verify", "/dev/stdin"], stdin=certify.stdout,
+                            capture_output=True, text=True, env=_child_env())
+    certify.stdout.close()
+    assert certify.wait() == 0
+    assert (verify.returncode, verify.stdout) == (0, "certificate valid: d=7, a_star = 0.0\n")
 
 
 def test_cli_import_does_not_load_numpy(tmp_path):
@@ -1219,8 +1277,6 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     # inspect) serves nothing; argparse (with gettext and locale) serves only
     # help and errors, and csv only `scan`.  d = 8 also renders the paper
     # baseline.
-    src = str(Path(sharpcert.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     cert = str(tmp_path / "c8.json")
     script = (
         "import sys\n"
@@ -1231,12 +1287,8 @@ def test_cli_import_does_not_load_numpy(tmp_path):
         "print(sorted({'mpmath', 'numpy', 'concurrent.futures', 'dataclasses', 'inspect',\n"
         "              'argparse', 'gettext', 'locale', 'csv'} & set(sys.modules)))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
