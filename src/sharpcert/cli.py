@@ -31,7 +31,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID_INPUT = 2
 
-DEFAULT_PRECISION = 128
+ENCLOSURE_BITS = 128  # the working precision of eigen's quadrature enclosures
+ENCLOSURE_DIGITS = 40  # their endpoints' significant digits: 128 * 3 // 10, plus two
 
 
 def _type_error(message: str):
@@ -54,6 +55,11 @@ def _int_at_least(lo: int, name: str):
         return value
 
     return parse
+
+
+def _degrees(text: str) -> list[int]:
+    """An argparse type: a comma-separated list of integers >= 0."""
+    return [_int_at_least(0, "k")(k) for k in text.split(",")]
 
 
 def _out_path(text: str) -> str:
@@ -105,9 +111,6 @@ def _write_out(text: str, path: str | None) -> bool:
 
 
 def cmd_certify(args) -> int:
-    if args.dimension < 3:
-        print("error: dimension must be >= 3", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     try:
         cert = compute_a_star(args.dimension)
     except SchemeInfeasible as exc:
@@ -125,13 +128,14 @@ def cmd_certify(args) -> int:
         failures = [f"written certificate does not load: {exc}"]
     ok = not failures
     n_eig = sum(len(w.eig) for w in cert.weights) + len(cert.delta_eigen_evidence)
+    n_adm = sum(1 for w in cert.weights if w.coeffs)  # an empty weight runs no Sturm check
     print(f"d={cert.dimension}  N={cert.N}", file=sys.stderr)
     print(f"a_star = {cert.a_star_decimal}  [{cert.a_star!r}]", file=sys.stderr)
     if cert.paper_baseline_decimal:
         print(f"baseline decimal = {cert.paper_baseline_decimal}", file=sys.stderr)
     print(
         f"checks: sum-condition {'ok' if cert.sum_condition_ok else 'FAIL'}, "
-        f"{n_eig} eigenvalue signs, {len(cert.weights)} nonnegativity certificates, "
+        f"{n_eig} eigenvalue signs, {n_adm} nonnegativity certificates, "
         f"read-back {'ok' if ok else 'FAIL'}",
         file=sys.stderr,
     )
@@ -153,8 +157,8 @@ def _scan_one(d: int):
 
 
 def cmd_scan(args) -> int:
-    if args.d_min < 3 or args.d_max < args.d_min:
-        print("error: need 3 <= d-min <= d-max", file=sys.stderr)
+    if args.d_max < args.d_min:
+        print("error: need d-min <= d-max", file=sys.stderr)
         return EXIT_INVALID_INPUT
     dims = list(range(args.d_min, args.d_max + 1))
     # the pool starts all its workers at once, so never more than there are dimensions
@@ -166,7 +170,6 @@ def cmd_scan(args) -> int:
             rows = list(pool.map(_scan_one, dims))
     else:
         rows = [_scan_one(d) for d in dims]
-    rows.sort(key=lambda r: r["d"])
     fields = ["d", "N", "a_star_decimal", "grade", "status", "wall_ms"]
     if args.format == "json":
         text = json.dumps(rows, indent=2)
@@ -186,19 +189,11 @@ def cmd_scan(args) -> int:
 def cmd_eigen(args) -> int:
     from .oracle import quad_eigen_enclosure  # only this command needs the quadrature oracle
 
-    if args.dimension < 3:
-        print("error: dimension must be >= 3", file=sys.stderr)
+    if args.kernel != "delta" and args.m is None:
+        print("error: --m is required for polynomial kernels", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if args.kernel != "delta" and (args.m is None or args.m < 0):
-        print("error: --m >= 0 is required for polynomial kernels", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    try:
-        ks = [int(k) for k in args.k.split(",")]
-    except ValueError:
-        print(f"error: bad k list {args.k!r}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    if any(k < 0 or (args.kernel == "delta" and k % 2 == 1) for k in ks):
-        print("error: k must be >= 0, and even for the delta kernel", file=sys.stderr)
+    if args.kernel == "delta" and any(k % 2 for k in args.k):
+        print("error: k must be even for the delta kernel", file=sys.stderr)
         return EXIT_INVALID_INPUT
     d = args.dimension
     table = EigenTable(d)
@@ -212,23 +207,23 @@ def cmd_eigen(args) -> int:
 
     rows = []
     violation = False
-    digits = args.precision_bits * 3 // 10 + 2  # the enclosure's precision, plus two digits
-    for k in ks:
+    for k in args.k:
         try:
             exact = ExactScalar(exact_of(k), *grade)
-            enclosure = quad_eigen_enclosure(desc, k, d, args.precision_bits)
+            enclosure = quad_eigen_enclosure(desc, k, d, ENCLOSURE_BITS)
         except PrecisionExhausted as exc:
             print(f"k={k}: enclosure unavailable ({exc})", file=sys.stderr)
             violation = True
             continue
         contained = enclosure.contains(exact)
         violation = violation or not contained
+        ends = (enclosure.lo, enclosure.hi)
         rows.append(
             {
                 "k": k,
                 "exact": exact.to_json(),
                 "decimal": exact.decimal(30),
-                "enclosure": [ExactScalar(end).decimal(digits) for end in (enclosure.lo, enclosure.hi)],
+                "enclosure": [ExactScalar(end).decimal(ENCLOSURE_DIGITS) for end in ends],
                 "contained": contained,
             }
         )
@@ -263,14 +258,16 @@ def cmd_verify(args) -> int:
 # line straight from here, and build_parser builds argparse from the same
 # entries for everything else.  name -> (help, handler, arguments); an
 # argument is (spellings, dest, type, default, choices, required, help), and
-# one with no spellings is a positional.
+# one with no spellings is a positional.  Each check of one argument's value
+# is its type; a command body checks only what reads two arguments.
 _OUT = (("--out",), "out", _out_path, None, None, False, "output file (default stdout)")
-_DIMENSION = (("-d", "--dimension"), "dimension", int, None, None, True, None)
+_DIMENSION = (("-d", "--dimension"), "dimension", _int_at_least(3, "dimension"), None, None,
+              True, "the sphere's dimension, at least 3")
 
 COMMANDS = {
     "certify": ("run the full scheme for one dimension", cmd_certify, (_DIMENSION, _OUT)),
     "scan": ("certify a range of dimensions (parallel)", cmd_scan, (
-        (("--d-min",), "d_min", int, None, None, True, None),
+        (("--d-min",), "d_min", _int_at_least(3, "d-min"), None, None, True, None),
         (("--d-max",), "d_max", int, None, None, True, None),
         (("--jobs",), "jobs", _int_at_least(1, "jobs"), None, None, False,
          "worker processes (default: one per core, min 1; at most one per dimension)"),
@@ -280,12 +277,9 @@ COMMANDS = {
     "eigen": ("exact eigenvalues with quadrature enclosures", cmd_eigen, (
         _DIMENSION,
         (("--kernel",), "kernel", None, None, ("delta", "magical", "nonmagical"), True, None),
-        (("--m",), "m", int, None, None, False, "half-degree of a polynomial kernel"),
-        (("--k",), "k", None, None, None, True, "comma-separated harmonic degrees"),
-        (("--precision-bits",), "precision_bits", _int_at_least(64, "precision-bits"),
-         DEFAULT_PRECISION, None, False,
-         "working precision of the quadrature enclosures (default 128, min 64); "
-         "decimals are always correctly rounded to 30 digits"),
+        (("--m",), "m", _int_at_least(0, "m"), None, None, False,
+         "half-degree of a polynomial kernel"),
+        (("--k",), "k", _degrees, None, None, True, "comma-separated harmonic degrees"),
         _OUT,
     )),
     "verify": ("re-verify a certificate JSON file", cmd_verify,

@@ -60,7 +60,9 @@ def test_certify_d5_prior_results(tmp_path, capsys):
 
 
 def test_certify_rejects_low_dimension():
-    assert run(["certify", "-d", "2"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", "-d", "2"])
+    assert exc.value.code == 2
 
 
 def test_certify_deterministic_apart_from_timestamp(tmp_path):
@@ -74,11 +76,15 @@ def test_certify_deterministic_apart_from_timestamp(tmp_path):
 
 # the file the CLI writes is in json.dumps(indent=2) layout, not just equal as
 # JSON; the library reads it back to the same text, and verify accepts it.
-# d = 5 has evidence, d = 7 empty coefficient lists.
+# d = 5 has evidence, d = 7 empty coefficient lists.  The summary counts the
+# nonnegativity certificates certify checked: only weights with a coefficient
+# (0 of 4 at d = 7, 4 of 20 at d = 24).
 @pytest.mark.parametrize("d", [5, 7, 8, 24, 48])
-def test_certify_json_layout(tmp_path, d):
+def test_certify_json_layout(tmp_path, capsys, d):
     out = tmp_path / "c.json"
     assert run(["certify", "-d", str(d), "--out", str(out)]) == 0
+    if d in (7, 24):
+        assert f", {4 if d == 24 else 0} nonnegativity certificates," in capsys.readouterr().err
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=2)
     assert scheme.Certificate.from_text(text).to_text(json.loads(text)["timestamp"]) == text
@@ -735,7 +741,9 @@ def test_scan_starts_no_more_workers_than_dimensions(tmp_path, monkeypatch):
 
 def test_scan_empty_range():
     assert run(["scan", "--d-min", "9", "--d-max", "8"]) == 2
-    assert run(["scan", "--d-min", "1", "--d-max", "2"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["scan", "--d-min", "1", "--d-max", "2"])
+    assert exc.value.code == 2
 
 
 def test_eigen_delta_d3(tmp_path):
@@ -808,12 +816,15 @@ def test_eigen_output_pinned(line):
 
 
 def test_eigen_validation():
+    # --m required for a polynomial kernel reads two arguments: the command checks it
     assert run(["eigen", "-d", "5", "--kernel", "magical", "--k", "2"]) == 2
-    assert run(["eigen", "-d", "5", "--kernel", "magical", "--m", "-1", "--k", "2"]) == 2
-    assert run(["eigen", "-d", "5", "--kernel", "delta", "--k", "x"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["eigen", "-d", "5", "--kernel", "delta", "--k", "2", "--precision-bits", "32"])
-    assert exc.value.code == 2
+    # a single bad value fails its argparse type
+    for argv in (["--kernel", "magical", "--m", "-1", "--k", "2"],
+                 ["--kernel", "delta", "--k", "x"],
+                 ["--kernel", "delta", "--k", "2", "--precision-bits", "32"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["eigen", "-d", "5", *argv])
+        assert exc.value.code == 2
 
 
 def test_eigen_exact_rounding_enclosure(tmp_path):
@@ -821,41 +832,41 @@ def test_eigen_exact_rounding_enclosure(tmp_path):
     # rounding interval; the exact value must still be accepted
     out = tmp_path / "eig.json"
     assert run(["eigen", "--kernel", "magical", "-d", "23", "--m", "4", "--k", "0",
-                "--precision-bits", "256", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     assert json.loads(out.read_text())["values"][0]["contained"]
 
 
 def test_eigen_decimal_independent_of_precision(tmp_path):
-    # --precision-bits sets the enclosure's precision only; the decimal is
-    # the correctly rounded 30-digit rendering at any setting
-    decimals = []
-    for bits in ("64", "256"):
-        out = tmp_path / f"eig{bits}.json"
-        assert run(["eigen", "--kernel", "delta", "-d", "9", "--k", "2",
-                    "--precision-bits", bits, "--out", str(out)]) == 0
-        decimals.append(json.loads(out.read_text())["values"][0]["decimal"])
-    assert decimals == ["1.98212338878467333857646183903"] * 2
+    # the enclosures run at 128 bits; the decimal is the exact value's
+    # correctly rounded 30-digit rendering, not the enclosure's
+    out = tmp_path / "eig.json"
+    assert run(["eigen", "--kernel", "delta", "-d", "9", "--k", "2", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["values"][0]
+    assert row["decimal"] == ExactScalar.from_json(row["exact"]).decimal(30)
+    assert row["decimal"] == "1.98212338878467333857646183903"
 
 
 @pytest.mark.parametrize(
-    "argv, bits",
+    "argv",
     [
-        (["--kernel", "delta", "-d", "9", "--k", "0,2,4"], 128),
-        (["--kernel", "magical", "-d", "7", "--m", "2", "--k", "0,1,2", "--precision-bits", "64"], 64),
-        (["--kernel", "nonmagical", "-d", "8", "--m", "2", "--k", "0,2", "--precision-bits", "200"], 200),
+        ["--kernel", "delta", "-d", "9", "--k", "0,2,4"],
+        ["--kernel", "magical", "-d", "7", "--m", "2", "--k", "0,1,2"],
+        ["--kernel", "nonmagical", "-d", "8", "--m", "2", "--k", "0,2"],
     ],
     ids=["delta", "magical64", "nonmagical200"],
 )
-def test_eigen_enclosure_strings_bracket_exact_decimal(tmp_path, argv, bits):
-    # each endpoint is a plain decimal at bits * 3 // 10 + 2 digits; correct
-    # rounding is monotone, so the pair brackets the exact value's rendering
+def test_eigen_enclosure_strings_bracket_exact_decimal(tmp_path, argv):
+    # the enclosures run at 128 bits, and each endpoint is a plain decimal at
+    # 40 significant digits; correct rounding is monotone, so the pair
+    # brackets the exact value's rendering
     out = tmp_path / "eig.json"
     assert run(["eigen", *argv, "--out", str(out)]) == 0
-    digits = bits * 3 // 10 + 2
     for row in json.loads(out.read_text())["values"]:
         lo, hi = row["enclosure"]
         assert not lo.startswith("[") and not hi.startswith("[")
-        exact = ExactScalar.from_json(row["exact"]).decimal(digits)
+        for end in (lo, hi):
+            assert end == "0.0" or len(end.split("e")[0].lstrip("-0.").replace(".", "")) == 40
+        exact = ExactScalar.from_json(row["exact"]).decimal(40)
         assert Fraction(lo) <= Fraction(exact) <= Fraction(hi)
 
 
@@ -875,6 +886,8 @@ def test_eigen_enclosure_strings_bracket_exact_decimal(tmp_path, argv, bits):
         ["verify", "c.json", "--precision-bits", "128"],
         ["certify", "-d", "3", "--precision-bits", "128"],
         ["scan", "--d-min", "3", "--d-max", "3", "--precision-bits", "128"],
+        # the enclosures' precision is a constant
+        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--precision-bits", "128"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -882,6 +895,18 @@ def test_removed_flag_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+# a bad single value: its argparse type in cli.COMMANDS rejects it
+_BAD_VALUES = {
+    "certify_d_low": ["certify", "-d", "2"],
+    "eigen_d_low": ["eigen", "--kernel", "delta", "-d", "2", "--k", "2"],
+    "scan_d_min_low": ["scan", "--d-min", "2", "--d-max", "4"],
+    "delta_m_negative": ["eigen", "--kernel", "delta", "-d", "5", "--m", "-1", "--k", "2"],
+    "magical_m_negative": ["eigen", "--kernel", "magical", "-d", "5", "--m", "-1", "--k", "2"],
+    "k_not_integer": ["eigen", "--kernel", "delta", "-d", "5", "--k", "x"],
+    "k_negative": ["eigen", "--kernel", "delta", "-d", "5", "--k", "0,-2"],
+}
 
 
 @pytest.mark.parametrize(
@@ -909,25 +934,40 @@ def test_removed_flag_exits_2(argv):
         ["certify", "-d", "7", "--out", "newdir/"],
         ["eigen", "--kernel", "delta", "-d", "5", "--k", "2", "--out", "newdir/"],
         ["scan", "--d-min", "7", "--d-max", "7", "--out", "newdir/"],
+        *_BAD_VALUES.values(),
     ],
     ids=["jobs_zero", "jobs_negative", "delta_odd_k", "delta_odd_k_in_list",
          "tail_depth_negative_d9", "tail_depth_negative_d5",
          "certify_out_unwritable", "eigen_out_unwritable", "scan_out_unwritable",
          "certify_out_empty", "eigen_out_empty", "scan_out_empty",
          "certify_out_dangling_link", "eigen_out_dangling_link", "scan_out_dangling_link",
-         "certify_out_new_dir", "eigen_out_new_dir", "scan_out_new_dir"],
+         "certify_out_new_dir", "eigen_out_new_dir", "scan_out_new_dir", *_BAD_VALUES],
 )
 def test_invalid_value_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     os.symlink("/nonexistent/dir/x.json", "link.json")
+    # no work begins: every check runs before a certificate or an eigenvalue table
+    monkeypatch.setattr(cli, "compute_a_star", lambda *a: pytest.fail("work began"))
+    monkeypatch.setattr(cli, "EigenTable", lambda *a: pytest.fail("work began"))
     try:
         code = run(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", list(_BAD_VALUES.values()), ids=list(_BAD_VALUES))
+def test_single_value_checks_are_argparse_types(capsys, argv):
+    # main hands the line to argparse, whose parser alone rejects it, no command body run
+    assert cli._read_plain(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith(f"sharpcert {argv[0]}: error: argument ")
 
 
 @pytest.mark.parametrize(
@@ -1136,7 +1176,7 @@ def _full_parser_main(argv):
         ["scan", "--d-min", "5", "--d-max", "4", "--d-max", "3"],
         ["scan", "--d-min", "5", "--d-max", "4", "--format", "xml"],
         ["eigen", "-d", "3", "--kernel", "gauss", "--k", "2"],
-        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2", "--precision-bits", "10"],
+        ["eigen", "-d", "3", "--kernel", "delta", "--k", "2"],
         ["verify", "--", "-c.json"],
         ["verify", "-c.json"],
     ],
@@ -1165,7 +1205,7 @@ _REQUIRED = {
 _OPTIONAL = {
     "certify": ("--out",),
     "scan": ("--jobs", "--out", "--format"),
-    "eigen": ("--m", "--precision-bits", "--out"),
+    "eigen": ("--m", "--out"),
     "verify": (),
 }
 _MOSTLY = st.sampled_from((True, True, True, False))
@@ -1174,14 +1214,13 @@ _INTS = ("3", "9", "0", "64", " 7", "\u0663", "\u096d")
 # values each flag accepts, mostly
 _GOOD = {"-d": _INTS, "--dimension": _INTS, "--d-min": _INTS, "--d-max": _INTS, "--jobs": _INTS,
          "--m": _INTS,
-         "--precision-bits": ("64", "128", " 99", "\u0669\u0669"),
          "--out": ("c.json", "-c.json", _WRITABLE),
          "--format": ("json", "csv"), "--kernel": ("delta", "magical", "nonmagical"),
-         "--k": ("0,2", "x", "-x")}
+         "--k": ("0,2", "3", " 4,\u0666", "x", "0,-2", "-x")}
 _VALUES = ("3", "1", "10", "-3", "-1/2", "1/2", "1/0", "x", "", " 7", "\u0663", "json", "xml",
            "delta", "gauss", "c.json", "-c.json", _WRITABLE, "/nonexistent/x.json")
 _ODD = ("-h", "--help", "--", "-", "-d9", "--dimension=9", "--dim", "--jobs=2", "--out=o.json",
-        "--d-m", "--form", "--kernel=delta", "--precision", "--bogus", "-x", "--format", "--k",
+        "--d-m", "--form", "--kernel=delta", "--bogus", "-x", "--format", "--k",
         "--m", "--jobs", "--out", "-d")
 
 
